@@ -690,6 +690,35 @@ def quotient_algebra(algebra: Algebra, ideal) -> tuple[Algebra, QuotientMap]:
     return quotient, QuotientMap(algebra, quotient, project, lift)
 
 
+def reduction_map(algebra: Algebra, modulus: polyutil.Poly
+                  ) -> Callable[[AlgebraElement], polyutil.Poly]:
+    """x -> the dense remainder of x modulo a polynomial (monomial kinds).
+
+    Negative Laurent exponents reduce through the inverse of t modulo the
+    modulus, computed once here; it exists exactly when t and the modulus
+    are coprime.
+    """
+    tinv = None
+    if algebra.kind == "laurent":
+        g, u, _ = polyutil.pxgcd((Fraction(0), Fraction(1)), modulus)
+        if polyutil.degree(g) != 0:
+            raise ImproperIdeal("t is not invertible modulo the generator")
+        tinv = polyutil.pmod(u, modulus)
+
+    def reduce(x: AlgebraElement) -> polyutil.Poly:
+        dense = [Fraction(0)] * (max(x.coeffs, default=-1) + 1)
+        negative: polyutil.Poly = ()
+        for k, c in x.coeffs.items():
+            if k >= 0:
+                dense[k] = c
+            else:
+                negative = polyutil.padd(negative, polyutil.pscale(
+                    polyutil.pmod(polyutil.ppow(tinv, -k), modulus), c))
+        return polyutil.pmod(polyutil.padd(polyutil.trim(dense), negative), modulus)
+
+    return reduce
+
+
 def _principal_quotient(algebra: Algebra, ideal: PrincipalIdeal):
     algebra.require_compatible(ideal.algebra)
     if ideal.is_zero():
@@ -713,25 +742,11 @@ def _principal_quotient(algebra: Algebra, ideal: PrincipalIdeal):
     unit = tuple(Fraction(1) if k == 0 else Fraction(0) for k in range(deg))
     quotient = Algebra.structure_constants(tuple(tensor), unit, labels=labels,
                                            validate=False)
-    tinv = None
-    if algebra.kind == "laurent":
-        # t is invertible mod p exactly when p(0) != 0; normalization assures it.
-        g, u, _ = polyutil.pxgcd((Fraction(0), Fraction(1)), p)
-        if polyutil.degree(g) != 0:
-            raise ImproperIdeal("t is not invertible modulo the generator")
-        tinv = polyutil.pmod(u, p)
+    # t is invertible mod p exactly when p(0) != 0; normalization assures it.
+    reduce = reduction_map(algebra, p)
 
     def project(x: AlgebraElement) -> AlgebraElement:
-        pos = {k: c for k, c in x.coeffs.items() if k >= 0}
-        dense = [Fraction(0)] * (max(pos) + 1 if pos else 0)
-        for k, c in pos.items():
-            dense[k] = c
-        red = polyutil.pmod(polyutil.trim(dense), p)
-        for k, c in x.coeffs.items():
-            if k < 0:
-                term = polyutil.pscale(polyutil.pmod(polyutil.ppow(tinv, -k), p), c)
-                red = polyutil.pmod(polyutil.padd(red, term), p)
-        return AlgebraElement(quotient, {k: c for k, c in enumerate(red)})
+        return AlgebraElement(quotient, dict(enumerate(reduce(x))))
 
     def lift(y: AlgebraElement) -> AlgebraElement:
         return AlgebraElement(algebra, dict(y.coeffs))

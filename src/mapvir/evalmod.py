@@ -3,8 +3,12 @@
 Covers the intermediate-series action on Laurent monomials, single point
 (generalized) evaluation modules obtained by pushing coefficients through
 A -> A/m^n, tensor products of module handles, and the annihilator/support
-bookkeeping.  Tensor handles never materialize product bases; every tensor
-query is a convolution of factor weight tables.
+bookkeeping.  Each handle class answers every query for its own variant
+(support bounds, base weight, weight table, annihilator, action and spec);
+the module-level functions validate the request and dispatch by class, and
+``variant`` survives only as the serialization key.  Tensor handles never
+materialize product bases; every tensor query is a convolution of factor
+weight tables.
 """
 
 from __future__ import annotations
@@ -25,10 +29,10 @@ from .algebra import (
     ideal_intersection,
     ideal_power,
     point_ideal,
+    reduction_map,
 )
 from .errors import MissingWindow, UnsupportedKind, WindowOverflow
 from .liealg import LieElement
-from .pbw import pbw_basis
 from .scalars import as_scalar, format_scalar
 from .verma import (
     Functional,
@@ -36,6 +40,7 @@ from .verma import (
     functional_to_spec,
     largest_v0_ideal,
     check_quasifinite,
+    module_dims,
     quotient_dims,
     verma_act,
 )
@@ -93,200 +98,7 @@ def int_series_act(spec: IntSeriesSpec, n: int, k: int) -> tuple[Fraction, int]:
     return spec.coefficient(n, k), n + k
 
 
-# -- module handles ---------------------------------------------------------
-
-
-class ModuleHandle:
-    variant = "?"
-
-    def __init__(self, algebra: Algebra):
-        self.algebra = algebra
-
-
-class VermaHandle(ModuleHandle):
-    variant = "verma"
-
-    def __init__(self, functional: Functional):
-        super().__init__(functional.algebra)
-        self.functional = functional
-
-
-class IrreducibleQuotientHandle(ModuleHandle):
-    variant = "irreducible_quotient"
-
-    def __init__(self, functional: Functional):
-        super().__init__(functional.algebra)
-        self.functional = functional
-
-
-class IntSeriesEvalHandle(ModuleHandle):
-    """Evaluation at the maximal ideal of ``point`` of an intermediate-series
-    module.  For a one-dimensional algebra the evaluation is the identity and
-    no point is needed."""
-
-    variant = "int_series_eval"
-
-    def __init__(self, algebra: Algebra, spec: IntSeriesSpec, point=None):
-        super().__init__(algebra)
-        self.spec = spec
-        if algebra.kind in ("product_local", "polynomial", "laurent"):
-            if point is None:
-                raise ValueError("evaluation over this algebra needs a point")
-            self.point = as_scalar(point)
-        elif algebra.dim == 1:
-            self.point = None
-        else:
-            raise UnsupportedKind(
-                "int-series evaluation needs a monomial-based or one-dimensional algebra")
-
-
-class GeneralizedEvalHandle(ModuleHandle):
-    """Pullback of an inner module along A -> A/(t - point)^order."""
-
-    variant = "generalized_eval"
-
-    def __init__(self, algebra: Algebra, point, order: int, inner: ModuleHandle):
-        super().__init__(algebra)
-        self.point = as_scalar(point)
-        self.order = int(order)
-        quotient, projection = local_quotient(algebra, self.point, self.order)
-        if not inner.algebra.compatible(quotient):
-            raise UnsupportedKind(
-                "inner module must live over the order-n local quotient "
-                "(build it with local_quotient)")
-        self.inner = inner
-        self.projection = projection
-
-
-class TensorHandle(ModuleHandle):
-    variant = "tensor"
-
-    def __init__(self, factors):
-        factors = tuple(factors)
-        if not factors:
-            raise ValueError("tensor handle needs at least one factor")
-        alg = factors[0].algebra
-        for f in factors[1:]:
-            alg.require_compatible(f.algebra)
-        super().__init__(alg)
-        self.factors = factors
-
-
-def local_quotient(algebra: Algebra, point, order: int) -> tuple[Algebra, QuotientMap]:
-    """The local quotient A/(t - point)^order with its projection map.
-
-    The quotient is presented as the product_local algebra with a single
-    factor, so its labels are 1, t, ..., t^{order-1}.
-    """
-    point = as_scalar(point)
-    order = int(order)
-    if order < 1:
-        raise ValueError("order must be positive")
-    key = ("local_quotient", point, order)
-    cached = algebra._caches.get(key)
-    if cached is not None:
-        return cached
-    target = Algebra.product_local([(point, order)])
-    modulus = polyutil.ppow((-point, Fraction(1)), order)
-
-    if algebra.kind == "product_local":
-        match = next((o for p, o in algebra.factors if p == point), None)
-        if match is None or match < order:
-            raise ValueError(
-                "the presentation has no factor dominating this point/order")
-
-        def project(x: AlgebraElement) -> AlgebraElement:
-            return target.from_poly(polyutil.pmod(x.as_poly(), modulus))
-    elif algebra.kind == "polynomial":
-        def project(x: AlgebraElement) -> AlgebraElement:
-            return target.from_poly(polyutil.pmod(x.as_poly(), modulus))
-    elif algebra.kind == "laurent":
-        if point == 0:
-            raise ValueError("t is not invertible at the point 0")
-        g, u, _ = polyutil.pxgcd((Fraction(0), Fraction(1)), modulus)
-        tinv = polyutil.pmod(u, modulus)
-
-        def project(x: AlgebraElement) -> AlgebraElement:
-            acc: polyutil.Poly = ()
-            for k, c in x.coeffs.items():
-                if k >= 0:
-                    mono = [Fraction(0)] * (k + 1)
-                    mono[k] = c
-                    term = polyutil.pmod(polyutil.trim(mono), modulus)
-                else:
-                    term = polyutil.pscale(
-                        polyutil.pmod(polyutil.ppow(tinv, -k), modulus), c)
-                acc = polyutil.pmod(polyutil.padd(acc, term), modulus)
-            return target.from_poly(acc)
-    else:
-        raise UnsupportedKind("local quotients need a monomial-based algebra")
-
-    def lift(y: AlgebraElement) -> AlgebraElement:
-        return algebra.from_poly(y.as_poly())
-
-    qmap = QuotientMap(algebra, target, project, lift)
-    algebra._caches[key] = (target, qmap)
-    return target, qmap
-
-
-def project_lie(projection: QuotientMap, x: LieElement) -> LieElement:
-    """Push a Lie element through a coefficient-algebra projection."""
-    d = {n: projection(f) for n, f in x.d_part.items()}
-    return LieElement(projection.quotient, d, projection(x.c_part))
-
-
-# -- the actions ------------------------------------------------------------
-
-
-def _eval_at_point(f: AlgebraElement, point: Fraction | None) -> Fraction:
-    """The scalar image of f under A -> A/m ~ Q at the point."""
-    if point is None:
-        one = f.algebra.one()
-        for i, c in one.coeffs.items():
-            return f.coeff(i) / c
-        raise AssertionError("unit has empty support")
-    total = Fraction(0)
-    for k, c in f.coeffs.items():
-        if k < 0 and point == 0:
-            raise ValueError("t is not invertible at the point 0")
-        total += c * point ** k
-    return total
-
-
-def eval_act(handle: ModuleHandle, x: LieElement, v):
-    """Act on a module vector after reducing coefficients through the point.
-
-    For ``int_series_eval`` vectors are {exponent: coefficient} maps; for
-    ``generalized_eval`` the vector type is the inner module's (a VermaVector
-    for an inner Verma, whose action returns homogeneous pieces).
-    """
-    if handle.variant == "int_series_eval":
-        handle.algebra.require_compatible(x.algebra)
-        spec = handle.spec
-        out: dict[int, Fraction] = {}
-        for n, f in x.d_part.items():
-            scalar = _eval_at_point(f, handle.point)
-            if scalar == 0:
-                continue
-            for k, cv in v.items():
-                if cv == 0:
-                    continue
-                coeff, target = int_series_act(spec, n, k)
-                val = scalar * coeff * cv
-                if val != 0:
-                    out[target] = out.get(target, Fraction(0)) + val
-        # c (x) A acts by zero
-        return {k: c for k, c in out.items() if c != 0}
-    if handle.variant == "generalized_eval":
-        handle.algebra.require_compatible(x.algebra)
-        projected = project_lie(handle.projection, x)
-        return eval_act(handle.inner, projected, v)
-    if handle.variant in ("verma", "irreducible_quotient"):
-        return verma_act(x, v)
-    raise UnsupportedKind(f"eval_act is not defined on {handle.variant} handles")
-
-
-# -- weight tables ----------------------------------------------------------
+# -- weight tables and annihilator reports ----------------------------------
 
 
 @dataclass
@@ -318,150 +130,6 @@ class WeightTable:
         for o in range(self.offsets[0], self.offsets[1] + 1):
             lines.append(f"{o}\t{format_scalar(self.base + o)}\t{self.mult.get(o, 0)}")
         return "\n".join(lines)
-
-
-def _support_bounds(handle: ModuleHandle):
-    """(lower, upper) offset bounds of possibly nonzero weights; None = unbounded."""
-    if handle.variant in ("verma", "irreducible_quotient"):
-        return (None, 0)
-    if handle.variant == "int_series_eval":
-        return handle.spec.window
-    if handle.variant == "generalized_eval":
-        return _support_bounds(handle.inner)
-    if handle.variant == "tensor":
-        los, his = zip(*(_support_bounds(f) for f in handle.factors))
-        lo = None if any(l is None for l in los) else sum(los)
-        hi = None if any(h is None for h in his) else sum(his)
-        return (lo, hi)
-    raise UnsupportedKind(handle.variant)
-
-
-def _window_limited(handle: ModuleHandle) -> bool:
-    if handle.variant == "int_series_eval":
-        return True
-    if handle.variant in ("verma", "irreducible_quotient"):
-        return not handle.algebra.is_finite
-    if handle.variant == "generalized_eval":
-        return _window_limited(handle.inner)
-    if handle.variant == "tensor":
-        return any(_window_limited(f) for f in handle.factors)
-    return False
-
-
-def base_weight(handle: ModuleHandle) -> Fraction:
-    if handle.variant in ("verma", "irreducible_quotient"):
-        return handle.functional.highest_weight
-    if handle.variant == "int_series_eval":
-        return handle.spec.a + handle.spec.b
-    if handle.variant == "generalized_eval":
-        return base_weight(handle.inner)
-    if handle.variant == "tensor":
-        return sum((base_weight(f) for f in handle.factors), Fraction(0))
-    raise UnsupportedKind(handle.variant)
-
-
-def weight_multiplicities(handle: ModuleHandle, offsets, window=None) -> WeightTable:
-    """Exact multiplicity table over the requested offsets.
-
-    Tensor tables are convolutions of factor tables; whenever a factor is
-    window-limited (intermediate series, or Verma over an infinite algebra),
-    the counts are lower bounds and the table is flagged window-truncated.
-    """
-    if offsets is None:
-        raise MissingWindow("weight_multiplicities needs an offsets interval")
-    lo, hi = int(offsets[0]), int(offsets[1])
-    if lo > hi:
-        raise ValueError("empty offsets interval")
-    variant = handle.variant
-    notes: list[str] = []
-    truncated = False
-
-    if variant in ("verma", "irreducible_quotient"):
-        phi = handle.functional
-        max_depth = max(0, -lo)
-        if variant == "verma":
-            dims = [len(pbw_basis(n, handle.algebra, window=window))
-                    for n in range(max_depth + 1)]
-        else:
-            dims = list(quotient_dims(phi, max_depth, window=window))
-        mult = {}
-        for o in range(lo, hi + 1):
-            mult[o] = dims[-o] if o <= 0 else 0
-        if not handle.algebra.is_finite:
-            truncated = True
-            notes.append("weight spaces counted inside the algebra window only")
-        return WeightTable(phi.highest_weight, (lo, hi),
-                           {o: m for o, m in mult.items() if m}, truncated,
-                           tuple(notes))
-
-    if variant == "int_series_eval":
-        spec = handle.spec
-        klo, khi = spec.window
-        mult = {o: 1 for o in range(max(lo, klo), min(hi, khi) + 1)}
-        if lo < klo or hi > khi:
-            truncated = True
-            notes.append("offsets outside the module window reported as 0")
-        s = spec.a + spec.b
-        if s.denominator == 1:
-            o0 = -int(s)
-            if klo <= o0 <= khi:
-                if spec.a == 0:
-                    notes.append(f"trivial submodule at offset {o0}")
-                elif spec.a == 1:
-                    notes.append(f"trivial quotient at offset {o0}")
-        return WeightTable(spec.a + spec.b, (lo, hi), mult, truncated, tuple(notes))
-
-    if variant == "generalized_eval":
-        inner = weight_multiplicities(handle.inner, (lo, hi), window=window)
-        note = (f"pulled back through the order-{handle.order} quotient at "
-                f"point {format_scalar(handle.point)}")
-        return WeightTable(inner.base, (lo, hi), inner.mult, inner.truncated,
-                           inner.notes + (note,))
-
-    if variant == "tensor":
-        # Every variant is bounded above (Verma by 0, intermediate series by
-        # its window), so each factor only needs a finite offset range for an
-        # exact convolution over [lo, hi].
-        tables = []
-        bounds = [_support_bounds(f) for f in handle.factors]
-        if any(b[1] is None for b in bounds):
-            raise UnsupportedKind("tensor factor with weights unbounded above")
-        for i, f in enumerate(handle.factors):
-            others_hi = sum(b[1] for j, b in enumerate(bounds) if j != i)
-            others_lo = [b[0] for j, b in enumerate(bounds) if j != i]
-            f_lo, f_hi = bounds[i]
-            range_lo = lo - others_hi
-            if f_lo is not None:
-                range_lo = max(range_lo, f_lo)
-            if any(b is None for b in others_lo):
-                range_hi = f_hi
-            else:
-                range_hi = hi - sum(others_lo)
-                if f_hi is not None:
-                    range_hi = min(range_hi, f_hi)
-            if range_lo > range_hi:
-                tables.append(WeightTable(base_weight(f), (0, 0), {}))
-                continue
-            tables.append(weight_multiplicities(f, (range_lo, range_hi),
-                                                window=window))
-        mult: dict[int, int] = {}
-        for combo in itertools.product(*[t.mult.items() for t in tables]):
-            off = sum(o for o, _ in combo)
-            if lo <= off <= hi:
-                m = 1
-                for _, mm in combo:
-                    m *= mm
-                mult[off] = mult.get(off, 0) + m
-        truncated = _window_limited(handle)
-        if truncated:
-            notes.append("tensor counts are window-limited lower bounds")
-        return WeightTable(base_weight(handle), (lo, hi), mult, truncated,
-                           tuple(notes))
-
-    raise UnsupportedKind(variant)
-
-
-# -- annihilators and support -----------------------------------------------
 
 
 @dataclass
@@ -518,6 +186,477 @@ def _verify_closure(ann, algebra: Algebra) -> bool:
     return True
 
 
+def _generators(ann) -> list[AlgebraElement]:
+    if ann is None:
+        return []
+    return ann.basis_elements() if isinstance(ann, Ideal) else [ann.generator]
+
+
+# -- module handles ---------------------------------------------------------
+
+
+class ModuleHandle:
+    """A module over Vir (x) A.  Each subclass answers the queries for its
+    variant: support_bounds() gives the (lower, upper) offset bounds of
+    possibly nonzero weights (None = unbounded), window_limited() says whether
+    weight counts only see a window, and base_weight, weight_table,
+    annihilator, act and to_spec back the module-level functions.  The base
+    class answers none of them."""
+
+    variant = "?"
+
+    def __init__(self, algebra: Algebra):
+        self.algebra = algebra
+
+    def _unsupported(self, *args):
+        raise UnsupportedKind(self.variant)
+
+    support_bounds = base_weight = weight_table = annihilator = to_spec = _unsupported
+
+    def window_limited(self) -> bool:
+        return False
+
+    def act(self, x: LieElement, v):
+        raise UnsupportedKind(f"eval_act is not defined on {self.variant} handles")
+
+
+class _HighestWeightHandle(ModuleHandle):
+    """Verma module of a functional or its irreducible quotient; the two
+    differ in where the graded dimensions come from and in the annihilator."""
+
+    def __init__(self, functional: Functional):
+        super().__init__(functional.algebra)
+        self.functional = functional
+
+    @classmethod
+    def from_spec(cls, algebra: Algebra, spec: dict) -> "_HighestWeightHandle":
+        return cls(functional_from_spec(algebra, spec["functional"]))
+
+    def to_spec(self) -> dict:
+        return {"variant": self.variant,
+                "functional": functional_to_spec(self.functional)}
+
+    def support_bounds(self):
+        return (None, 0)
+
+    def window_limited(self) -> bool:
+        return not self.algebra.is_finite
+
+    def base_weight(self) -> Fraction:
+        return self.functional.highest_weight
+
+    def weight_table(self, lo, hi, window) -> WeightTable:
+        dims = self._dims(max(0, -lo), window)
+        mult = {o: dims[-o] for o in range(lo, min(hi, 0) + 1) if dims[-o]}
+        truncated = self.window_limited()
+        notes = (("weight spaces counted inside the algebra window only",)
+                 if truncated else ())
+        return WeightTable(self.functional.highest_weight, (lo, hi), mult,
+                           truncated, notes)
+
+    def act(self, x, v):
+        return verma_act(x, v)
+
+
+class VermaHandle(_HighestWeightHandle):
+    variant = "verma"
+
+    def _dims(self, max_depth, window):
+        return module_dims(self.algebra, max_depth, window=window)
+
+    def annihilator(self, window) -> AnnihilatorReport:
+        # free over the lowering half, so every presentation point supports it
+        alg = self.algebra
+        ann = Ideal(alg, []) if alg.is_finite else PrincipalIdeal(alg, alg.zero())
+        support = _presentation_points(alg)
+        notes = [] if support is not None else ["no point presentation; "
+                                                "support unavailable"]
+        notes.append("Verma modules are free over the lowering half; "
+                     "their annihilator is zero")
+        return AnnihilatorReport(ann, [], support, True, tuple(notes))
+
+
+class IrreducibleQuotientHandle(_HighestWeightHandle):
+    variant = "irreducible_quotient"
+
+    def _dims(self, max_depth, window):
+        return quotient_dims(self.functional, max_depth, window=window)
+
+    def annihilator(self, window) -> AnnihilatorReport:
+        # exactly the largest ideal on which the functional vanishes
+        phi = self.functional
+        alg = self.algebra
+        notes: list[str] = []
+        if alg.is_finite:
+            ann = largest_v0_ideal(phi)
+            support = _support_of_ideal(ann, alg)
+            if support is None:
+                notes.append("no point presentation; support unavailable")
+            if ann.is_whole():
+                support = []
+                notes.append("trivial module: annihilator is the whole algebra")
+            return AnnihilatorReport(ann, ann.basis_elements(), support,
+                                     _verify_closure(ann, alg), tuple(notes))
+        verdict = check_quasifinite(phi)
+        if verdict.certified and verdict.witness is not None:
+            ann = verdict.witness
+            roots, rest = polyutil.rational_roots(ann.generator_poly())
+            if polyutil.degree(rest) > 0:
+                notes.append("annihilator has irrational factors; support incomplete")
+            return AnnihilatorReport(ann, [ann.generator], [r for r, _ in roots],
+                                     True, tuple(notes))
+        notes.append("no certified annihilator within the window")
+        return AnnihilatorReport(None, [], None, False, tuple(notes))
+
+
+class IntSeriesEvalHandle(ModuleHandle):
+    """Evaluation at the maximal ideal of ``point`` of an intermediate-series
+    module.  For a one-dimensional algebra the evaluation is the identity and
+    no point is needed."""
+
+    variant = "int_series_eval"
+
+    def __init__(self, algebra: Algebra, spec: IntSeriesSpec, point=None):
+        super().__init__(algebra)
+        self.spec = spec
+        if algebra.kind in ("product_local", "polynomial", "laurent"):
+            if point is None:
+                raise ValueError("evaluation over this algebra needs a point")
+            self.point = as_scalar(point)
+        elif algebra.dim == 1:
+            self.point = None
+        else:
+            raise UnsupportedKind(
+                "int-series evaluation needs a monomial-based or one-dimensional algebra")
+
+    @classmethod
+    def from_spec(cls, algebra: Algebra, spec: dict) -> "IntSeriesEvalHandle":
+        iss = IntSeriesSpec(spec["a"], spec["b"], tuple(spec["window"]))
+        return cls(algebra, iss, spec.get("point"))
+
+    def to_spec(self) -> dict:
+        spec = {"variant": self.variant,
+                "a": format_scalar(self.spec.a),
+                "b": format_scalar(self.spec.b),
+                "window": list(self.spec.window)}
+        if self.point is not None:
+            spec["point"] = format_scalar(self.point)
+        return spec
+
+    def support_bounds(self):
+        return self.spec.window
+
+    def window_limited(self) -> bool:
+        return True
+
+    def base_weight(self) -> Fraction:
+        return self.spec.a + self.spec.b
+
+    def weight_table(self, lo, hi, window) -> WeightTable:
+        spec = self.spec
+        klo, khi = spec.window
+        mult = {o: 1 for o in range(max(lo, klo), min(hi, khi) + 1)}
+        truncated = False
+        notes: list[str] = []
+        if lo < klo or hi > khi:
+            truncated = True
+            notes.append("offsets outside the module window reported as 0")
+        s = spec.a + spec.b
+        if s.denominator == 1:
+            o0 = -int(s)
+            if klo <= o0 <= khi:
+                if spec.a == 0:
+                    notes.append(f"trivial submodule at offset {o0}")
+                elif spec.a == 1:
+                    notes.append(f"trivial quotient at offset {o0}")
+        return WeightTable(s, (lo, hi), mult, truncated, tuple(notes))
+
+    def annihilator(self, window) -> AnnihilatorReport:
+        alg = self.algebra
+        if self.point is None:
+            return AnnihilatorReport(
+                Ideal(alg, []), [], None, True,
+                ("one-dimensional algebra: evaluation is the identity",))
+        ann = point_ideal(alg, self.point)
+        return AnnihilatorReport(ann, _generators(ann), [self.point],
+                                 _verify_closure(ann, alg))
+
+    def act(self, x, v):
+        self.algebra.require_compatible(x.algebra)
+        out: dict[int, Fraction] = {}
+        for n, f in x.d_part.items():
+            scalar = _eval_at_point(f, self.point)
+            if scalar == 0:
+                continue
+            for k, cv in v.items():
+                if cv == 0:
+                    continue
+                coeff, target = int_series_act(self.spec, n, k)
+                val = scalar * coeff * cv
+                if val != 0:
+                    out[target] = out.get(target, Fraction(0)) + val
+        return {k: c for k, c in out.items() if c != 0}  # c (x) A acts by zero
+
+
+class GeneralizedEvalHandle(ModuleHandle):
+    """Pullback of an inner module along A -> A/(t - point)^order."""
+
+    variant = "generalized_eval"
+
+    def __init__(self, algebra: Algebra, point, order: int, inner: ModuleHandle):
+        super().__init__(algebra)
+        self.point = as_scalar(point)
+        self.order = int(order)
+        quotient, projection = local_quotient(algebra, self.point, self.order)
+        if not inner.algebra.compatible(quotient):
+            raise UnsupportedKind(
+                "inner module must live over the order-n local quotient "
+                "(build it with local_quotient)")
+        self.inner = inner
+        self.projection = projection
+
+    @classmethod
+    def from_spec(cls, algebra: Algebra, spec: dict) -> "GeneralizedEvalHandle":
+        point = as_scalar(spec["point"])
+        order = int(spec["order"])
+        quotient, _ = local_quotient(algebra, point, order)
+        return cls(algebra, point, order, module_from_spec(quotient, spec["inner"]))
+
+    def to_spec(self) -> dict:
+        return {"variant": self.variant,
+                "point": format_scalar(self.point),
+                "order": self.order,
+                "inner": module_to_spec(self.inner)}
+
+    def support_bounds(self):
+        return self.inner.support_bounds()
+
+    def window_limited(self) -> bool:
+        return self.inner.window_limited()
+
+    def base_weight(self) -> Fraction:
+        return self.inner.base_weight()
+
+    def weight_table(self, lo, hi, window) -> WeightTable:
+        inner = weight_multiplicities(self.inner, (lo, hi), window=window)
+        note = (f"pulled back through the order-{self.order} quotient at "
+                f"point {format_scalar(self.point)}")
+        return WeightTable(inner.base, (lo, hi), inner.mult, inner.truncated,
+                           inner.notes + (note,))
+
+    def annihilator(self, window) -> AnnihilatorReport:
+        # the order-th power of the point ideal, plus the lifted inner ideal
+        alg = self.algebra
+        inner_report = annihilator_support(self.inner, window=window)
+        mpow = ideal_power(point_ideal(alg, self.point), self.order)
+        ann = mpow
+        if isinstance(inner_report.ideal, Ideal) and isinstance(mpow, Ideal):
+            gens = mpow.basis_elements() + [
+                self.projection.lift(b) for b in inner_report.ideal.basis_elements()]
+            if gens:
+                ann = ideal_closure(gens)
+        notes = [f"contains the order-{self.order} power of the point ideal"]
+        support = [self.point]
+        if isinstance(ann, Ideal) and ann.is_whole():
+            support = []
+            notes.append("trivial module: annihilator is the whole algebra")
+        return AnnihilatorReport(ann, _generators(ann), support,
+                                 _verify_closure(ann, alg), tuple(notes))
+
+    def act(self, x, v):
+        self.algebra.require_compatible(x.algebra)
+        return self.inner.act(project_lie(self.projection, x), v)
+
+
+class TensorHandle(ModuleHandle):
+    variant = "tensor"
+
+    def __init__(self, factors):
+        factors = tuple(factors)
+        if not factors:
+            raise ValueError("tensor handle needs at least one factor")
+        alg = factors[0].algebra
+        for f in factors[1:]:
+            alg.require_compatible(f.algebra)
+        super().__init__(alg)
+        self.factors = factors
+
+    @classmethod
+    def from_spec(cls, algebra: Algebra, spec: dict) -> "TensorHandle":
+        return cls([module_from_spec(algebra, f) for f in spec["factors"]])
+
+    def to_spec(self) -> dict:
+        return {"variant": self.variant,
+                "factors": [module_to_spec(f) for f in self.factors]}
+
+    def support_bounds(self):
+        los, his = zip(*(f.support_bounds() for f in self.factors))
+        lo = None if any(l is None for l in los) else sum(los)
+        hi = None if any(h is None for h in his) else sum(his)
+        return (lo, hi)
+
+    def window_limited(self) -> bool:
+        return any(f.window_limited() for f in self.factors)
+
+    def base_weight(self) -> Fraction:
+        return sum((f.base_weight() for f in self.factors), Fraction(0))
+
+    def weight_table(self, lo, hi, window) -> WeightTable:
+        # Every factor is bounded above (Verma by 0, intermediate series by
+        # its window), so each one only needs a finite offset range for an
+        # exact convolution over [lo, hi].
+        tables = []
+        bounds = [f.support_bounds() for f in self.factors]
+        if any(b[1] is None for b in bounds):
+            raise UnsupportedKind("tensor factor with weights unbounded above")
+        for i, f in enumerate(self.factors):
+            others_hi = sum(b[1] for j, b in enumerate(bounds) if j != i)
+            others_lo = [b[0] for j, b in enumerate(bounds) if j != i]
+            f_lo, f_hi = bounds[i]
+            range_lo = lo - others_hi
+            if f_lo is not None:
+                range_lo = max(range_lo, f_lo)
+            if any(b is None for b in others_lo):
+                range_hi = f_hi
+            else:
+                range_hi = hi - sum(others_lo)
+                if f_hi is not None:
+                    range_hi = min(range_hi, f_hi)
+            if range_lo > range_hi:
+                tables.append(WeightTable(f.base_weight(), (0, 0), {}))
+                continue
+            tables.append(weight_multiplicities(f, (range_lo, range_hi),
+                                                window=window))
+        mult: dict[int, int] = {}
+        for combo in itertools.product(*[t.mult.items() for t in tables]):
+            off = sum(o for o, _ in combo)
+            if lo <= off <= hi:
+                m = 1
+                for _, mm in combo:
+                    m *= mm
+                mult[off] = mult.get(off, 0) + m
+        truncated = self.window_limited()
+        notes = ("tensor counts are window-limited lower bounds",) if truncated else ()
+        return WeightTable(self.base_weight(), (lo, hi), mult, truncated, notes)
+
+    def annihilator(self, window) -> AnnihilatorReport:
+        # the intersection of the factors' ideals, when they are of one flavor
+        reports = [annihilator_support(f, window=window) for f in self.factors]
+        support: list[Fraction] | None = []
+        for r in reports:
+            if r.support is None:
+                support = None
+                break
+            support.extend(p for p in r.support if p not in support)
+        ideals = [r.ideal for r in reports]
+        notes = []
+        ann = None
+        if (all(isinstance(i, Ideal) for i in ideals)
+                or all(isinstance(i, PrincipalIdeal) for i in ideals)):
+            ann = ideals[0]
+            for i in ideals[1:]:
+                ann = ideal_intersection(ann, i)
+        else:
+            notes.append("mixed factor annihilators; no common ideal computed")
+        notes.append("intersection of factor annihilators "
+                     "(exact when supports are disjoint)")
+        return AnnihilatorReport(ann, _generators(ann),
+                                 sorted(support) if support is not None else None,
+                                 ann is not None and _verify_closure(ann, self.algebra),
+                                 tuple(notes))
+
+
+_HANDLE_CLASSES = {cls.variant: cls for cls in (
+    VermaHandle, IrreducibleQuotientHandle, IntSeriesEvalHandle,
+    GeneralizedEvalHandle, TensorHandle)}
+
+
+def local_quotient(algebra: Algebra, point, order: int) -> tuple[Algebra, QuotientMap]:
+    """The local quotient A/(t - point)^order with its projection map.
+
+    The quotient is presented as the product_local algebra with a single
+    factor, so its labels are 1, t, ..., t^{order-1}.
+    """
+    point = as_scalar(point)
+    order = int(order)
+    if order < 1:
+        raise ValueError("order must be positive")
+    key = ("local_quotient", point, order)
+    cached = algebra._caches.get(key)
+    if cached is not None:
+        return cached
+    if algebra.kind == "product_local":
+        match = next((o for p, o in algebra.factors if p == point), None)
+        if match is None or match < order:
+            raise ValueError(
+                "the presentation has no factor dominating this point/order")
+    elif algebra.kind == "laurent" and point == 0:
+        raise ValueError("t is not invertible at the point 0")
+    elif algebra.kind not in ("polynomial", "laurent"):
+        raise UnsupportedKind("local quotients need a monomial-based algebra")
+    target = Algebra.product_local([(point, order)])
+    reduce = reduction_map(algebra, polyutil.ppow((-point, Fraction(1)), order))
+
+    def project(x: AlgebraElement) -> AlgebraElement:
+        return target.from_poly(reduce(x))
+
+    def lift(y: AlgebraElement) -> AlgebraElement:
+        return algebra.from_poly(y.as_poly())
+
+    qmap = QuotientMap(algebra, target, project, lift)
+    algebra._caches[key] = (target, qmap)
+    return target, qmap
+
+
+def project_lie(projection: QuotientMap, x: LieElement) -> LieElement:
+    """Push a Lie element through a coefficient-algebra projection."""
+    d = {n: projection(f) for n, f in x.d_part.items()}
+    return LieElement(projection.quotient, d, projection(x.c_part))
+
+
+# -- queries ----------------------------------------------------------------
+
+
+def _eval_at_point(f: AlgebraElement, point: Fraction | None) -> Fraction:
+    """The scalar image of f under A -> A/m ~ Q at the point."""
+    if point is None:
+        one = f.algebra.one()
+        for i, c in one.coeffs.items():
+            return f.coeff(i) / c
+        raise AssertionError("unit has empty support")
+    total = Fraction(0)
+    for k, c in f.coeffs.items():
+        if k < 0 and point == 0:
+            raise ValueError("t is not invertible at the point 0")
+        total += c * point ** k
+    return total
+
+
+def eval_act(handle: ModuleHandle, x: LieElement, v):
+    """Act on a module vector after reducing coefficients through the point.
+
+    For ``int_series_eval`` vectors are {exponent: coefficient} maps; for
+    ``generalized_eval`` the vector type is the inner module's (a VermaVector
+    for an inner Verma, whose action returns homogeneous pieces).
+    """
+    return handle.act(x, v)
+
+
+def weight_multiplicities(handle: ModuleHandle, offsets, window=None) -> WeightTable:
+    """Exact multiplicity table over the requested offsets.
+
+    Tensor tables are convolutions of factor tables; whenever a factor is
+    window-limited (intermediate series, or Verma over an infinite algebra),
+    the counts are lower bounds and the table is flagged window-truncated.
+    """
+    if offsets is None:
+        raise MissingWindow("weight_multiplicities needs an offsets interval")
+    lo, hi = int(offsets[0]), int(offsets[1])
+    if lo > hi:
+        raise ValueError("empty offsets interval")
+    return handle.weight_table(lo, hi, window)
+
+
 def annihilator_support(handle: ModuleHandle, window=None) -> AnnihilatorReport:
     """Largest representable ideal annihilating the module, and its support.
 
@@ -527,157 +666,18 @@ def annihilator_support(handle: ModuleHandle, window=None) -> AnnihilatorReport:
     Evaluation handles annihilate their defining ideal by construction.
     Tensor annihilators are reported as the intersection of the factors'.
     """
-    alg = handle.algebra
-    variant = handle.variant
-    notes: list[str] = []
-
-    if variant == "verma":
-        if alg.is_finite:
-            ann = Ideal(alg, [])
-        else:
-            ann = PrincipalIdeal(alg, alg.zero())
-        support = _presentation_points(alg)
-        if support is None:
-            notes.append("no point presentation; support unavailable")
-        notes.append("Verma modules are free over the lowering half; "
-                     "their annihilator is zero")
-        return AnnihilatorReport(ann, [], support, True, tuple(notes))
-
-    if variant == "irreducible_quotient":
-        phi = handle.functional
-        if alg.is_finite:
-            ann = largest_v0_ideal(phi)
-            gens = ann.basis_elements()
-            support = _support_of_ideal(ann, alg)
-            if support is None:
-                notes.append("no point presentation; support unavailable")
-            if ann.is_whole():
-                support = []
-                notes.append("trivial module: annihilator is the whole algebra")
-            return AnnihilatorReport(ann, gens, support,
-                                     _verify_closure(ann, alg), tuple(notes))
-        verdict = check_quasifinite(phi)
-        if verdict.certified and verdict.witness is not None:
-            ann = verdict.witness
-            roots, rest = polyutil.rational_roots(ann.generator_poly())
-            support = [r for r, _ in roots]
-            if polyutil.degree(rest) > 0:
-                notes.append("annihilator has irrational factors; support incomplete")
-            return AnnihilatorReport(ann, [ann.generator], support, True, tuple(notes))
-        notes.append("no certified annihilator within the window")
-        return AnnihilatorReport(None, [], None, False, tuple(notes))
-
-    if variant == "int_series_eval":
-        if handle.point is None:
-            ann = Ideal(alg, [])
-            notes.append("one-dimensional algebra: evaluation is the identity")
-            return AnnihilatorReport(ann, [], None, True, tuple(notes))
-        ann = point_ideal(alg, handle.point)
-        gens = (ann.basis_elements() if isinstance(ann, Ideal) else [ann.generator])
-        return AnnihilatorReport(ann, gens, [handle.point],
-                                 _verify_closure(ann, alg), tuple(notes))
-
-    if variant == "generalized_eval":
-        inner_report = annihilator_support(handle.inner, window=window)
-        maxi = point_ideal(alg, handle.point)
-        mpow = ideal_power(maxi, handle.order)
-        gens = (mpow.basis_elements() if isinstance(mpow, Ideal)
-                else [mpow.generator])
-        if isinstance(inner_report.ideal, Ideal) and isinstance(mpow, Ideal):
-            lifted = [handle.projection.lift(b)
-                      for b in inner_report.ideal.basis_elements()]
-            ann = ideal_closure(gens + lifted) if (gens + lifted) else mpow
-        else:
-            ann = mpow
-        gens_out = (ann.basis_elements() if isinstance(ann, Ideal)
-                    else [ann.generator])
-        notes.append(f"contains the order-{handle.order} power of the point ideal")
-        support = [handle.point]
-        if isinstance(ann, Ideal) and ann.is_whole():
-            support = []
-            notes.append("trivial module: annihilator is the whole algebra")
-        return AnnihilatorReport(ann, gens_out, support,
-                                 _verify_closure(ann, alg), tuple(notes))
-
-    if variant == "tensor":
-        reports = [annihilator_support(f, window=window) for f in handle.factors]
-        support: list[Fraction] | None = []
-        for r in reports:
-            if r.support is None:
-                support = None
-                break
-            support.extend(p for p in r.support if p not in support)
-        ideals = [r.ideal for r in reports]
-        ann = None
-        if all(isinstance(i, Ideal) for i in ideals):
-            ann = ideals[0]
-            for i in ideals[1:]:
-                ann = ideal_intersection(ann, i)
-        elif all(isinstance(i, PrincipalIdeal) for i in ideals):
-            ann = ideals[0]
-            for i in ideals[1:]:
-                ann = ideal_intersection(ann, i)
-        else:
-            notes.append("mixed factor annihilators; no common ideal computed")
-        gens = []
-        if isinstance(ann, Ideal):
-            gens = ann.basis_elements()
-        elif isinstance(ann, PrincipalIdeal):
-            gens = [ann.generator]
-        notes.append("intersection of factor annihilators "
-                     "(exact when supports are disjoint)")
-        return AnnihilatorReport(ann, gens,
-                                 sorted(support) if support is not None else None,
-                                 ann is not None and _verify_closure(ann, alg),
-                                 tuple(notes))
-
-    raise UnsupportedKind(variant)
+    return handle.annihilator(window)
 
 
 # -- serialization ----------------------------------------------------------
 
 
 def module_to_spec(handle: ModuleHandle) -> dict:
-    if handle.variant in ("verma", "irreducible_quotient"):
-        return {"variant": handle.variant,
-                "functional": functional_to_spec(handle.functional)}
-    if handle.variant == "int_series_eval":
-        spec = {"variant": "int_series_eval",
-                "a": format_scalar(handle.spec.a),
-                "b": format_scalar(handle.spec.b),
-                "window": list(handle.spec.window)}
-        if handle.point is not None:
-            spec["point"] = format_scalar(handle.point)
-        return spec
-    if handle.variant == "generalized_eval":
-        return {"variant": "generalized_eval",
-                "point": format_scalar(handle.point),
-                "order": handle.order,
-                "inner": module_to_spec(handle.inner)}
-    if handle.variant == "tensor":
-        return {"variant": "tensor",
-                "factors": [module_to_spec(f) for f in handle.factors]}
-    raise UnsupportedKind(handle.variant)
+    return handle.to_spec()
 
 
 def module_from_spec(algebra: Algebra, spec: dict) -> ModuleHandle:
-    variant = spec.get("variant")
-    if variant == "verma":
-        return VermaHandle(functional_from_spec(algebra, spec["functional"]))
-    if variant == "irreducible_quotient":
-        return IrreducibleQuotientHandle(
-            functional_from_spec(algebra, spec["functional"]))
-    if variant == "int_series_eval":
-        iss = IntSeriesSpec(as_scalar(spec["a"]), as_scalar(spec["b"]),
-                            tuple(spec["window"]))
-        return IntSeriesEvalHandle(algebra, iss, spec.get("point"))
-    if variant == "generalized_eval":
-        point = as_scalar(spec["point"])
-        order = int(spec["order"])
-        quotient, _ = local_quotient(algebra, point, order)
-        inner = module_from_spec(quotient, spec["inner"])
-        return GeneralizedEvalHandle(algebra, point, order, inner)
-    if variant == "tensor":
-        return TensorHandle([module_from_spec(algebra, f)
-                             for f in spec["factors"]])
-    raise ValueError(f"unknown module variant {variant!r}")
+    cls = _HANDLE_CLASSES.get(spec.get("variant"))
+    if cls is None:
+        raise ValueError(f"unknown module variant {spec.get('variant')!r}")
+    return cls.from_spec(algebra, spec)

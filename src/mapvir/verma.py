@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import linalg, polyutil, recurrence
 from .algebra import (
@@ -42,49 +43,60 @@ from .scalars import as_scalar, format_scalar
 class Functional:
     """A linear functional on V_0, the data defining a Verma module.
 
-    Finite-dimensional algebras store one value per basis element for each of
-    d_0 and c.  Polynomial algebras store the value sequences
-    lam_k = phi(d_0 (x) t^k) and kap_k = phi(c (x) t^k); when ``exact_poly``
-    is set the sequences satisfy that monic recurrence exactly (equivalently
-    phi kills Vir_0 (x) (p)) and extend on demand, otherwise they are sampled
-    and evaluation past the declared window is an error.
+    Every kind stores immutable {index: Fraction} maps of the declared values
+    phi(d_0 (x) e_k) and phi(c (x) e_k): every basis index for finite kinds,
+    the given Laurent exponents, and k < n for polynomial algebras.  When
+    ``exact_poly`` is set the polynomial sequences satisfy that monic
+    recurrence exactly (equivalently phi kills Vir_0 (x) (p)) and extend on
+    demand, otherwise they are sampled and evaluation past the declared
+    window is an error.
     """
 
-    __slots__ = ("algebra", "_d0", "_c", "exact_poly", "_declared", "_act_cache")
+    __slots__ = ("algebra", "_d0", "_c", "exact_poly", "_extended", "_act_cache")
 
     def __init__(self, algebra: Algebra, d0, c, exact_poly=None):
-        self.algebra = algebra
-        self._act_cache = {}
-        if algebra.is_finite:
-            self._d0 = [as_scalar(d0.get(i, 0)) for i in range(algebra.dim)]
-            self._c = [as_scalar(c.get(i, 0)) for i in range(algebra.dim)]
-            self._declared = algebra.dim
-            self.exact_poly = None
-        elif algebra.kind == "polynomial":
-            self._d0 = [as_scalar(x) for x in d0]
-            self._c = [as_scalar(x) for x in c]
-            if len(self._d0) != len(self._c):
+        if algebra.kind == "polynomial":
+            d0, c = dict(enumerate(d0)), dict(enumerate(c))
+            if len(d0) != len(c):
                 raise ValueError("d0 and c sequences must have equal length")
-            self._declared = len(self._d0)
-            if exact_poly is not None:
-                exact_poly = _coerce_poly(exact_poly)
-                if polyutil.degree(exact_poly) < 1:
-                    raise ValueError("exact recurrence must have positive degree")
-                exact_poly = polyutil.pmonic(exact_poly)
-                if len(self._d0) < polyutil.degree(exact_poly):
-                    raise ValueError("not enough values for the declared recurrence")
-                for seq in (self._d0, self._c):
-                    if not recurrence.satisfies(seq, exact_poly):
-                        raise ValueError(
-                            "declared exact recurrence does not annihilate the values")
-            self.exact_poly = exact_poly
+        elif algebra.is_finite:
+            d0 = {i: d0.get(i, 0) for i in range(algebra.dim)}
+            c = {i: c.get(i, 0) for i in range(algebra.dim)}
+            exact_poly = None
         elif algebra.kind == "laurent":
-            self._d0 = {int(k): as_scalar(v) for k, v in dict(d0).items()}
-            self._c = {int(k): as_scalar(v) for k, v in dict(c).items()}
-            self._declared = None
-            self.exact_poly = None
+            d0, c = dict(d0), dict(c)
+            exact_poly = None
         else:
             raise UnsupportedKind(f"no functional support for {algebra.kind}")
+        # one layout for every kind: scalar values in ascending index order
+        d0, c = (dict(sorted({int(k): as_scalar(v) for k, v in m.items()}.items()))
+                 for m in (d0, c))
+        if exact_poly is not None:
+            exact_poly = _coerce_poly(exact_poly)
+            if polyutil.degree(exact_poly) < 1:
+                raise ValueError("exact recurrence must have positive degree")
+            exact_poly = polyutil.pmonic(exact_poly)
+            if len(d0) < polyutil.degree(exact_poly):
+                raise ValueError("not enough values for the declared recurrence")
+            for seq in (d0, c):
+                if not recurrence.satisfies(list(seq.values()), exact_poly):
+                    raise ValueError(
+                        "declared exact recurrence does not annihilate the values")
+        self._store(algebra, d0, c, exact_poly)
+
+    def _store(self, algebra, d0: dict, c: dict, exact_poly) -> "Functional":
+        """Set the fields from values already in the storage layout."""
+        self.algebra = algebra
+        self._d0 = MappingProxyType(d0)
+        self._c = MappingProxyType(c)
+        self.exact_poly = exact_poly
+        # Exact sequences, extended on a miss into a new tuple published in
+        # one assignment: readers never see a partial extension, and a lost
+        # race between two misses only costs a recount.
+        self._extended = (None if exact_poly is None
+                          else [tuple(d0.values()), tuple(c.values())])
+        self._act_cache = {}
+        return self
 
     # -- constructors -------------------------------------------------------
 
@@ -119,28 +131,29 @@ class Functional:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _value(self, seq, k: int) -> Fraction:
-        if self.algebra.kind == "laurent":
-            if k not in seq:
-                raise ValueError(f"functional undefined at exponent {k}")
-            return seq[k]
-        if k < len(seq):
-            return seq[k]
+    def _value(self, which: int, k: int) -> Fraction:
+        val = (self._c if which else self._d0).get(k)
+        if val is not None:
+            return val
+        if self.exact_poly is not None:
+            known = self._extended[which]
+            if k >= len(known):
+                known = tuple(recurrence.extend(known, self.exact_poly, k + 1))
+                self._extended[which] = known
+            return known[k]
         if self.algebra.is_finite:
             return Fraction(0)
-        if self.exact_poly is None:
-            raise ValueError(
-                f"sampled functional undefined at exponent {k} "
-                f"(declared through {self._declared - 1})")
-        ext = recurrence.extend(seq, self.exact_poly, k + 1)
-        seq.extend(ext[len(seq):])
-        return seq[k]
+        if self.algebra.kind == "laurent":
+            raise ValueError(f"functional undefined at exponent {k}")
+        raise ValueError(
+            f"sampled functional undefined at exponent {k} "
+            f"(declared through {self.declared_max})")
 
     def value_d0(self, k: int) -> Fraction:
-        return self._value(self._d0, k)
+        return self._value(0, k)
 
     def value_c(self, k: int) -> Fraction:
-        return self._value(self._c, k)
+        return self._value(1, k)
 
     def eval_d0(self, f: AlgebraElement) -> Fraction:
         """phi(d_0 (x) f)."""
@@ -160,53 +173,37 @@ class Functional:
     def declared_max(self) -> int | None:
         """Largest exponent with a declared value (polynomial kind)."""
         if self.algebra.kind == "polynomial":
-            return self._declared - 1
+            return len(self._d0) - 1
         return None
 
     def is_zero(self) -> bool:
-        if self.algebra.kind == "laurent":
-            return not self._d0 and not self._c
-        return (all(x == 0 for x in self._d0[: self._declared])
-                and all(x == 0 for x in self._c[: self._declared]))
+        return not any(self._d0.values()) and not any(self._c.values())
 
     # -- linear structure ---------------------------------------------------
 
     def negate(self) -> "Functional":
         """The functional x -> phi(involution(x)) for d_n -> -d_{-n}, c -> -c."""
-        if self.algebra.kind == "laurent":
-            return Functional(self.algebra,
-                              {k: -v for k, v in self._d0.items()},
-                              {k: -v for k, v in self._c.items()})
-        d0 = [-x for x in self._d0[: self._declared]]
-        c = [-x for x in self._c[: self._declared]]
-        if self.algebra.is_finite:
-            return Functional(self.algebra, dict(enumerate(d0)), dict(enumerate(c)))
-        return Functional(self.algebra, d0, c, exact_poly=self.exact_poly)
+        return Functional.__new__(Functional)._store(
+            self.algebra, {k: -v for k, v in self._d0.items()},
+            {k: -v for k, v in self._c.items()}, self.exact_poly)
 
     def __add__(self, other):
+        """Sum on the common declared indices; a declared recurrence is dropped."""
         if not isinstance(other, Functional):
             return NotImplemented
         self.algebra.require_compatible(other.algebra)
-        if self.algebra.is_finite:
-            d0 = {i: a + b for i, (a, b) in enumerate(zip(self._d0, other._d0))}
-            c = {i: a + b for i, (a, b) in enumerate(zip(self._c, other._c))}
-            return Functional(self.algebra, d0, c)
-        if self.algebra.kind == "polynomial":
-            n = min(self._declared, other._declared)
-            d0 = [a + b for a, b in zip(self._d0[:n], other._d0[:n])]
-            c = [a + b for a, b in zip(self._c[:n], other._c[:n])]
-            return Functional(self.algebra, d0, c)
-        raise UnsupportedKind("functional addition unsupported for laurent kind")
+        if self.algebra.kind == "laurent":
+            raise UnsupportedKind("functional addition unsupported for laurent kind")
+        return Functional.__new__(Functional)._store(
+            self.algebra,
+            {k: v + other._d0[k] for k, v in self._d0.items() if k in other._d0},
+            {k: v + other._c[k] for k, v in self._c.items() if k in other._c}, None)
 
     def __eq__(self, other):
         if not isinstance(other, Functional):
             return NotImplemented
-        if not self.algebra.compatible(other.algebra):
-            return False
-        if self.algebra.kind == "laurent":
-            return self._d0 == other._d0 and self._c == other._c
-        return (self._d0[: self._declared] == other._d0[: other._declared]
-                and self._c[: self._declared] == other._c[: other._declared]
+        return (self.algebra.compatible(other.algebra)
+                and self._d0 == other._d0 and self._c == other._c
                 and self.exact_poly == other.exact_poly)
 
     def __repr__(self):
@@ -269,10 +266,6 @@ class VermaVector:
 
 def highest_weight_vector(phi: Functional) -> VermaVector:
     return VermaVector(phi, EnvElement(phi.algebra, {(): Fraction(1)}))
-
-
-def vector_from_terms(phi: Functional, terms) -> VermaVector:
-    return VermaVector(phi, EnvElement(phi.algebra, terms))
 
 
 # -- the action -------------------------------------------------------------
@@ -489,6 +482,45 @@ class ReducibilityVerdict:
     note: str = ""
 
 
+def _certify_recurrence(phi: Functional, values, bound: int | None,
+                        assume_exact: bool):
+    """Joint minimal-recurrence detection over the ``values`` sequences
+    (callables k -> value), then certification; sampled data never certifies.
+
+    Returns (rung, ideal, candidate, cap): the detected ideal, the certified
+    one (None unless certified), the largest order searched, and where the
+    ladder stopped: "verified" (the candidate holds on the exact sequences),
+    "fallback" (it fails past the window, so the declared recurrence is
+    certified instead), "over_cap" (nothing detected; the declared one
+    certifies), "asserted" (the caller asserted the window is exact),
+    "sampled", or "absent" (nothing detected, nothing declared).
+
+    Sampled functionals are detected on their declared window capped by the
+    bound; exact ones extend on demand, so a larger bound is honored.
+    """
+    alg = phi.algebra
+    exact = phi.exact_poly
+    d = phi.declared_max
+    if bound is not None:
+        d = bound if exact is not None else min(d, bound)
+    declared = None if exact is None else PrincipalIdeal(alg, alg.from_poly(exact))
+    p = recurrence.minimal_annihilator([[f(k) for k in range(d + 1)] for f in values])
+    if p is None:
+        return ("absent" if declared is None else "over_cap"), declared, None, d // 2
+    candidate = PrincipalIdeal(alg, alg.from_poly(p))
+    if declared is not None:
+        # Every sequence satisfies the declared recurrence r, so the residual
+        # k -> sum_i p_i s_{k+i} is r-recurrent; if it vanishes at deg(r)
+        # consecutive positions it vanishes identically.
+        need = polyutil.degree(exact) + polyutil.degree(p) + 1
+        if all(recurrence.satisfies([f(k) for k in range(need)], p) for f in values):
+            return "verified", candidate, candidate, d // 2
+        return "fallback", declared, candidate, d // 2
+    if assume_exact:
+        return "asserted", candidate, candidate, d // 2
+    return "sampled", None, candidate, d // 2
+
+
 def check_quasifinite(phi: Functional, bound: int | None = None,
                       assume_exact: bool = False) -> QuasifiniteVerdict:
     """Find an ideal of finite codimension killed by phi on all of V_0.
@@ -506,57 +538,21 @@ def check_quasifinite(phi: Functional, bound: int | None = None,
     if alg.kind != "polynomial":
         return QuasifiniteVerdict("no_witness_up_to_bound", None,
                                   note=f"no recurrence detection for {alg.kind} kind")
-    d = _detection_window(phi, bound)
-    lam = [phi.value_d0(k) for k in range(d + 1)]
-    kap = [phi.value_c(k) for k in range(d + 1)]
-    p = recurrence.minimal_annihilator([lam, kap])
-    if p is None:
-        if phi.exact_poly is not None:
-            witness = PrincipalIdeal(alg, alg.from_poly(phi.exact_poly))
-            return QuasifiniteVerdict(
-                "quasifinite_certified", witness,
-                note="declared recurrence exceeds the detection cap; using it directly")
+    rung, ideal, candidate, cap = _certify_recurrence(
+        phi, (phi.value_d0, phi.value_c), bound, assume_exact)
+    note = {
+        "verified": "",
+        "fallback": "windowed recurrence not exact; fell back to the declared one",
+        "over_cap": "declared recurrence exceeds the detection cap; using it directly",
+        "asserted": "caller asserted the window is exact",
+        "sampled": "recurrence found but values are sampled",
+        "absent": f"no common recurrence of order <= {cap}",
+    }[rung]
+    if ideal is None:
         return QuasifiniteVerdict("no_witness_up_to_bound", None,
-                                  note=f"no common recurrence of order <= {d // 2}")
-    candidate = PrincipalIdeal(alg, alg.from_poly(p))
-    if phi.exact_poly is not None:
-        if _verified_against_exact(phi, p):
-            return QuasifiniteVerdict("quasifinite_certified", candidate)
-        witness = PrincipalIdeal(alg, alg.from_poly(phi.exact_poly))
-        return QuasifiniteVerdict(
-            "quasifinite_certified", witness, candidate=candidate,
-            note="windowed recurrence not exact; fell back to the declared one")
-    if assume_exact:
-        return QuasifiniteVerdict("quasifinite_certified", candidate,
-                                  note="caller asserted the window is exact")
-    return QuasifiniteVerdict("no_witness_up_to_bound", None, candidate=candidate,
-                              note="recurrence found but values are sampled")
-
-
-def _detection_window(phi: Functional, bound: int | None) -> int:
-    """Largest exponent fed to recurrence detection.
-
-    Sampled functionals are capped at their declared window; exact ones
-    extend on demand, so a larger caller bound is honored.
-    """
-    d = phi.declared_max
-    if bound is not None:
-        d = bound if phi.exact_poly is not None else min(d, bound)
-    return d
-
-
-def _verified_against_exact(phi: Functional, p: polyutil.Poly) -> bool:
-    """Check that p annihilates the exact sequences, not just the window.
-
-    Both sequences satisfy the declared recurrence r, so the residual
-    sequence k -> sum_i p_i s_{k+i} is r-recurrent; if it vanishes at deg(r)
-    consecutive positions it vanishes identically.
-    """
-    r = polyutil.degree(phi.exact_poly)
-    need = r + polyutil.degree(p) + 1
-    lam = [phi.value_d0(k) for k in range(need)]
-    kap = [phi.value_c(k) for k in range(need)]
-    return recurrence.satisfies(lam, p) and recurrence.satisfies(kap, p)
+                                  candidate=candidate, note=note)
+    return QuasifiniteVerdict("quasifinite_certified", ideal, note=note,
+                              candidate=candidate if rung == "fallback" else None)
 
 
 def largest_d0_ideal(phi: Functional) -> Ideal:
@@ -656,35 +652,24 @@ def check_verma_reducible(phi: Functional, bound: int | None = None,
     if alg.kind != "polynomial":
         return ReducibilityVerdict("no_witness_up_to_bound",
                                    note=f"no detection for {alg.kind} kind")
-    d = _detection_window(phi, bound)
-    lam = [phi.value_d0(k) for k in range(d + 1)]
-    q = recurrence.minimal_annihilator([lam])
-    if q is not None:
-        candidate = PrincipalIdeal(alg, alg.from_poly(q))
-        if phi.exact_poly is not None:
-            need = polyutil.degree(phi.exact_poly) + polyutil.degree(q) + 1
-            lam_ext = [phi.value_d0(k) for k in range(need)]
-            if recurrence.satisfies(lam_ext, q):
-                return certify(candidate, candidate.generator)
-            witness = PrincipalIdeal(alg, alg.from_poly(phi.exact_poly))
-            return certify(witness, witness.generator,
-                           note="windowed recurrence not exact; used the declared one")
-        if assume_exact:
-            return certify(candidate, candidate.generator,
-                           note="caller asserted the window is exact")
-        return ReducibilityVerdict("no_witness_up_to_bound", candidate=candidate,
-                                   note="recurrence found but values are sampled")
-    if phi.exact_poly is not None:
-        witness = PrincipalIdeal(alg, alg.from_poly(phi.exact_poly))
-        return certify(witness, witness.generator,
-                       note="declared recurrence exceeds the detection cap")
+    rung, ideal, candidate, cap = _certify_recurrence(
+        phi, (phi.value_d0,), bound, assume_exact)
+    note = {
+        "verified": "",
+        "fallback": "windowed recurrence not exact; used the declared one",
+        "over_cap": "declared recurrence exceeds the detection cap",
+        "asserted": "caller asserted the window is exact",
+        "sampled": "recurrence found but values are sampled",
+        "absent": f"no recurrence of order <= {cap}",
+    }[rung]
+    if ideal is not None:
+        return certify(ideal, ideal.generator, note=note)
     if assume_exact:
         return ReducibilityVerdict(
             "irreducible_certified",
             note="no annihilating ideal and caller asserted exact values "
                  "(infinite-dimensional integral domain)")
-    return ReducibilityVerdict("no_witness_up_to_bound",
-                               note=f"no recurrence of order <= {d // 2}")
+    return ReducibilityVerdict("no_witness_up_to_bound", candidate=candidate, note=note)
 
 
 def split_phi(phi: Functional) -> list[Functional]:
@@ -713,20 +698,18 @@ def split_phi(phi: Functional) -> list[Functional]:
 
 def functional_to_spec(phi: Functional) -> dict:
     alg = phi.algebra
-    if alg.is_finite:
-        return {"d0": {alg.label(i): format_scalar(v)
-                       for i, v in enumerate(phi._d0) if v != 0},
-                "c": {alg.label(i): format_scalar(v)
-                      for i, v in enumerate(phi._c) if v != 0}}
     if alg.kind == "polynomial":
-        n = phi._declared
-        spec = {"d0_seq": [format_scalar(v) for v in phi._d0[:n]],
-                "c_seq": [format_scalar(v) for v in phi._c[:n]]}
+        spec = {"d0_seq": [format_scalar(v) for v in phi._d0.values()],
+                "c_seq": [format_scalar(v) for v in phi._c.values()]}
         if phi.exact_poly is not None:
             spec["exact_ideal"] = polyutil.pstr(phi.exact_poly)
         return spec
-    return {"d0": {alg.label(k): format_scalar(v) for k, v in sorted(phi._d0.items())},
-            "c": {alg.label(k): format_scalar(v) for k, v in sorted(phi._c.items())}}
+    # a finite kind reads a missing label as zero; a Laurent label marks an
+    # exponent where phi is defined, so its zeros stay
+    keep_zeros = not alg.is_finite
+    return {name: {alg.label(k): format_scalar(v) for k, v in values.items()
+                   if v != 0 or keep_zeros}
+            for name, values in (("d0", phi._d0), ("c", phi._c))}
 
 
 def functional_from_spec(algebra: Algebra, spec: dict) -> Functional:

@@ -234,6 +234,22 @@ def test_quotient_dimension_and_homomorphism():
         assert proj(x + y) == proj(x) + proj(y)
 
 
+def test_quotient_laurent_inverts_t():
+    # Q[t, 1/t] / ((t - 2)(t - 3)): t^-1 reduces through the inverse of t
+    alg = Algebra.laurent((-6, 6))
+    ideal = ideal_closure([alg.from_poly((F(6), F(-5), F(1)))])
+    quo, proj = quotient_algebra(alg, ideal)
+    assert quo.dim == 2
+    tinv = proj(alg.basis_element(-1))
+    assert tinv * proj(alg.basis_element(1)) == quo.one()
+    assert tinv == quo.element({0: F(5, 6), 1: F(-1, 6)})
+    rng = random.Random(24)
+    for _ in range(30):
+        x = alg.element({k: F(rng.randint(-3, 3)) for k in range(-3, 4)})
+        y = alg.element({k: F(rng.randint(-3, 3)) for k in range(-3, 4)})
+        assert proj(x * y) == proj(x) * proj(y)
+
+
 # -- local decomposition -----------------------------------------------------
 
 def test_local_decomposition_two_points():

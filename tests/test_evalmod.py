@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -27,6 +28,7 @@ from mapvir import (
     split_phi,
     weight_multiplicities,
 )
+from oracles import colored_partition_series
 
 QQ = Algebra.rationals()
 SPLIT = Algebra.product_local([(0, 1), (1, 1)])
@@ -322,3 +324,229 @@ def test_generalized_module_spec():
     assert handle.inner.variant == "verma"
     assert handle.inner.functional.highest_weight == 3
     assert module_to_spec(handle)["inner"]["functional"]["d0"]["t"] == "1/2"
+
+
+def test_module_spec_roundtrip_every_handle_class():
+    dual_phi = {"d0": {"1": "3", "t": "1/2"}, "c": {"1": "1/2"}}
+    poly_phi = {"d0_seq": ["1", "2", "4"], "c_seq": ["0", "0", "0"],
+                "exact_ideal": "t - 2"}
+    iseries = {"variant": "int_series_eval", "a": "1/2", "b": "1/3",
+               "point": "2", "window": [-5, 5]}
+    cases = [
+        (QQ, {"variant": "verma", "functional": {"d0": {"1": "5/7"}, "c": {"1": "2"}}},
+         VermaHandle),
+        (POLY, {"variant": "irreducible_quotient", "functional": poly_phi},
+         IrreducibleQuotientHandle),
+        (QQ, {"variant": "int_series_eval", "a": "0", "b": "2", "window": [-3, 3]},
+         IntSeriesEvalHandle),
+        (POLY, iseries, IntSeriesEvalHandle),
+        (POLY, {"variant": "generalized_eval", "point": "0", "order": 2,
+                "inner": {"variant": "irreducible_quotient", "functional": dual_phi}},
+         GeneralizedEvalHandle),
+        (POLY, {"variant": "tensor", "factors": [
+            iseries,
+            {"variant": "verma", "functional": poly_phi},
+            {"variant": "tensor", "factors": [iseries]}]},
+         TensorHandle),
+    ]
+    for alg, spec, cls in cases:
+        handle = module_from_spec(alg, spec)
+        assert type(handle) is cls
+        assert handle.variant == spec["variant"]
+        assert module_to_spec(handle) == spec
+    with pytest.raises(ValueError, match="unknown module variant 'bogus'"):
+        module_from_spec(QQ, {"variant": "bogus"})
+
+
+# -- pinned behaviour of less travelled branches --------------------------------
+
+def _dual_generalized_verma():
+    quotient, _ = local_quotient(POLY, 0, 2)
+    psi = Functional.from_values(quotient, {"1": 3, "t": F(1, 2)}, {})
+    return GeneralizedEvalHandle(POLY, 0, 2, VermaHandle(psi))
+
+
+def test_nested_tensor_generalized_weight_tables():
+    spec = IntSeriesSpec(F(1, 2), F(1, 3), (-2, 3))
+    inner = TensorHandle([_dual_generalized_verma(),
+                          IntSeriesEvalHandle(POLY, spec, 1)])
+    outer = TensorHandle([inner, IntSeriesEvalHandle(POLY, spec, 2)])
+    p2 = colored_partition_series(2, 12)
+    window = range(-2, 4)
+
+    def expect(o, factors):
+        # offsets j_1 + ... + j_f + (Verma depth) = o, each j_i in the window
+        total = 0
+        for js in itertools.product(window, repeat=factors):
+            depth = sum(js) - o
+            if depth >= 0:
+                total += p2[depth]
+        return total
+
+    t_inner = weight_multiplicities(inner, (-3, 3))
+    assert [t_inner.multiplicity(o) for o in range(-3, 4)] == \
+        [expect(o, 1) for o in range(-3, 4)] == [138, 74, 38, 18, 8, 3, 1]
+    assert t_inner.base == 3 + F(5, 6)
+    assert t_inner.truncated
+    assert t_inner.notes == ("tensor counts are window-limited lower bounds",)
+    t_outer = weight_multiplicities(outer, (-4, 4))
+    assert [t_outer.multiplicity(o) for o in range(-4, 5)] == \
+        [expect(o, 2) for o in range(-4, 5)]
+    assert t_outer.base == 3 + 2 * F(5, 6)
+    assert t_outer.truncated
+    # a generalized evaluation of a quotient over a finite algebra stays exact
+    alg = Algebra.product_local([(0, 2), (1, 1)])
+    quotient, _ = local_quotient(alg, 0, 2)
+    psi = Functional.from_values(quotient, {"t": 1}, {})
+    handle = GeneralizedEvalHandle(alg, 0, 2, IrreducibleQuotientHandle(psi))
+    table = weight_multiplicities(handle, (-3, 0))
+    assert [table.multiplicity(o) for o in range(-3, 1)] == [10, 5, 2, 1]
+    assert not table.truncated
+    assert table.notes == ("pulled back through the order-2 quotient at point 0",)
+
+
+def test_nested_tensor_of_highest_weight_factors_is_exact():
+    phi = Functional.classical(F(5, 7), 2)
+    psi = Functional.classical(F(1, 3), 1)
+    trivial = IrreducibleQuotientHandle(Functional.classical(0, 0))
+    tens = TensorHandle([TensorHandle([VermaHandle(phi), VermaHandle(psi)]), trivial])
+    table = weight_multiplicities(tens, (-3, 1))
+    assert [table.multiplicity(o) for o in range(-3, 2)] == [10, 5, 2, 1, 0]
+    assert not table.truncated and table.notes == ()
+    assert table.base == F(5, 7) + F(1, 3)
+
+
+def test_highest_weight_tables_over_polynomial_are_windowed():
+    P = Algebra.polynomial((0, 16))
+    phi = Functional.from_sequences(P, [F(2) ** k for k in range(10)], [F(0)] * 10,
+                                    exact_ideal=(F(-2), F(1)))
+    verma = weight_multiplicities(VermaHandle(phi), (-2, 1), window=(0, 3))
+    assert [verma.multiplicity(o) for o in range(-2, 2)] == [14, 4, 1, 0]
+    quot = weight_multiplicities(IrreducibleQuotientHandle(phi), (-2, 1), window=(0, 3))
+    assert [quot.multiplicity(o) for o in range(-2, 2)] == [2, 1, 1, 0]
+    for table in (verma, quot):
+        assert table.truncated
+        assert table.notes == ("weight spaces counted inside the algebra window only",)
+
+
+def test_annihilator_irreducible_quotient_polynomial():
+    P = Algebra.polynomial((0, 32))
+    exact = Functional.from_sequences(P, [3 * F(2) ** k for k in range(6)],
+                                      [F(2) ** k for k in range(6)],
+                                      exact_ideal=(F(-2), F(1)))
+    report = annihilator_support(IrreducibleQuotientHandle(exact))
+    assert report.to_json_dict() == {"annihilator_generators": ["t - 2"],
+                                     "support": ["2"], "closure_verified": True,
+                                     "notes": []}
+    sampled = Functional.from_sequences(P, [F(2) ** k for k in range(6)], [F(0)] * 6)
+    report = annihilator_support(IrreducibleQuotientHandle(sampled))
+    assert report.ideal is None
+    assert report.to_json_dict() == {
+        "annihilator_generators": [], "support": None, "closure_verified": False,
+        "notes": ["no certified annihilator within the window"]}
+    irrational = Functional.from_sequences(P, [F(1), F(0), F(2), F(0)], [F(0)] * 4,
+                                           exact_ideal=(F(-2), F(0), F(1)))
+    report = annihilator_support(IrreducibleQuotientHandle(irrational))
+    assert report.to_json_dict() == {
+        "annihilator_generators": ["t^2 - 2"], "support": [], "closure_verified": True,
+        "notes": ["annihilator has irrational factors; support incomplete"]}
+
+
+def test_annihilator_tensor_principal_and_mixed_factors():
+    spec = IntSeriesSpec(F(1, 2), F(1, 3), (-6, 6))
+    intersection = "intersection of factor annihilators (exact when supports are disjoint)"
+    principal = TensorHandle([IntSeriesEvalHandle(POLY, spec, 0),
+                              IntSeriesEvalHandle(POLY, spec, 1)])
+    assert annihilator_support(principal).to_json_dict() == {
+        "annihilator_generators": ["t^2 - t"], "support": ["0", "1"],
+        "closure_verified": True, "notes": [intersection]}
+    sampled = Functional.from_sequences(POLY, [F(2) ** k for k in range(6)], [F(0)] * 6)
+    mixed = TensorHandle([IntSeriesEvalHandle(POLY, spec, 2),
+                          IrreducibleQuotientHandle(sampled)])
+    report = annihilator_support(mixed)
+    assert report.ideal is None
+    assert report.to_json_dict() == {
+        "annihilator_generators": [], "support": None, "closure_verified": False,
+        "notes": ["mixed factor annihilators; no common ideal computed", intersection]}
+    with_verma = TensorHandle([VermaHandle(sampled), IntSeriesEvalHandle(POLY, spec, 2)])
+    report = annihilator_support(with_verma)
+    assert report.ideal.is_zero()
+    assert report.support is None and report.closure_verified
+    assert annihilator_support(VermaHandle(sampled)).to_json_dict() == {
+        "annihilator_generators": [], "support": None, "closure_verified": True,
+        "notes": ["no point presentation; support unavailable",
+                  "Verma modules are free over the lowering half; "
+                  "their annihilator is zero"]}
+    nested = TensorHandle([_dual_generalized_verma(), IntSeriesEvalHandle(POLY, spec, 1)])
+    assert annihilator_support(nested).to_json_dict() == {
+        "annihilator_generators": ["t^3 - t^2"], "support": ["0", "1"],
+        "closure_verified": True, "notes": [intersection]}
+
+
+def test_handle_queries_undefined_on_the_base_class():
+    from mapvir import ModuleHandle, UnsupportedKind
+    bare = ModuleHandle(QQ)
+    with pytest.raises(UnsupportedKind):
+        weight_multiplicities(bare, (0, 1))
+    with pytest.raises(UnsupportedKind):
+        annihilator_support(bare)
+    with pytest.raises(UnsupportedKind):
+        module_to_spec(bare)
+    spec = IntSeriesSpec(F(1, 2), F(1, 3), (-3, 3))
+    tens = TensorHandle([IntSeriesEvalHandle(QQ, spec)])
+    with pytest.raises(UnsupportedKind, match="eval_act is not defined on tensor handles"):
+        eval_act(tens, d_term(QQ, 1), {0: F(1)})
+
+
+# -- local quotients ------------------------------------------------------------
+
+def _check_local_projection(alg, point, order, elements):
+    quotient, proj = local_quotient(alg, point, order)
+    assert quotient == Algebra.product_local([(point, order)])
+    assert proj(alg.one()) == quotient.one()
+    m = proj(alg.from_poly((F(-point), F(1))))
+    power = quotient.one()
+    for _ in range(order):
+        power = power * m
+    assert power.is_zero()                       # (t - point)^order dies
+    for x in elements:
+        for y in elements:
+            assert proj(x * y) == proj(x) * proj(y)
+    return quotient, proj
+
+
+def test_local_quotient_polynomial():
+    rng = random.Random(31)
+    elements = [POLY.element({k: F(rng.randint(-3, 3)) for k in range(5)})
+                for _ in range(6)]
+    quotient, proj = _check_local_projection(POLY, 2, 3, elements)
+    # t^3 = (t - 2)^3 + 6t^2 - 12t + 8
+    assert proj(POLY.basis_element(3)) == quotient.from_poly((F(8), F(-12), F(6)))
+    assert proj.lift(quotient.basis_element(2)) == POLY.basis_element(2)
+    assert local_quotient(POLY, 2, 3)[1] is proj   # cached per algebra
+
+
+def test_local_quotient_laurent():
+    rng = random.Random(32)
+    laur = Algebra.laurent((-8, 8))
+    elements = [laur.element({k: F(rng.randint(-3, 3)) for k in range(-3, 4)})
+                for _ in range(6)]
+    quotient, proj = _check_local_projection(laur, 2, 2, elements)
+    tinv = proj(laur.basis_element(-1))
+    assert tinv * proj(laur.basis_element(1)) == quotient.one()
+    # 1/t = 1/2 - (t - 2)/4 + ... = 1 - t/4 modulo (t - 2)^2
+    assert tinv == quotient.from_poly((F(1), F(-1, 4)))
+    with pytest.raises(ValueError, match="t is not invertible at the point 0"):
+        local_quotient(laur, 0, 2)
+
+
+def test_local_quotient_product_local_needs_dominating_factor():
+    alg = Algebra.product_local([(0, 2), (1, 1)])
+    quotient, proj = local_quotient(alg, 0, 2)
+    # t^2 = 0 and t = t modulo t^2
+    assert proj(alg.basis_element(2)).is_zero()
+    assert proj(alg.from_poly((F(1), F(3), F(5)))) == quotient.from_poly((F(1), F(3)))
+    with pytest.raises(ValueError, match="no factor dominating"):
+        local_quotient(alg, 1, 2)
+    with pytest.raises(ValueError, match="order must be positive"):
+        local_quotient(alg, 0, 0)

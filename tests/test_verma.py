@@ -24,6 +24,7 @@ from mapvir import (
     split_phi,
     verma_act,
 )
+from mapvir import polyutil
 from mapvir.verma import apply_raising
 from oracles import (
     classical_pairing_matrix,
@@ -441,3 +442,186 @@ def test_annihilation_descends_geometric():
             for m in (-2, -1, 1, 2):
                 for piece in verma_act(d_term(P, m, gen), w):
                     assert in_maximal_submodule(piece, window=small)
+
+
+# -- functional storage -------------------------------------------------------
+
+LAUR = Algebra.laurent((-4, 4))
+
+
+def test_functional_add_finite():
+    phi = Functional(DUAL, {0: F(3), 1: F(1, 2)}, {0: F(1)})
+    psi = Functional(DUAL, {0: F(-1)}, {1: F(2)})
+    total = phi + psi
+    assert [total.value_d0(k) for k in range(2)] == [2, F(1, 2)]
+    assert [total.value_c(k) for k in range(2)] == [1, 2]
+    assert total == Functional(DUAL, {0: F(2), 1: F(1, 2)}, {0: F(1), 1: F(2)})
+
+
+def test_functional_add_polynomial_truncates_and_drops_recurrence():
+    P = Algebra.polynomial((0, 32))
+    phi = Functional.from_sequences(P, [F(2) ** k for k in range(6)], [F(0)] * 6,
+                                    exact_ideal=(F(-2), F(1)))
+    psi = Functional.from_sequences(P, [F(k) for k in range(4)], [F(1)] * 4)
+    total = phi + psi
+    assert total.declared_max == 3
+    assert total.exact_poly is None
+    assert [total.value_d0(k) for k in range(4)] == [1, 3, 6, 11]
+    assert [total.value_c(k) for k in range(4)] == [1, 1, 1, 1]
+    with pytest.raises(ValueError, match="declared through 3"):
+        total.value_d0(4)
+
+
+def test_functional_add_laurent_unsupported():
+    from mapvir import UnsupportedKind
+    phi = Functional.from_values(LAUR, {"t^-1": 2}, {})
+    with pytest.raises(UnsupportedKind):
+        phi + phi
+
+
+def test_laurent_functional_values_negate_eq_spec():
+    from mapvir import functional_from_spec, functional_to_spec
+    phi = Functional.from_values(LAUR, {"t": 5, "t^-2": 2, "1": 3},
+                                 {"1": F(1, 2), "t^-1": 0})
+    assert phi.value_d0(-2) == 2 and phi.value_d0(1) == 5
+    assert phi.value_c(-1) == 0
+    assert phi.highest_weight == 3
+    elt = LAUR.element({-2: F(1), 1: F(-1, 5)})
+    assert phi.eval_d0(elt) == 1
+    with pytest.raises(ValueError, match="undefined at exponent 3"):
+        phi.value_d0(3)
+    neg = phi.negate()
+    assert [neg.value_d0(k) for k in (-2, 0, 1)] == [-2, -3, -5]
+    assert neg.negate() == phi and neg != phi
+    assert phi.declared_max is None
+    spec = functional_to_spec(phi)
+    assert spec == {"d0": {"t^-2": "2", "1": "3", "t": "5"},
+                    "c": {"t^-1": "0", "1": "1/2"}}
+    assert list(spec["d0"]) == ["t^-2", "1", "t"]
+    assert functional_from_spec(LAUR, spec) == phi
+
+
+def test_laurent_is_zero_with_stored_zeros():
+    assert Functional.from_values(LAUR, {}, {}).is_zero()
+    assert Functional.from_values(LAUR, {"t^-1": 0, "1": 0}, {"t": 0}).is_zero()
+    assert not Functional.from_values(LAUR, {"t^-1": 0}, {"t": 1}).is_zero()
+
+
+def test_exact_extension_is_thread_safe():
+    import sys
+    import threading
+    P = Algebra.polynomial((0, 8))
+    # lam_k = 3^k and kap_k = (-2)^k, both killed by (t - 3)(t + 2)
+    phi = Functional.from_sequences(P, [F(1), F(3)], [F(1), F(-2)],
+                                    exact_ideal=(F(-6), F(-1), F(1)))
+    failures = []
+
+    def worker(stride):
+        for k in range(0, 300, stride):
+            if phi.value_d0(k) != F(3) ** k or phi.value_c(k) != F(-2) ** k:
+                failures.append(k)
+                return
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in (1, 2, 3) * 2]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
+# -- the certification ladder -------------------------------------------------
+
+def _poly_phi(lam, kap, exact=None):
+    P = Algebra.polynomial((0, 32))
+    return Functional.from_sequences(P, [F(x) for x in lam], [F(x) for x in kap],
+                                     exact_ideal=exact)
+
+
+def _roots_poly(*roots):
+    p = (F(1),)
+    for r in roots:
+        p = polyutil.pmul(p, (F(-r), F(1)))
+    return p
+
+
+def _ladder_cases():
+    import math
+    geometric = [2 ** k for k in range(9)]
+    fact = [math.factorial(k + 1) for k in range(13)]
+    return {
+        # detected recurrence re-verified against the declared exact one
+        "verified": (_poly_phi(geometric, [0] * 9, (F(-2), F(1))), False),
+        # the window fits t - 2, the declared degree-5 recurrence disagrees
+        "fallback": (_poly_phi([1, 2, 4, 8, 16], [0] * 5, _roots_poly(1, 3, 4, 5, 6)),
+                     False),
+        # three values cap detection at order 1; the declared order is 3
+        "over_cap": (_poly_phi([1 + 2 ** k + 3 ** k for k in range(3)],
+                               [2 ** k for k in range(3)], _roots_poly(1, 2, 3)),
+                     False),
+        "asserted": (_poly_phi(geometric, [0] * 9), True),
+        "sampled": (_poly_phi(geometric, [0] * 9), False),
+        "absent": (_poly_phi(fact, [0] * 13), False),
+        "absent_asserted": (_poly_phi(fact, [0] * 13), True),
+    }
+
+
+def _ideal_str(ideal):
+    return None if ideal is None else polyutil.pstr(ideal.generator_poly())
+
+
+def test_quasifinite_ladder_notes():
+    exact5 = "t^5 - 19*t^4 + 137*t^3 - 461*t^2 + 702*t - 360"
+    expected = {
+        "verified": ("quasifinite_certified", "t - 2", None, ""),
+        "fallback": ("quasifinite_certified", exact5, "t - 2",
+                     "windowed recurrence not exact; fell back to the declared one"),
+        "over_cap": ("quasifinite_certified", "t^3 - 6*t^2 + 11*t - 6", None,
+                     "declared recurrence exceeds the detection cap; using it directly"),
+        "asserted": ("quasifinite_certified", "t - 2", None,
+                     "caller asserted the window is exact"),
+        "sampled": ("no_witness_up_to_bound", None, "t - 2",
+                    "recurrence found but values are sampled"),
+        "absent": ("no_witness_up_to_bound", None, None,
+                   "no common recurrence of order <= 6"),
+        "absent_asserted": ("no_witness_up_to_bound", None, None,
+                            "no common recurrence of order <= 6"),
+    }
+    for name, (phi, assume) in _ladder_cases().items():
+        v = check_quasifinite(phi, assume_exact=assume)
+        got = (v.status, _ideal_str(v.witness), _ideal_str(v.candidate), v.note)
+        assert got == expected[name], name
+
+
+def test_reducible_ladder_notes():
+    exact5 = "t^5 - 19*t^4 + 137*t^3 - 461*t^2 + 702*t - 360"
+    expected = {
+        "verified": ("reducible_certified", "t - 2", None, ""),
+        "fallback": ("reducible_certified", exact5, None,
+                     "windowed recurrence not exact; used the declared one"),
+        "over_cap": ("reducible_certified", "t^3 - 6*t^2 + 11*t - 6", None,
+                     "declared recurrence exceeds the detection cap"),
+        "asserted": ("reducible_certified", "t - 2", None,
+                     "caller asserted the window is exact"),
+        "sampled": ("no_witness_up_to_bound", None, "t - 2",
+                    "recurrence found but values are sampled"),
+        "absent": ("no_witness_up_to_bound", None, None,
+                   "no recurrence of order <= 6"),
+        "absent_asserted": ("irreducible_certified", None, None,
+                            "no annihilating ideal and caller asserted exact values "
+                            "(infinite-dimensional integral domain)"),
+    }
+    for name, (phi, assume) in _ladder_cases().items():
+        v = check_verma_reducible(phi, assume_exact=assume)
+        got = (v.status, _ideal_str(v.witness_ideal), _ideal_str(v.candidate), v.note)
+        assert got == expected[name], name
+        if v.status == "reducible_certified":
+            gen = v.witness_ideal.generator
+            assert v.singular_vector.env.terms == {((1, b),): c
+                                                   for b, c in gen.coeffs.items()}
