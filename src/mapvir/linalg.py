@@ -2,12 +2,14 @@
 
 Matrices are lists of rows of Fractions.  Everything here is small (desk
 scale), so plain Gauss-Jordan with exact arithmetic is the right tool.
+``row_basis`` works on integer rows instead, where only the row space counts.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Row = list[Fraction]
 
@@ -52,6 +54,39 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(rref(rows)[0])
+
+
+def row_basis(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
+    """Echelon basis of the row space of integer rows, fraction-free.
+
+    Each row is reduced against the basis found so far by cross-multiplying
+    with its pivot rows and dividing out the content, so entries stay
+    coprime integers and no per-entry gcd is paid as with Fractions.  Basis
+    rows have a positive leading entry and are ordered by pivot column; they
+    are not reduced above their pivots.  Stops once ncols pivots are found.
+    """
+    basis: dict[int, list[int]] = {}
+    for row in rows:
+        v = list(row)
+        for p in sorted(basis):
+            g = v[p]
+            if g:
+                b = basis[p]
+                f = b[p]
+                v = [f * x - g * y for x, y in zip(v, b)]
+                content = math.gcd(*v)
+                if content > 1:
+                    v = [x // content for x in v]
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        content = math.gcd(*v)
+        if v[lead] < 0:
+            content = -content
+        basis[lead] = [x // content for x in v]
+        if len(basis) == ncols:
+            break
+    return [basis[p] for p in sorted(basis)]
 
 
 def reduce_against(rref_rows: Sequence[Row], pivots: Sequence[int],

@@ -14,6 +14,7 @@ classical depth-2 singular locus at central charge 1 sits at highest weight
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -138,7 +139,9 @@ class Functional:
         if self.exact_poly is not None:
             known = self._extended[which]
             if k >= len(known):
-                known = tuple(recurrence.extend(known, self.exact_poly, k + 1))
+                # grow geometrically so sequential reads cost O(log k) extends
+                known = tuple(recurrence.extend(known, self.exact_poly,
+                                                max(k + 1, 2 * len(known))))
                 self._extended[which] = known
             return known[k]
         if self.algebra.is_finite:
@@ -373,6 +376,18 @@ def _color_indices(algebra: Algebra, window=None) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def _action_rows(phi: Functional, mode: int, b: int, basis, tpos) -> list[dict]:
+    """Sparse matrix of d_mode (x) e_b from the span of ``basis`` to the depth
+    whose basis positions are ``tpos``: one {column: coefficient} row per
+    target monomial."""
+    e_b = phi.algebra.basis_element(b)
+    rows: list[dict] = [{} for _ in tpos]
+    for col, mono in enumerate(basis):
+        for m2, c2 in _act_d(phi, mode, e_b, mono).items():
+            rows[tpos[m2]][col] = c2
+    return rows
+
+
 def singular_vectors(phi: Functional, depth: int, window=None) -> list[VermaVector]:
     """Basis of the singular subspace at the given depth.
 
@@ -386,6 +401,7 @@ def singular_vectors(phi: Functional, depth: int, window=None) -> list[VermaVect
     alg = phi.algebra
     basis = pbw_basis(depth, alg, window=window)
     colors = _color_indices(alg, window)
+    zero = Fraction(0)
     rows: list[list[Fraction]] = []
     for mode in (1, 2):
         if depth - mode < 0:
@@ -393,12 +409,8 @@ def singular_vectors(phi: Functional, depth: int, window=None) -> list[VermaVect
         targets = pbw_basis(depth - mode, alg, window=window)
         tpos = {mono: i for i, mono in enumerate(targets)}
         for b in colors:
-            e_b = alg.basis_element(b)
-            block = [[Fraction(0)] * len(basis) for _ in targets]
-            for col, mono in enumerate(basis):
-                for m2, c2 in _act_d(phi, mode, e_b, mono).items():
-                    block[tpos[m2]][col] += c2
-            rows.extend(block)
+            rows.extend([row.get(col, zero) for col in range(len(basis))]
+                        for row in _action_rows(phi, mode, b, basis, tpos))
     out = []
     for vec in linalg.kernel(rows, len(basis)):
         terms = {mono: c for mono, c in zip(basis, vec) if c != 0}
@@ -427,15 +439,67 @@ def pairing_matrix(phi: Functional, depth: int, window=None) -> list[list[Fracti
 
 
 def quotient_dims(phi: Functional, max_depth: int, window=None) -> tuple[int, ...]:
-    """Graded dimensions of the irreducible quotient, by exact pairing rank.
+    """Graded dimensions of the irreducible quotient V(phi) / Rad.
 
-    The maximal proper submodule at each depth is the radical of the pairing
-    between raising monomials and the PBW basis, so the quotient dimension is
-    the rank.  Over the infinite kinds the raising monomials are restricted to
-    the window, which can only shrink the rank.
+    Rad is the maximal proper submodule: the vectors w with no v-component in
+    any X w, X in U(V_+).  Every raising word of positive degree ends in a
+    generator x, so for positive depth w lies in Rad exactly when every x w
+    does; and d_1 (x) A, d_2 (x) A generate the raising half, because
+    [d_1 (x) 1, d_n (x) b] = (n - 1) d_{n+1} (x) b.  Over a finite-dimensional
+    algebra this gives an exact recursion on matrices Q_n with kernel Rad_n:
+
+        Q_0 = [1],   Q_n = row basis of ( Q_{n-1} A_{1,b} ; Q_{n-2} A_{2,b} )
+                           stacked over every basis color b,
+
+    where A_{mode,b} is the matrix of d_mode (x) e_b : V_n -> V_{n-mode}.  The
+    quotient dimension at depth n is rank Q_n.  This costs one action matrix
+    per generator and one elimination per depth, against a raising chain per
+    pair of monomials for the pairing matrix.
+
+    Over the windowed polynomial and Laurent kinds the radical is tested
+    against raising monomials whose colors stay in the window.  Products of
+    windowed colors leave the window, so the generator recursion would
+    compute a different subspace; these kinds keep the pairing rank, whose
+    window restriction can only shrink it.
     """
+    if phi.algebra.is_finite:
+        return _layered_quotient_dims(phi, max_depth)
     return tuple(linalg.rank(pairing_matrix(phi, n, window=window))
                  for n in range(max_depth + 1))
+
+
+def _layered_quotient_dims(phi: Functional, max_depth: int) -> tuple[int, ...]:
+    """The Q_n recursion of ``quotient_dims``; only Q_{n-1}, Q_{n-2} stay alive.
+
+    Rows are kept as integer echelon bases: scaling a row does not move the
+    kernel, so each action block is cleared to one common denominator.
+    """
+    alg = phi.algebra
+    colors = list(alg.basis_indices())
+    dims = []
+    layers: list = []  # (basis positions, Q) at depths n-2 and n-1
+    for n in range(max_depth + 1):
+        basis = pbw_basis(n, alg)
+        rows = [[1]] if n == 0 else []
+        for mode, (tpos, q_prev) in zip((1, 2), reversed(layers)):
+            if not q_prev:
+                continue
+            for b in colors:
+                action = _action_rows(phi, mode, b, basis, tpos)
+                den = math.lcm(*(c.denominator for a_row in action for c in a_row.values()))
+                action = [{col: c.numerator * (den // c.denominator)
+                           for col, c in a_row.items()} for a_row in action]
+                for q_row in q_prev:
+                    row = [0] * len(basis)
+                    for t, x in enumerate(q_row):
+                        if x:
+                            for col, c in action[t].items():
+                                row[col] += x * c
+                    rows.append(row)
+        q = linalg.row_basis(rows, len(basis))
+        dims.append(len(q))
+        layers = layers[-1:] + [({mono: i for i, mono in enumerate(basis)}, q)]
+    return tuple(dims)
 
 
 def in_maximal_submodule(v: VermaVector, window=None) -> bool:

@@ -198,3 +198,30 @@ def convolve(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def minimal_model_weight(p: int, pp: int, r: int, s: int):
+    """(h_{r,s}, c) of the minimal model M(p, p') in the L_0 convention:
+    c = 1 - 6 (p' - p)^2 / (p p'), h = ((p' r - p s)^2 - (p' - p)^2) / (4 p p')."""
+    c = 1 - Fraction(6 * (pp - p) ** 2, p * pp)
+    h = Fraction((pp * r - p * s) ** 2 - (pp - p) ** 2, 4 * p * pp)
+    return h, c
+
+
+def rocha_caridi_dims(p: int, pp: int, r: int, s: int, max_n: int) -> list[int]:
+    """Graded dimensions of the irreducible module (r, s) of M(p, p') through
+    depth max_n, from the Rocha-Caridi character
+
+        q^{-h} chi = prod_{k>=1} (1 - q^k)^{-1}
+                     sum_{k in Z} ( q^{k (p p' k + p' r - p s)} - q^{(p k + r)(p' k + s)} ).
+
+    Both exponents are positive for k != 0 (|p' r - p s| < p p'), so a finite
+    range of k covers every depth through max_n.
+    """
+    numerator = [0] * (max_n + 1)
+    for k in range(-max_n - 1, max_n + 2):
+        for exponent, sign in ((k * (p * pp * k + pp * r - p * s), 1),
+                               ((p * k + r) * (pp * k + s), -1)):
+            if exponent <= max_n:
+                numerator[exponent] += sign
+    return convolve(numerator, colored_partition_series(1, max_n))[: max_n + 1]

@@ -24,16 +24,18 @@ from mapvir import (
     split_phi,
     verma_act,
 )
-from mapvir import polyutil
+from mapvir import linalg, polyutil, recurrence, verma
 from mapvir.verma import apply_raising
 from oracles import (
     classical_pairing_matrix,
     classical_singular_dim,
     colored_partition_series,
     convolve,
+    minimal_model_weight,
     oracle_det,
     oracle_rank,
     partitions,
+    rocha_caridi_dims,
 )
 
 QQ = Algebra.rationals()
@@ -205,6 +207,110 @@ def test_pairing_matrix_matches_oracle():
         lib = pairing_matrix(phi, n)
         orc = classical_pairing_matrix(n, F(-1, 4), 1)
         assert oracle_rank(lib) == oracle_rank(orc)
+
+
+# -- the layered radical engine against the pairing rank ---------------------
+
+GAUSS = Algebra.structure_constants(                # Q(i): e_1 e_1 = -e_0
+    [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]], (1, 0), labels=("1", "i"))
+CUBIC = Algebra.product_local([(0, 3)])            # Q[t]/(t^3)
+
+# (p, p', r, s) of the minimal model and the expected (h_{r,s}, c)
+MINIMAL_MODELS = {
+    "ising_sigma": ((3, 4, 1, 2), (F(1, 16), F(1, 2))),
+    "ising_epsilon": ((3, 4, 2, 1), (F(1, 2), F(1, 2))),
+    "tricritical_1_10": ((4, 5, 1, 2), (F(1, 10), F(7, 10))),
+    "tricritical_3_80": ((4, 5, 2, 3), (F(3, 80), F(7, 10))),
+    "lee_yang": ((2, 5, 1, 2), (F(-1, 5), F(-22, 5))),
+}
+
+
+def _minimal_model_phi(name):
+    h, c = minimal_model_weight(*MINIMAL_MODELS[name][0])
+    # d_n = -L_n here, so the L_0 weight h is phi(d_0) = -h
+    return Functional.classical(-h, c)
+
+
+def _parity_cases():
+    rng = random.Random(1203)
+    cases = {name: (_minimal_model_phi(name), 6) for name in MINIMAL_MODELS}
+    for i in range(3):
+        cases[f"generic_{i}"] = (Functional.classical(rand_scalar(rng), rand_scalar(rng)), 6)
+    cases["trivial"] = (Functional.classical(0, 0), 6)
+    # phi kills d_0 (x) t but not c (x) t: reducible at depth 1, no pullback
+    cases["dual"] = (Functional(DUAL, {0: F(1, 3), 1: F(0)}, {0: F(2), 1: F(1)}), 6)
+    # Ising sigma at t = 0 times a generic weight at t = 1 (CRT factors)
+    cases["q_times_q"] = (Functional(SPLIT, {0: F(-1, 16) + F(2, 3), 1: F(2, 3)},
+                                     {0: F(1, 2) + F(-3), 1: F(-3)}), 6)
+    # phi kills the ideal (t^2); the depth-6 pairing matrix (221 x 221) is slow
+    cases["cubic"] = (Functional(CUBIC, {0: F(-1, 16), 1: F(1)}, {0: F(1, 2)}), 5)
+    # phi vanishes on d_0 (x) A, so depth 1 dies while c (x) i survives
+    cases["gauss"] = (Functional(GAUSS, {}, {0: F(1, 2), 1: F(1)}), 6)
+    return cases
+
+
+PARITY_CASES = _parity_cases()
+
+
+def test_row_basis_matches_oracle_rank():
+    rng = random.Random(1207)
+    for _ in range(40):
+        nrows, ncols, rank = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 4)
+        left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(nrows)]
+        right = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rank)]
+        rows = [[sum(a * b for a, b in zip(lrow, col)) for col in zip(*right)] or [0] * ncols
+                for lrow in left]
+        basis = linalg.row_basis(rows, ncols)
+        assert len(basis) == oracle_rank(rows)
+        leads = [next(j for j, x in enumerate(b) if x) for b in basis]
+        assert leads == sorted(set(leads)) and all(b[j] > 0 for b, j in zip(basis, leads))
+        # same row space: stacking the basis onto the rows adds no rank
+        assert oracle_rank(rows + basis) == len(basis)
+
+
+@pytest.mark.parametrize("name", PARITY_CASES)
+def test_quotient_dims_equal_pairing_rank(name):
+    phi, depth = PARITY_CASES[name]
+    assert quotient_dims(phi, depth) == tuple(
+        linalg.rank(pairing_matrix(phi, n)) for n in range(depth + 1))
+
+
+def test_finite_quotient_dims_make_no_raising_calls(monkeypatch):
+    calls = []
+    real = verma.apply_raising
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(verma, "apply_raising", counting)
+    assert quotient_dims(_minimal_model_phi("ising_sigma"), 8) == (1, 1, 1, 2, 2, 3, 4, 5, 6)
+    quotient_dims(PARITY_CASES["dual"][0], 4)
+    quotient_dims(PARITY_CASES["gauss"][0], 4)
+    assert calls == []
+
+
+def test_windowed_quotient_dims_keep_pairing_path(monkeypatch):
+    depths = []
+    real = verma.pairing_matrix
+
+    def counting(phi, depth, window=None):
+        depths.append(depth)
+        return real(phi, depth, window=window)
+
+    monkeypatch.setattr(verma, "pairing_matrix", counting)
+    P = Algebra.polynomial((0, 8))
+    phi = Functional.from_sequences(P, [F(1), F(3)], [F(1), F(-2)],
+                                    exact_ideal=(F(-6), F(-1), F(1)))
+    quotient_dims(phi, 3, window=(0, 1))
+    assert depths == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("name", MINIMAL_MODELS)
+def test_quotient_dims_match_rocha_caridi(name):
+    (p, pp, r, s), weight = MINIMAL_MODELS[name]
+    assert minimal_model_weight(p, pp, r, s) == weight
+    assert list(quotient_dims(_minimal_model_phi(name), 14)) == rocha_caridi_dims(p, pp, r, s, 14)
 
 
 # -- singular vectors ---------------------------------------------------------
@@ -505,6 +611,27 @@ def test_laurent_is_zero_with_stored_zeros():
     assert Functional.from_values(LAUR, {}, {}).is_zero()
     assert Functional.from_values(LAUR, {"t^-1": 0, "1": 0}, {"t": 0}).is_zero()
     assert not Functional.from_values(LAUR, {"t^-1": 0}, {"t": 1}).is_zero()
+
+
+def test_exact_extension_grows_geometrically(monkeypatch):
+    import math
+    lengths = []
+    real = recurrence.extend
+
+    def counting(seq, p, length):
+        lengths.append(length)
+        return real(seq, p, length)
+
+    monkeypatch.setattr(recurrence, "extend", counting)
+    P = Algebra.polynomial((0, 8))
+    # Fibonacci: killed by t^2 - t - 1
+    phi = Functional.from_sequences(P, [F(0), F(1)], [F(0), F(1)],
+                                    exact_ideal=(F(-1), F(-1), F(1)))
+    a, b = 0, 1
+    for k in range(2000):
+        assert phi.value_d0(k) == a
+        a, b = b, a + b
+    assert len(lengths) <= math.ceil(math.log2(2000))
 
 
 def test_exact_extension_is_thread_safe():
