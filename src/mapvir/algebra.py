@@ -510,12 +510,6 @@ class PrincipalIdeal:
         p = self.generator.as_poly()
         return len(p) == 1
 
-    @property
-    def codim(self) -> int:
-        if self.is_zero():
-            raise ValueError("zero ideal has infinite codimension")
-        return polyutil.degree(self.generator.as_poly())
-
     def generator_poly(self) -> polyutil.Poly:
         return self.generator.as_poly()
 

@@ -71,9 +71,6 @@ class IntSeriesSpec:
     def coefficient(self, n: int, k: int) -> Fraction:
         return k + self.a * (n + 1) + self.b
 
-    def weight_of(self, k: int) -> Fraction:
-        return k + self.a + self.b
-
     def _self_check(self):
         # commutator consistency of the chosen coefficient reading:
         # d_m (d_n t^k) - d_n (d_m t^k) must equal (n - m) d_{m+n} t^k.

@@ -71,9 +71,6 @@ class LieElement:
     def c_part(self) -> AlgebraElement:
         return self._c
 
-    def d_coeff(self, n: int) -> AlgebraElement:
-        return self._d.get(n, self.algebra.zero())
-
     def modes(self) -> list[int]:
         return sorted(self._d)
 

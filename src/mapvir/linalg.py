@@ -1,8 +1,9 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices are lists of rows of Fractions.  Everything here is small (desk
-scale), so plain Gauss-Jordan with exact arithmetic is the right tool.
-``row_basis`` works on integer rows instead, where only the row space counts.
+Matrices are lists of rows of Fractions (ints are accepted too).  There is
+one elimination loop, ``row_basis``: it is fraction-free on integer rows, so
+``rref`` and ``rank`` first scale each row to integers and Fractions appear
+only when ``rref`` normalizes pivots and back-substitutes.
 """
 
 from __future__ import annotations
@@ -14,8 +15,16 @@ from typing import Iterable, Sequence
 Row = list[Fraction]
 
 
-def _copy(rows: Sequence[Sequence[Fraction]]) -> list[Row]:
-    return [[Fraction(x) for x in row] for row in rows]
+def _echelon(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """``row_basis`` of the rows, each first scaled by the lcm of its
+    denominators, which keeps the row space."""
+    if not rows:
+        return []
+    ints = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (den // x.denominator) for x in row])
+    return row_basis(ints, len(rows[0]))
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
@@ -23,37 +32,25 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
 
     Returns (nonzero rows, pivot column indices).  Rows are normalized to a
     leading 1 and fully reduced, so equal row spaces give identical output.
+    The echelon basis comes from the fraction-free ``row_basis``; only its
+    r rows are divided by their pivots and back-substituted upward.
     """
-    m = _copy(rows)
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][col]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    basis = _echelon(rows)
+    pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
+    red = [[Fraction(x, b[p]) for x in b] for b, p in zip(basis, pivots)]
+    for i in range(len(red) - 1, 0, -1):
+        nonzero = [(j, x) for j, x in enumerate(red[i]) if x]
+        p = pivots[i]
+        for row in red[:i]:
+            f = row[p]
+            if f:
+                for j, x in nonzero:
+                    row[j] -= f * x
+    return red, pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[0])
+    return len(_echelon(rows))
 
 
 def row_basis(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:

@@ -228,22 +228,19 @@ def pbw_basis(weight: int, algebra: Algebra, window=None) -> list[Monomial]:
             raise MissingWindow("pbw_basis over an infinite algebra needs a window")
         idxs = list(range(window[0], window[1] + 1))
     gens = [(m, b) for m in range(weight, 0, -1) for b in sorted(idxs)]
+    # depth-first over (monomial so far, depth left, first usable generator);
+    # a worklist rather than a recursive closure, whose self-reference would
+    # be a cycle keeping ``out`` alive until the next gc pass
     out: list[Monomial] = []
-    stack: list[Generator] = []
-
-    def rec(remaining: int, start: int):
+    work: list[tuple[Monomial, int, int]] = [((), weight, 0)]
+    while work:
+        mono, remaining, start = work.pop()
         if remaining == 0:
-            out.append(tuple(stack))
-            return
+            out.append(mono)
+            continue
         for i in range(start, len(gens)):
-            m = gens[i][0]
-            if m > remaining:
-                continue
-            stack.append(gens[i])
-            rec(remaining - m, i)
-            stack.pop()
-
-    rec(weight, 0)
+            if gens[i][0] <= remaining:
+                work.append((mono + (gens[i],), remaining - gens[i][0], i))
     out.sort(key=monomial_key, reverse=True)
     return out
 

@@ -28,7 +28,7 @@ from .algebra import (
     local_decomposition,
 )
 from .errors import AlgebraMismatch, UnsupportedKind
-from .liealg import LieElement, central_scalar
+from .liealg import LieElement, central_scalar, d_term
 from .pbw import (
     EnvElement,
     Monomial,
@@ -661,18 +661,9 @@ def depth_one_vector(phi: Functional, f: AlgebraElement) -> VermaVector:
 
 
 def _is_singular(v: VermaVector, window=None) -> bool:
-    phi = v.functional
-    colors = _color_indices(phi.algebra, window)
-    for mode in (1, 2):
-        for b in colors:
-            e_b = phi.algebra.basis_element(b)
-            res: dict = {}
-            for mono, cm in v.env.terms.items():
-                for m2, c2 in _act_d(phi, mode, e_b, mono).items():
-                    _acc(res, m2, cm * c2)
-            if res:
-                return False
-    return True
+    alg = v.functional.algebra
+    return not any(verma_act(d_term(alg, mode, alg.basis_element(b)), v)
+                   for mode in (1, 2) for b in _color_indices(alg, window))
 
 
 def check_verma_reducible(phi: Functional, bound: int | None = None,

@@ -1,7 +1,7 @@
 """Independent oracle implementations for the test suite.
 
 Nothing here reuses the library's linear algebra or PBW action paths: ranks
-come from a fraction-free elimination, the classical Virasoro action is a
+come from plain Fraction Gauss elimination, the classical Virasoro action is a
 worklist rewriter on bare mode tuples, and partition counts come from the
 generating function.
 """
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 
 def oracle_rank(rows) -> int:
-    """Row rank by Bareiss-style fraction-free elimination."""
+    """Row rank by plain Gauss elimination over Fractions."""
     m = [[Fraction(x) for x in row] for row in rows if any(row)]
     if not m:
         return 0

@@ -1,0 +1,139 @@
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from mapvir import linalg
+from oracles import oracle_rank
+
+
+def _low_rank(rng, nrows, ncols, rank, ints=False):
+    """nrows x ncols rational matrix of rank at most ``rank``."""
+    def entry():
+        return rng.randint(-4, 4) if ints else F(rng.randint(-6, 6), rng.randint(1, 5))
+    left = [[entry() for _ in range(rank)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    return [[sum((a * b for a, b in zip(lrow, col)), 0 if ints else F(0))
+             for col in zip(*right)] if right else [F(0)] * ncols
+            for lrow in left]
+
+
+def _hankel(seq, order):
+    """The tall system recurrence.minimal_annihilator solves for ``order``."""
+    rows = [[seq[k + i] for i in range(order)] for k in range(len(seq) - order)]
+    rhs = [-seq[k + order] for k in range(len(seq) - order)]
+    return rows, rhs
+
+
+def _cases():
+    rng = random.Random(4401)
+    cases = {
+        "empty": ([], 3),
+        "zero_rows": ([[F(0)] * 4 for _ in range(3)], 4),
+        "zero_columns": ([[], [], []], 0),
+        "single_zero_entry": ([[F(0)]], 1),
+        "ints_full_rank": ([[2, 1, 0], [0, 3, 1], [1, 0, 5]], 3),
+    }
+    for i in range(12):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        rank = rng.randint(0, min(nrows, ncols))
+        cases[f"random_{i}"] = (_low_rank(rng, nrows, ncols, rank), ncols)
+    for i in range(4):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rank = rng.randint(0, min(nrows, ncols))
+        cases[f"int_{i}"] = (_low_rank(rng, nrows, ncols, rank, ints=True), ncols)
+    # s_{k+3} = s_{k+2} + 1/2 s_{k+1} - 1/3 s_k: order 3, so the order-3
+    # system is consistent and the order-2 one is not
+    seq = [F(1), F(-2), F(1, 3)]
+    while len(seq) < 40:
+        seq.append(seq[-1] + seq[-2] / 2 - seq[-3] / 3)
+    for order in (2, 3, 5):
+        cases[f"hankel_{order}"] = (_hankel(seq, order)[0], order)
+    return cases, seq
+
+
+CASES, HANKEL_SEQ = _cases()
+
+
+def _apply(rows, x):
+    return [sum((a * b for a, b in zip(row, x)), F(0)) for row in rows]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_rref_is_the_canonical_form_of_the_row_space(name):
+    rows, ncols = CASES[name]
+    red, pivots = linalg.rref(rows)
+    assert pivots == sorted(set(pivots))
+    for row, p in zip(red, pivots):
+        assert len(row) == ncols and all(type(x) is F for x in row)
+        assert row[p] == 1 and not any(row[:p])
+    for i, p in enumerate(pivots):
+        assert all(other[p] == 0 for k, other in enumerate(red) if k != i)
+    # r canonical rows that span every input row, r = rank: the unique RREF
+    assert len(red) == linalg.rank(rows) == oracle_rank(rows)
+    assert all(linalg.in_row_span(red, pivots, row) for row in rows)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_kernel_is_a_null_space_basis(name):
+    rows, ncols = CASES[name]
+    ker = linalg.kernel(rows, ncols)
+    assert len(ker) == ncols - oracle_rank(rows)
+    assert oracle_rank(ker) == len(ker)
+    for x in ker:
+        assert not any(_apply(rows, x))
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_solve_is_exact_or_none_when_inconsistent(name):
+    rows, ncols = CASES[name]
+    rng = random.Random(name)
+    x0 = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ncols)]
+    rhs_options = [_apply(rows, x0), [F(rng.randint(-5, 5)) for _ in rows]]
+    if name.startswith("hankel_"):
+        rhs_options.append(_hankel(HANKEL_SEQ, ncols)[1])
+    for rhs in rhs_options:
+        sol = linalg.solve(rows, rhs)
+        aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+        if oracle_rank(aug) > oracle_rank(rows):
+            assert sol is None
+        else:
+            assert sol is not None and _apply(rows, sol) == list(rhs)
+
+
+def test_hankel_solves_find_the_recurrence_order():
+    assert linalg.solve(*_hankel(HANKEL_SEQ, 2)) is None
+    assert linalg.solve(*_hankel(HANKEL_SEQ, 3)) == [F(1, 3), F(-1, 2), F(-1)]
+
+
+def test_row_space_intersection_dimension():
+    rng = random.Random(4402)
+    for _ in range(25):
+        ncols = rng.randint(1, 7)
+        shared = _low_rank(rng, rng.randint(0, 3), ncols, 2)
+        a = shared + _low_rank(rng, rng.randint(0, 3), ncols, 2)
+        b = shared + _low_rank(rng, rng.randint(0, 3), ncols, 2)
+        meet = linalg.row_space_intersection(a, b, ncols)
+        dim_a, dim_b = oracle_rank(a), oracle_rank(b)
+        assert len(meet) == oracle_rank(meet) == dim_a + dim_b - oracle_rank(a + b)
+        red_a, piv_a = linalg.rref(a)
+        red_b, piv_b = linalg.rref(b)
+        for v in meet:
+            assert linalg.in_row_span(red_a, piv_a, v)
+            assert linalg.in_row_span(red_b, piv_b, v)
+
+
+def test_rref_and_rank_eliminate_through_row_basis(monkeypatch):
+    calls = []
+    row_basis = linalg.row_basis
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return row_basis(rows, ncols)
+
+    monkeypatch.setattr(linalg, "row_basis", counting)
+    rows = [[F(1, 2), F(1, 3)], [F(1), F(2, 3)], [F(0), F(5)]]
+    assert linalg.rref(rows) == ([[F(1), F(0)], [F(0), F(1)]], [0, 1])
+    assert calls == [2]
+    assert linalg.rank(rows) == 2
+    assert calls == [2, 2]

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction as F
 
@@ -152,6 +153,17 @@ def test_basis_sorted_descending():
     monos = pbw_basis(5, A2)
     keys = [monomial_key(m) for m in monos]
     assert keys == sorted(keys, reverse=True)
+
+
+def test_basis_leaves_no_reference_cycle():
+    # a cycle would keep each returned basis alive until the next gc pass
+    gc.collect()
+    gc.disable()
+    try:
+        pbw_basis(5, A2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_window_basis():
