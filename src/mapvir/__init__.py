@@ -89,7 +89,6 @@ from .verma import (
     QuasifiniteVerdict,
     ReducibilityVerdict,
     VermaVector,
-    apply_raising,
     check_quasifinite,
     check_verma_reducible,
     depth_one_vector,

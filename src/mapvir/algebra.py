@@ -192,10 +192,17 @@ class Algebra:
                 f"{self.kind} algebra has no finite basis; use the window")
         return range(self.dim)
 
-    def window_indices(self) -> range:
+    def window_indices(self, window=None) -> range:
+        """The basis indices of a finite kind; otherwise the exponents of
+        ``window`` (default the algebra window), which must lie inside it."""
         if self.is_finite:
             return range(self.dim)
         lo, hi = self.window
+        if window is not None:
+            if window[0] < lo or window[1] > hi:
+                raise WindowOverflow(f"color window [{window[0]}, {window[1]}] "
+                                     f"outside window [{lo}, {hi}]")
+            lo, hi = window
         return range(lo, hi + 1)
 
     def check_index(self, i: int):

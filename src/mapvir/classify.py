@@ -237,15 +237,14 @@ class TrichotomyProfile:
                 "table": self.table.to_json_dict()}
 
 
-def trichotomy_profile(handle: ModuleHandle, offsets=(-8, 8),
-                       window=None) -> TrichotomyProfile:
+def trichotomy_profile(handle: ModuleHandle, offsets=(-8, 8)) -> TrichotomyProfile:
     """Classify the sampled table: truncated above/below, or bounded.
 
     A table whose support spans the whole window and whose maximum sits at a
     window edge is reported unbounded_both (growth cut off by the window);
     boundedness claims always carry the window-truncated flag of the table.
     """
-    table = weight_multiplicities(handle, offsets, window=window)
+    table = weight_multiplicities(handle, offsets)
     lo, hi = table.offsets
     support = sorted(o for o, m in table.mult.items() if m > 0)
     if not support:

@@ -261,7 +261,7 @@ class VermaHandle(_HighestWeightHandle):
     def _dims(self, max_depth, window):
         return module_dims(self.algebra, max_depth, window=window)
 
-    def annihilator(self, window) -> AnnihilatorReport:
+    def annihilator(self) -> AnnihilatorReport:
         # free over the lowering half, so every presentation point supports it
         alg = self.algebra
         ann = Ideal(alg, []) if alg.is_finite else PrincipalIdeal(alg, alg.zero())
@@ -279,7 +279,7 @@ class IrreducibleQuotientHandle(_HighestWeightHandle):
     def _dims(self, max_depth, window):
         return quotient_dims(self.functional, max_depth, window=window)
 
-    def annihilator(self, window) -> AnnihilatorReport:
+    def annihilator(self) -> AnnihilatorReport:
         # exactly the largest ideal on which the functional vanishes
         phi = self.functional
         alg = self.algebra
@@ -368,7 +368,7 @@ class IntSeriesEvalHandle(ModuleHandle):
                     notes.append(f"trivial quotient at offset {o0}")
         return WeightTable(s, (lo, hi), mult, truncated, tuple(notes))
 
-    def annihilator(self, window) -> AnnihilatorReport:
+    def annihilator(self) -> AnnihilatorReport:
         alg = self.algebra
         if self.point is None:
             return AnnihilatorReport(
@@ -441,10 +441,10 @@ class GeneralizedEvalHandle(ModuleHandle):
         return WeightTable(inner.base, (lo, hi), inner.mult, inner.truncated,
                            inner.notes + (note,))
 
-    def annihilator(self, window) -> AnnihilatorReport:
+    def annihilator(self) -> AnnihilatorReport:
         # the order-th power of the point ideal, plus the lifted inner ideal
         alg = self.algebra
-        inner_report = annihilator_support(self.inner, window=window)
+        inner_report = annihilator_support(self.inner)
         mpow = ideal_power(point_ideal(alg, self.point), self.order)
         ann = mpow
         if isinstance(inner_report.ideal, Ideal) and isinstance(mpow, Ideal):
@@ -536,9 +536,9 @@ class TensorHandle(ModuleHandle):
         notes = ("tensor counts are window-limited lower bounds",) if truncated else ()
         return WeightTable(self.base_weight(), (lo, hi), mult, truncated, notes)
 
-    def annihilator(self, window) -> AnnihilatorReport:
+    def annihilator(self) -> AnnihilatorReport:
         # the intersection of the factors' ideals, when they are of one flavor
-        reports = [annihilator_support(f, window=window) for f in self.factors]
+        reports = [annihilator_support(f) for f in self.factors]
         support: list[Fraction] | None = []
         for r in reports:
             if r.support is None:
@@ -654,7 +654,7 @@ def weight_multiplicities(handle: ModuleHandle, offsets, window=None) -> WeightT
     return handle.weight_table(lo, hi, window)
 
 
-def annihilator_support(handle: ModuleHandle, window=None) -> AnnihilatorReport:
+def annihilator_support(handle: ModuleHandle) -> AnnihilatorReport:
     """Largest representable ideal annihilating the module, and its support.
 
     Verma modules are free over the lowering half, so their annihilator is
@@ -663,7 +663,7 @@ def annihilator_support(handle: ModuleHandle, window=None) -> AnnihilatorReport:
     Evaluation handles annihilate their defining ideal by construction.
     Tensor annihilators are reported as the intersection of the factors'.
     """
-    return handle.annihilator(window)
+    return handle.annihilator()
 
 
 # -- serialization ----------------------------------------------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import polyutil
 from .algebra import Algebra, AlgebraElement
-from .liealg import LieElement, c_term, d_term
+from .liealg import LieElement, _as_plain_scalar, c_term, d_term
 
 
 def _tokenize(text: str) -> list[tuple[str, object]]:
@@ -176,7 +176,7 @@ class _Parser:
     def _div(self, a, b):
         if isinstance(b, LieElement):
             raise ValueError("cannot divide by a Lie element")
-        scalar = _plain_scalar(b)
+        scalar = _as_plain_scalar(b)
         if scalar is None or scalar == 0:
             raise ValueError("division is only by nonzero scalars")
         if isinstance(a, LieElement):
@@ -189,7 +189,7 @@ class _Parser:
                 return a
             raise ValueError("Lie elements cannot be raised to powers")
         if n < 0:
-            scalar = _plain_scalar(a)
+            scalar = _as_plain_scalar(a)
             if scalar is None or scalar == 0:
                 raise ValueError("negative powers only apply to scalars")
             return a.algebra.one().scale(Fraction(1) / scalar ** (-n))
@@ -197,16 +197,6 @@ class _Parser:
         for _ in range(n):
             out = out * a
         return out
-
-
-def _plain_scalar(f: AlgebraElement):
-    one = f.algebra.one()
-    for i, c in one.coeffs.items():
-        scalar = f.coeff(i) / c
-        if f == one.scale(scalar):
-            return scalar
-        break
-    return None
 
 
 def _scale_lie(x: LieElement, g: AlgebraElement) -> LieElement:

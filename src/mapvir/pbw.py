@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Sequence
 
 from .algebra import Algebra
-from .errors import MissingWindow, NotLowering
+from .errors import NotLowering
 from .liealg import LieElement
 from .scalars import as_scalar, format_scalar
 
@@ -212,22 +212,15 @@ def pbw_basis(weight: int, algebra: Algebra, window=None) -> list[Monomial]:
     """All PBW monomials of weight -weight, sorted descending.
 
     These are colored partitions of ``weight``: parts are generator depths,
-    colors are algebra basis indices (or window exponents for the infinite
-    kinds, where a window is mandatory).
+    colors are algebra basis indices, or for the infinite kinds the exponents
+    of ``window`` (default the algebra window; a wider one raises).
     """
     if weight < 0:
         raise ValueError("weight must be nonnegative")
+    idxs = algebra.window_indices(window)
     if weight == 0:
         return [()]
-    if algebra.is_finite:
-        idxs = list(algebra.basis_indices())
-    else:
-        if window is None:
-            window = algebra.window
-        if window is None:
-            raise MissingWindow("pbw_basis over an infinite algebra needs a window")
-        idxs = list(range(window[0], window[1] + 1))
-    gens = [(m, b) for m in range(weight, 0, -1) for b in sorted(idxs)]
+    gens = [(m, b) for m in range(weight, 0, -1) for b in idxs]
     # depth-first over (monomial so far, depth left, first usable generator);
     # a worklist rather than a recursive closure, whose self-reference would
     # be a cycle keeping ``out`` alive until the next gc pass

@@ -323,15 +323,6 @@ def _act_basis(phi: Functional, j: int, b: int, mono: Monomial) -> dict:
     return out
 
 
-def _act_d(phi: Functional, j: int, g: AlgebraElement, mono: Monomial) -> dict:
-    """Push d_j (x) g through mono * v, expanding g over the basis."""
-    out: dict = {}
-    for b, cb in g.coeffs.items():
-        for m2, c2 in _act_basis(phi, j, b, mono).items():
-            _acc(out, m2, cb * c2)
-    return out
-
-
 def verma_act(x: LieElement, v: VermaVector) -> list[VermaVector]:
     """Action of a Lie element, returned as homogeneous pieces by depth."""
     phi = v.functional
@@ -340,8 +331,9 @@ def verma_act(x: LieElement, v: VermaVector) -> list[VermaVector]:
     c_val = phi.eval_c(x.c_part) if not x.c_part.is_zero() else Fraction(0)
     for mono, cm in v.env.terms.items():
         for j, g in x.d_part.items():
-            for m2, c2 in _act_d(phi, j, g, mono).items():
-                _acc(total, m2, cm * c2)
+            for b, cb in g.coeffs.items():
+                for m2, c2 in _act_basis(phi, j, b, mono).items():
+                    _acc(total, m2, cm * cb * c2)
         if c_val != 0:
             _acc(total, mono, cm * c_val)
     buckets: dict[int, dict] = {}
@@ -351,40 +343,43 @@ def verma_act(x: LieElement, v: VermaVector) -> list[VermaVector]:
             for _, terms in sorted(buckets.items(), reverse=True)]
 
 
-def apply_raising(phi: Functional, raising: Monomial, terms: dict) -> dict:
-    """Apply an ordered raising monomial (depths act as modes +m)."""
-    cur = dict(terms)
-    for m, b in reversed(raising):
-        e_b = phi.algebra.basis_element(b)
-        nxt: dict = {}
-        for mono, cm in cur.items():
-            for m2, c2 in _act_d(phi, m, e_b, mono).items():
-                _acc(nxt, m2, cm * c2)
-        cur = nxt
-        if not cur:
-            break
-    return cur
+def _raise(phi: Functional, x_mono: Monomial, chains: dict) -> dict:
+    """X w for the raising monomial X = x X', computed as x (X' w).
+
+    ``chains`` maps raising monomials to their results on one fixed w and is
+    seeded with {(): w}; a miss computes the suffix X' first and stores X, so
+    monomials sharing a suffix share its chain.  Depths act as modes +m.
+    """
+    hit = chains.get(x_mono)
+    if hit is not None:
+        return hit
+    m, b = x_mono[0]
+    out: dict = {}
+    for mono, cm in _raise(phi, x_mono[1:], chains).items():
+        for m2, c2 in _act_basis(phi, m, b, mono).items():
+            _acc(out, m2, cm * c2)
+    chains[x_mono] = out
+    return out
+
+
+def _v_coefficients(phi: Functional, terms, raising):
+    """Lazily yield coeff_v(X w), w = sum terms, for each X in ``raising``."""
+    chains = {(): terms}
+    zero = Fraction(0)
+    return (_raise(phi, x_mono, chains).get((), zero) for x_mono in raising)
 
 
 # -- singular vectors and graded dimensions ---------------------------------
 
 
-def _color_indices(algebra: Algebra, window=None) -> list[int]:
-    if algebra.is_finite:
-        return list(algebra.basis_indices())
-    lo, hi = window if window is not None else algebra.window
-    return list(range(lo, hi + 1))
-
-
-def _action_rows(phi: Functional, mode: int, b: int, basis, tpos) -> list[dict]:
-    """Sparse matrix of d_mode (x) e_b from the span of ``basis`` to the depth
-    whose basis positions are ``tpos``: one {column: coefficient} row per
-    target monomial."""
-    e_b = phi.algebra.basis_element(b)
-    rows: list[dict] = [{} for _ in tpos]
+def _action_rows(phi: Functional, mode: int, b: int, basis) -> dict:
+    """Sparse matrix of d_mode (x) e_b on the span of ``basis``: a
+    {column: coefficient} row for each target monomial that occurs, including
+    targets whose colors leave a color window."""
+    rows: dict = {}
     for col, mono in enumerate(basis):
-        for m2, c2 in _act_d(phi, mode, e_b, mono).items():
-            rows[tpos[m2]][col] = c2
+        for m2, c2 in _act_basis(phi, mode, b, mono).items():
+            rows.setdefault(m2, {})[col] = c2
     return rows
 
 
@@ -400,17 +395,14 @@ def singular_vectors(phi: Functional, depth: int, window=None) -> list[VermaVect
         raise ValueError("singular vectors live at positive depth")
     alg = phi.algebra
     basis = pbw_basis(depth, alg, window=window)
-    colors = _color_indices(alg, window)
     zero = Fraction(0)
     rows: list[list[Fraction]] = []
     for mode in (1, 2):
         if depth - mode < 0:
             continue
-        targets = pbw_basis(depth - mode, alg, window=window)
-        tpos = {mono: i for i, mono in enumerate(targets)}
-        for b in colors:
+        for b in alg.window_indices(window):
             rows.extend([row.get(col, zero) for col in range(len(basis))]
-                        for row in _action_rows(phi, mode, b, basis, tpos))
+                        for row in _action_rows(phi, mode, b, basis).values())
     out = []
     for vec in linalg.kernel(rows, len(basis)):
         terms = {mono: c for mono, c in zip(basis, vec) if c != 0}
@@ -426,16 +418,11 @@ def module_dims(algebra: Algebra, max_depth: int, window=None) -> tuple[int, ...
 
 def pairing_matrix(phi: Functional, depth: int, window=None) -> list[list[Fraction]]:
     """Matrix of v-coefficients <X, Y> = coeff_v(X * Y v) over raising/lowering
-    monomials of the given weight."""
+    monomials of the given weight, one suffix-sharing raising walk per Y."""
     basis = pbw_basis(depth, phi.algebra, window=window)
-    mat = []
-    for x_mono in basis:
-        row = []
-        for y_mono in basis:
-            res = apply_raising(phi, x_mono, {y_mono: Fraction(1)})
-            row.append(res.get((), Fraction(0)))
-        mat.append(row)
-    return mat
+    # one walk per column Y; each walk's chains are dropped before the next
+    cols = [list(_v_coefficients(phi, {y_mono: Fraction(1)}, basis)) for y_mono in basis]
+    return [list(row) for row in zip(*cols)]
 
 
 def quotient_dims(phi: Functional, max_depth: int, window=None) -> tuple[int, ...]:
@@ -453,8 +440,8 @@ def quotient_dims(phi: Functional, max_depth: int, window=None) -> tuple[int, ..
 
     where A_{mode,b} is the matrix of d_mode (x) e_b : V_n -> V_{n-mode}.  The
     quotient dimension at depth n is rank Q_n.  This costs one action matrix
-    per generator and one elimination per depth, against a raising chain per
-    pair of monomials for the pairing matrix.
+    per generator and one elimination per depth, against a raising walk over
+    every monomial per column of the pairing matrix.
 
     Over the windowed polynomial and Laurent kinds the radical is tested
     against raising monomials whose colors stay in the window.  Products of
@@ -485,15 +472,18 @@ def _layered_quotient_dims(phi: Functional, max_depth: int) -> tuple[int, ...]:
             if not q_prev:
                 continue
             for b in colors:
-                action = _action_rows(phi, mode, b, basis, tpos)
-                den = math.lcm(*(c.denominator for a_row in action for c in a_row.values()))
-                action = [{col: c.numerator * (den // c.denominator)
-                           for col, c in a_row.items()} for a_row in action]
+                action = _action_rows(phi, mode, b, basis)
+                den = math.lcm(*(c.denominator for a_row in action.values()
+                                 for c in a_row.values()))
+                action = [(tpos[m2], {col: c.numerator * (den // c.denominator)
+                                      for col, c in a_row.items()})
+                          for m2, a_row in action.items()]
                 for q_row in q_prev:
                     row = [0] * len(basis)
-                    for t, x in enumerate(q_row):
+                    for t, a_row in action:
+                        x = q_row[t]
                         if x:
-                            for col, c in action[t].items():
+                            for col, c in a_row.items():
                                 row[col] += x * c
                     rows.append(row)
         q = linalg.row_basis(rows, len(basis))
@@ -511,11 +501,8 @@ def in_maximal_submodule(v: VermaVector, window=None) -> bool:
     if v.is_zero():
         return True
     phi = v.functional
-    for x_mono in pbw_basis(v.depth, phi.algebra, window=window):
-        res = apply_raising(phi, x_mono, dict(v.env.terms))
-        if res.get((), Fraction(0)) != 0:
-            return False
-    return True
+    raising = pbw_basis(v.depth, phi.algebra, window=window)
+    return not any(_v_coefficients(phi, v.env.terms, raising))
 
 
 # -- decision procedures ----------------------------------------------------
@@ -663,7 +650,7 @@ def depth_one_vector(phi: Functional, f: AlgebraElement) -> VermaVector:
 def _is_singular(v: VermaVector, window=None) -> bool:
     alg = v.functional.algebra
     return not any(verma_act(d_term(alg, mode, alg.basis_element(b)), v)
-                   for mode in (1, 2) for b in _color_indices(alg, window))
+                   for mode in (1, 2) for b in alg.window_indices(window))
 
 
 def check_verma_reducible(phi: Functional, bound: int | None = None,

@@ -416,6 +416,14 @@ def test_nested_tensor_of_highest_weight_factors_is_exact():
     assert table.base == F(5, 7) + F(1, 3)
 
 
+def test_highest_weight_tables_reject_color_window_past_algebra_window():
+    P = Algebra.polynomial((0, 4))
+    phi = Functional.from_sequences(P, [F(1)], [F(1)])
+    for handle in (VermaHandle(phi), IrreducibleQuotientHandle(phi)):
+        with pytest.raises(WindowOverflow):
+            weight_multiplicities(handle, (-2, 0), window=(0, 9))
+
+
 def test_highest_weight_tables_over_polynomial_are_windowed():
     P = Algebra.polynomial((0, 16))
     phi = Functional.from_sequences(P, [F(2) ** k for k in range(10)], [F(0)] * 10,

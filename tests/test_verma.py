@@ -8,6 +8,8 @@ from mapvir import (
     EnvElement,
     Functional,
     LieElement,
+    VermaVector,
+    WindowOverflow,
     bracket,
     c_term,
     check_quasifinite,
@@ -19,13 +21,13 @@ from mapvir import (
     largest_d0_ideal,
     module_dims,
     pairing_matrix,
+    pbw_basis,
     quotient_dims,
     singular_vectors,
     split_phi,
     verma_act,
 )
 from mapvir import linalg, polyutil, recurrence, verma
-from mapvir.verma import apply_raising
 from oracles import (
     classical_pairing_matrix,
     classical_singular_dim,
@@ -209,6 +211,87 @@ def test_pairing_matrix_matches_oracle():
         assert oracle_rank(lib) == oracle_rank(orc)
 
 
+# -- the raising walker ---------------------------------------------------------
+
+def _reference_pairing(phi, depth, window=None):
+    """coeff_v(X Y v), each X applied generator by generator through verma_act."""
+    alg = phi.algebra
+    basis = pbw_basis(depth, alg, window=window)
+
+    def entry(x_mono, y_mono):
+        w = VermaVector(phi, EnvElement(alg, {y_mono: F(1)}))
+        for m, b in reversed(x_mono):
+            w = single_piece(verma_act(d_term(alg, m, alg.basis_element(b)), w))
+            if w is None:
+                return F(0)
+        return w.env.coeff(())
+
+    return [[entry(x, y) for y in basis] for x in basis]
+
+
+WALKER_CASES = {
+    # Q[t] with a color window narrower than the algebra window
+    "polynomial": (Functional.from_sequences(
+        Algebra.polynomial((0, 8)), [F(1), F(3)], [F(1), F(-2)],
+        exact_ideal=(F(-6), F(-1), F(1))), 3, (0, 1)),
+    "laurent": (Functional(Algebra.laurent((-8, 8)),
+                           {k: F(k * k + 1, 3) for k in range(-8, 9)},
+                           {k: F(k - 1, 2) for k in range(-8, 9)}), 3, (-1, 1)),
+    "dual": (Functional(DUAL, {0: F(1, 3), 1: F(2)}, {0: F(5), 1: F(-1, 2)}), 4, None),
+    "rationals": (Functional.classical(F(-1, 16), F(1, 2)), 5, None),
+}
+
+
+@pytest.mark.parametrize("name", WALKER_CASES)
+def test_pairing_matrix_matches_reference_chains(name):
+    phi, depth, window = WALKER_CASES[name]
+    for n in range(depth + 1):
+        assert pairing_matrix(phi, n, window=window) == _reference_pairing(phi, n, window)
+
+
+def test_in_maximal_submodule_on_out_of_window_pieces():
+    P = Algebra.polynomial((0, 40))
+    phi = Functional.from_sequences(P, [F(2) ** k for k in range(11)],
+                                    [F(3) * F(2) ** k for k in range(11)],
+                                    exact_ideal=(F(-2), F(1)))
+    gen = P.from_poly((F(-2), F(1)))
+    colors = (0, 3)
+    outside = 0
+    for mono in pbw_basis(2, P, window=colors):
+        w = VermaVector(phi, EnvElement(P, {mono: F(1)}))
+        for mode in (-1, 1):
+            for piece in verma_act(d_term(P, mode, gen), w):
+                outside += any(b > colors[1] for m in piece.env.terms for _, b in m)
+                assert in_maximal_submodule(piece, window=colors)
+    assert outside > 0
+    generic = Functional.classical(F(2, 7), F(5, 3))
+    assert not in_maximal_submodule(depth_one_vector(generic, QQ.one()))
+    windowed = depth_one_vector(phi, P.one())
+    assert not in_maximal_submodule(windowed, window=colors)
+
+
+def test_raising_walk_computes_each_suffix_once(monkeypatch):
+    misses = []
+    real = verma._raise
+
+    def counting(phi, x_mono, chains):
+        if x_mono not in chains:
+            misses.append(x_mono)
+        return real(phi, x_mono, chains)
+
+    monkeypatch.setattr(verma, "_raise", counting)
+    phi, depth, _ = WALKER_CASES["dual"]
+    basis = pbw_basis(depth, DUAL)
+    shorter = {mono for n in range(1, depth + 1) for mono in pbw_basis(n, DUAL)}
+    for y_mono in basis:
+        misses.clear()
+        list(verma._v_coefficients(phi, {y_mono: F(1)}, basis))
+        assert len(misses) == len(set(misses))
+        assert set(misses) <= shorter
+        # fewer generator applications than one fresh chain per monomial
+        assert len(misses) < sum(len(x) for x in basis)
+
+
 # -- the layered radical engine against the pairing rank ---------------------
 
 GAUSS = Algebra.structure_constants(                # Q(i): e_1 e_1 = -e_0
@@ -277,13 +360,13 @@ def test_quotient_dims_equal_pairing_rank(name):
 
 def test_finite_quotient_dims_make_no_raising_calls(monkeypatch):
     calls = []
-    real = verma.apply_raising
+    real = verma._raise
 
     def counting(*args):
         calls.append(args[1])
         return real(*args)
 
-    monkeypatch.setattr(verma, "apply_raising", counting)
+    monkeypatch.setattr(verma, "_raise", counting)
     assert quotient_dims(_minimal_model_phi("ising_sigma"), 8) == (1, 1, 1, 2, 2, 3, 4, 5, 6)
     quotient_dims(PARITY_CASES["dual"][0], 4)
     quotient_dims(PARITY_CASES["gauss"][0], 4)
@@ -383,6 +466,64 @@ def test_singular_annihilated_by_higher_modes():
     (vec,) = singular_vectors(phi, 2)
     for m in (1, 2, 3, 4):
         assert verma_act(d_term(QQ, m), vec) == []
+
+
+@pytest.mark.parametrize("exact, depth, window", [
+    ((F(-6), F(-1), F(1)), 2, (0, 1)),
+    ((F(-6), F(-1), F(1)), 3, (0, 1)),
+    ((F(-2), F(1)), 2, (0, 1)),
+    ((F(-2), F(1)), 2, (0, 2)),
+])
+def test_windowed_singular_vectors_keep_out_of_window_targets(exact, depth, window):
+    # colors in a narrow window multiply out of it, so d_1, d_2 images leave
+    # the windowed basis of the lower depths
+    P = Algebra.polynomial((0, 8))
+    phi = Functional.from_sequences(P, [F(1), -exact[0]], [F(3), -3 * exact[0]],
+                                    exact_ideal=exact)
+    vecs = singular_vectors(phi, depth, window=window)
+    ops = [d_term(P, m, P.basis_element(b))
+           for m in (1, 2) for b in range(window[0], window[1] + 1)]
+    for v in vecs:
+        assert all(verma_act(x, v) == [] for x in ops)
+    basis = pbw_basis(depth, P, window=window)
+    rows = []
+    for x in ops:
+        images = [{t: c for piece in verma_act(x, VermaVector(phi, EnvElement(P, {mono: 1})))
+                   for t, c in piece.env.terms.items()} for mono in basis]
+        targets = dict.fromkeys(t for image in images for t in image)
+        rows.extend([image.get(t, F(0)) for image in images] for t in targets)
+    assert len(vecs) == len(basis) - oracle_rank(rows)
+
+
+WIDE = (0, 9)
+POLY4 = Algebra.polynomial((0, 4))
+PHI4 = Functional.from_sequences(POLY4, [F(1), F(2)], [F(3), F(6)], exact_ideal=(F(-2), F(1)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: POLY4.window_indices(WIDE),
+    lambda: Algebra.laurent((-3, 3)).window_indices((-4, 0)),
+    lambda: pbw_basis(2, POLY4, window=WIDE),
+    lambda: pbw_basis(0, POLY4, window=WIDE),
+    lambda: module_dims(POLY4, 2, window=WIDE),
+    lambda: pairing_matrix(PHI4, 1, window=WIDE),
+    lambda: quotient_dims(PHI4, 2, window=WIDE),
+    lambda: singular_vectors(PHI4, 1, window=WIDE),
+    lambda: in_maximal_submodule(depth_one_vector(PHI4, POLY4.one()), window=WIDE),
+    lambda: verma._is_singular(depth_one_vector(PHI4, POLY4.one()), window=WIDE),
+], ids=["window_indices", "laurent_below", "pbw_basis", "pbw_basis_weight0",
+        "module_dims", "pairing_matrix", "quotient_dims", "singular_vectors",
+        "in_maximal_submodule", "is_singular"])
+def test_color_window_past_algebra_window_raises(call):
+    with pytest.raises(WindowOverflow):
+        call()
+
+
+def test_color_window_inside_algebra_window():
+    assert POLY4.window_indices() == range(0, 5)
+    assert POLY4.window_indices((0, 2)) == range(0, 3)
+    assert Algebra.laurent((-3, 3)).window_indices((-3, -1)) == range(-3, 0)
+    assert DUAL.window_indices((5, 9)) == range(2)  # finite kinds use their basis
 
 
 # -- quasifiniteness ----------------------------------------------------------
