@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedKind,
     WindowOverflow,
 )
-from .scalars import as_scalar, format_scalar
+from .scalars import as_scalar, format_scalar, join_signed
 
 FINITE_KINDS = ("structure_constants", "product_local")
 MONOMIAL_KINDS = ("product_local", "polynomial", "laurent")
@@ -413,11 +413,9 @@ def _exponent_from_label(label: str) -> int:
 
 def format_element(x: AlgebraElement) -> str:
     """Render an element, e.g. "t^2 - 2*t + 1" or "3*e0 + 1/2*e1"."""
-    if x.is_zero():
-        return "0"
     monomial = x.algebra.kind in MONOMIAL_KINDS
     keys = sorted(x._coeffs, reverse=True) if monomial else sorted(x._coeffs)
-    parts = []
+    terms = []
     for i in keys:
         c = x._coeffs[i]
         lab = x.algebra.label(i)
@@ -427,11 +425,8 @@ def format_element(x: AlgebraElement) -> str:
             body = lab
         else:
             body = f"{format_scalar(abs(c))}*{lab}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+        terms.append((c < 0, body))
+    return join_signed(terms)
 
 
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -560,7 +555,9 @@ def ideal_closure(gens: Sequence[AlgebraElement]):
     """Smallest ideal containing the generators.
 
     Finite-dimensional algebras get an RREF basis; polynomial/Laurent algebras
-    get a principal-ideal record (the gcd of the generators).
+    get a principal-ideal record (the gcd of the generators).  On finite kinds
+    one step suffices: A is commutative and unital, so each g A is already an
+    ideal containing g, and the span of all g e_j is their sum.
     """
     gens = list(gens)
     if not gens:
@@ -573,34 +570,21 @@ def ideal_closure(gens: Sequence[AlgebraElement]):
         for x in gens:
             g = polyutil.pgcd(g, _normalize_generator(x).as_poly())
         return PrincipalIdeal(alg, alg.from_poly(g))
-    rows = [g.to_vector() for g in gens]
-    basis = [alg.basis_element(i) for i in alg.basis_indices()]
-    while True:
-        red, piv = linalg.rref(rows)
-        new_rows = []
-        for r in red:
-            elt = AlgebraElement(alg, {i: c for i, c in enumerate(r)})
-            for e in basis:
-                vec = (elt * e).to_vector()
-                if not linalg.in_row_span(red, piv, vec):
-                    new_rows.append(vec)
-        if not new_rows:
-            return Ideal(alg, red)
-        rows = red + new_rows
+    return Ideal(alg, [(g * alg.basis_element(j)).to_vector()
+                       for g in gens for j in alg.basis_indices()])
 
 
 def ideal_product(i1, i2):
-    """Ideal spanned by pairwise products of the two bases."""
+    """Ideal spanned by pairwise products of the two bases; their span is
+    already an ideal, since (ab)x = a(bx) with bx in the second ideal."""
     if isinstance(i1, PrincipalIdeal) and isinstance(i2, PrincipalIdeal):
         i1.algebra.require_compatible(i2.algebra)
         return PrincipalIdeal(i1.algebra, i1.generator * i2.generator)
     if not isinstance(i1, Ideal) or not isinstance(i2, Ideal):
         raise TypeError("ideal_product needs two ideals of the same flavor")
     i1.algebra.require_compatible(i2.algebra)
-    prods = [(a * b) for a in i1.basis_elements() for b in i2.basis_elements()]
-    if not prods:
-        return Ideal(i1.algebra, [])
-    return ideal_closure(prods)
+    return Ideal(i1.algebra, [(a * b).to_vector() for a in i1.basis_elements()
+                              for b in i2.basis_elements()])
 
 
 def ideal_power(ideal, n: int):
@@ -618,9 +602,8 @@ def ideal_intersection(i1, i2):
         p, q = i1.generator_poly(), i2.generator_poly()
         if not p or not q:
             return PrincipalIdeal(i1.algebra, i1.algebra.zero())
-        g = polyutil.pgcd(p, q)
-        lcm = polyutil.pdivmod(polyutil.pmul(p, q), g)[0]
-        return PrincipalIdeal(i1.algebra, i1.algebra.from_poly(lcm))
+        return PrincipalIdeal(i1.algebra,
+                              i1.algebra.from_poly(polyutil.plcm(p, q)))
     i1.algebra.require_compatible(i2.algebra)
     rows = linalg.row_space_intersection(
         list(map(list, i1.rows)), list(map(list, i2.rows)), i1.algebra.dim)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .algebra import Algebra, AlgebraElement, format_element
 from .errors import ModeRangeError
-from .scalars import as_scalar, format_scalar
+from .scalars import as_scalar, format_scalar, join_signed
 
 MODE_MAX_DEFAULT = 64
 
@@ -191,8 +191,6 @@ def grade_decompose(x: LieElement) -> list[GradeComponent]:
 
 def format_lie_element(x: LieElement, plain_scalars: bool = True) -> str:
     """Render, e.g. "-4*d[0] + 1/2*c" over Q or "d[-1]*(t) + c*(1/2)" in general."""
-    if x.is_zero():
-        return "0"
     parts: list[tuple[bool, str]] = []  # (negative, body without sign)
 
     def push(coeff: AlgebraElement, symbol: str):
@@ -209,13 +207,7 @@ def format_lie_element(x: LieElement, plain_scalars: bool = True) -> str:
         push(x._d[n], f"d[{n}]")
     if not x._c.is_zero():
         push(x._c, "c")
-    rendered = []
-    for i, (neg, body) in enumerate(parts):
-        if i == 0:
-            rendered.append(f"-{body}" if neg else body)
-        else:
-            rendered.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(rendered)
+    return join_signed(parts)
 
 
 def _as_plain_scalar(f: AlgebraElement):

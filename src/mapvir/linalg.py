@@ -117,25 +117,6 @@ def kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Row]:
     return basis
 
 
-def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """One exact solution x of M x = rhs, or None if inconsistent.
-
-    Free variables are set to zero.
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    for row, p in zip(red, pivots):
-        if p == ncols:
-            return None
-    x = [Fraction(0)] * ncols
-    for row, p in zip(red, pivots):
-        x[p] = row[ncols]
-    return x
-
-
 def row_space_intersection(rows_a: Sequence[Sequence[Fraction]],
                            rows_b: Sequence[Sequence[Fraction]],
                            ncols: int) -> list[Row]:

@@ -22,7 +22,7 @@ from typing import Sequence
 from .algebra import Algebra
 from .errors import NotLowering
 from .liealg import LieElement
-from .scalars import as_scalar, format_scalar
+from .scalars import as_scalar, format_scalar, join_signed
 
 Generator = tuple[int, int]
 Monomial = tuple[Generator, ...]
@@ -246,9 +246,7 @@ def format_monomial(mono: Monomial, algebra: Algebra) -> str:
 
 
 def format_env(x: EnvElement) -> str:
-    if x.is_zero():
-        return "0"
-    parts = []
+    terms = []
     for mono in sorted(x._terms, key=monomial_key, reverse=True):
         coeff = x._terms[mono]
         body = format_monomial(mono, x.algebra)
@@ -256,8 +254,5 @@ def format_env(x: EnvElement) -> str:
             body = format_scalar(abs(coeff))
         elif abs(coeff) != 1:
             body = f"{format_scalar(abs(coeff))}*({body})"
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(parts)
+        terms.append((coeff < 0, body))
+    return join_signed(terms)

@@ -9,6 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .scalars import format_scalar, join_signed
+
 Poly = tuple[Fraction, ...]
 
 
@@ -92,6 +94,11 @@ def pgcd(p: Poly, q: Poly) -> Poly:
     while b:
         a, b = b, pmod(a, b)
     return pmonic(a)
+
+
+def plcm(p: Poly, q: Poly) -> Poly:
+    """Monic lcm of two nonzero polynomials."""
+    return pmonic(pdivmod(pmul(p, q), pgcd(p, q))[0])
 
 
 def pxgcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
@@ -182,24 +189,15 @@ def _divisors(n: int) -> list[int]:
 
 def pstr(p: Poly, var: str = "t") -> str:
     """Human form, highest degree first: "t^2 - 2*t + 1"."""
-    if not p:
-        return "0"
-    parts = []
+    terms = []
     for k in range(len(p) - 1, -1, -1):
         c = p[k]
         if c == 0:
             continue
         if k == 0:
-            body = _coeff_str(abs(c))
+            body = format_scalar(abs(c))
         else:
             mono = var if k == 1 else f"{var}^{k}"
-            body = mono if abs(c) == 1 else f"{_coeff_str(abs(c))}*{mono}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
-
-
-def _coeff_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+            body = mono if abs(c) == 1 else f"{format_scalar(abs(c))}*{mono}"
+        terms.append((c < 0, body))
+    return join_signed(terms)

@@ -5,10 +5,12 @@ p = p_0 + p_1 x + ... + x^r with
 
     sum_i p_i s_{k+i} = 0   for every window position k
 
-jointly for all given sequences.  The order is capped at floor(D/2) so the
-linear system is overdetermined; within that cap the search is exact (row
-reduction over Fractions), so a returned polynomial annihilates the windows
-exactly and a None answer means no recurrence of capped order exists.
+jointly for all given sequences.  The order is capped at floor(D/2), where
+s_D ends the shortest window.  Each window's minimal recurrence comes from
+Berlekamp-Massey over Fractions; within the cap it is unique and divides
+every annihilator of capped order, so the joint one is the lcm of the
+per-window ones.  A returned polynomial annihilates the windows exactly and a
+None answer means no recurrence of capped order exists.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from . import linalg, polyutil
+from . import polyutil
 
 
 def minimal_annihilator(seqs: Sequence[Sequence[Fraction]],
@@ -26,28 +28,49 @@ def minimal_annihilator(seqs: Sequence[Sequence[Fraction]],
     Order 0 (the constant polynomial 1) is reported exactly when every
     sequence is identically zero on its window.
     """
-    seqs = [list(s) for s in seqs if len(s) > 0]
-    if not seqs:
-        return (Fraction(1),)
-    d = min(len(s) for s in seqs) - 1
-    cap = d // 2
+    seqs = [s for s in seqs if len(s) > 0]
+    cap = (min(map(len, seqs), default=1) - 1) // 2
     if max_order is not None:
         cap = min(cap, max_order)
-    for r in range(cap + 1):
-        if r == 0:
-            if all(all(x == 0 for x in s) for s in seqs):
-                return (Fraction(1),)
+    p: polyutil.Poly = (Fraction(1),)
+    for s in seqs:
+        q = _berlekamp_massey(s, cap)
+        if q is None:
+            return None
+        p = polyutil.plcm(p, q)
+        if polyutil.degree(p) > cap:
+            return None
+    return p
+
+
+def _berlekamp_massey(seq: Sequence[Fraction], cap: int) -> polyutil.Poly | None:
+    """Minimal monic annihilator of one window, or None once its order
+    (the linear complexity, which never decreases) passes ``cap``.
+
+    Tracks the connection polynomial c = 1 + c_1 x + ... + c_L x^L with
+    s_n + sum_i c_i s_{n-i} = 0; the annihilator is x^L c(1/x).
+    """
+    c = [Fraction(1)]
+    b = [Fraction(1)]
+    order, shift, last = 0, 1, Fraction(1)
+    for n, x in enumerate(seq):
+        disc = x + sum(c[i] * seq[n - i] for i in range(1, len(c)))
+        if disc == 0:
+            shift += 1
             continue
-        rows = []
-        rhs = []
-        for s in seqs:
-            for k in range(len(s) - r):
-                rows.append([s[k + i] for i in range(r)])
-                rhs.append(-s[k + r])
-        sol = linalg.solve(rows, rhs)
-        if sol is not None:
-            return polyutil.trim(list(sol) + [Fraction(1)])
-    return None
+        f = disc / last
+        update = c + [Fraction(0)] * (len(b) + shift - len(c))
+        for i, y in enumerate(b):
+            update[i + shift] -= f * y
+        if 2 * order <= n:
+            b, order, shift, last = c, n + 1 - order, 1, disc
+            if order > cap:
+                return None
+        else:
+            shift += 1
+        c = update
+    c += [Fraction(0)] * (order + 1 - len(c))
+    return tuple(c[order::-1])
 
 
 def satisfies(seq: Sequence[Fraction], p: polyutil.Poly) -> bool:

@@ -8,6 +8,7 @@ denominator is 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
 Scalar = Fraction
 
@@ -40,3 +41,13 @@ def format_scalar(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def join_signed(terms: Iterable[tuple[bool, str]]) -> str:
+    """Join (negative, unsigned body) terms as "a - b + c": the first term
+    takes a bare "-", later ones "+ " or "- "; no terms give "0"."""
+    out = []
+    for negative, body in terms:
+        sign = ("- " if negative else "+ ") if out else ("-" if negative else "")
+        out.append(sign + body)
+    return " ".join(out) or "0"

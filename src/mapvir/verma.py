@@ -547,8 +547,11 @@ def _certify_recurrence(phi: Functional, values, bound: int | None,
     "sampled", or "absent" (nothing detected, nothing declared).
 
     Sampled functionals are detected on their declared window capped by the
-    bound; exact ones extend on demand, so a larger bound is honored.
+    bound; exact ones extend on demand, so a larger bound is honored.  A
+    negative bound leaves no window to detect on and is rejected.
     """
+    if bound is not None and bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
     alg = phi.algebra
     exact = phi.exact_poly
     d = phi.declared_max

@@ -2,8 +2,9 @@
 
 Nothing here reuses the library's linear algebra or PBW action paths: ranks
 come from plain Fraction Gauss elimination, the classical Virasoro action is a
-worklist rewriter on bare mode tuples, and partition counts come from the
-generating function.
+worklist rewriter on bare mode tuples, partition counts come from the
+generating function, minimal recurrences from a per-order Hankel search, and
+ideal closures from a rank-driven worklist over the algebra's product.
 """
 
 from __future__ import annotations
@@ -56,6 +57,68 @@ def oracle_det(rows) -> Fraction:
                 f = m[r][col] / inv
                 m[r] = [a - f * b for a, b in zip(m[r], m[col])]
     return det
+
+
+def oracle_min_recurrence(seqs, max_order=None):
+    """Smallest monic p with sum_i p_i s_{k+i} = 0 on every window, or None.
+
+    Per-order Hankel search: for r = 0, 1, ... up to floor(D/2) (D + 1 the
+    shortest window) and max_order, stack the order-r systems of all the
+    sequences; the first consistent one (the oracle rank does not grow when
+    the right-hand side is appended) is solved by Fraction elimination.
+    """
+    seqs = [[Fraction(x) for x in s] for s in seqs if len(s) > 0]
+    if not seqs:
+        return (Fraction(1),)
+    cap = (min(len(s) for s in seqs) - 1) // 2
+    if max_order is not None:
+        cap = min(cap, max_order)
+    for r in range(cap + 1):
+        aug = [s[k:k + r] + [-s[k + r]] for s in seqs for k in range(len(s) - r)]
+        if oracle_rank([row[:r] for row in aug]) == oracle_rank(aug):
+            return tuple(_oracle_solve(aug, r)) + (Fraction(1),)
+    return None
+
+
+def _oracle_solve(aug, ncols):
+    """One solution of a consistent augmented system, free variables zero,
+    by Gauss-Jordan elimination over Fractions."""
+    m = [list(row) for row in aug]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        piv = next((i for i in range(top, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[top], m[piv] = m[piv], m[top]
+        m[top] = [a / m[top][col] for a in m[top]]
+        for i in range(len(m)):
+            if i != top and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[top])]
+        pivots.append(col)
+    x = [Fraction(0)] * ncols
+    for i, col in enumerate(pivots):
+        x[col] = m[i][ncols]
+    return x
+
+
+def oracle_ideal_closure(gens):
+    """Coordinate vectors spanning the smallest ideal containing gens.
+
+    Fixpoint by worklist: an element that grows the oracle rank joins the
+    basis and queues its products with every basis element of the algebra,
+    so the span ends closed under multiplication.  Assumes nothing of the
+    algebra beyond its product.
+    """
+    alg = gens[0].algebra
+    basis, work = [], list(gens)
+    while work:
+        x = work.pop()
+        if oracle_rank(basis + [x.to_vector()]) > len(basis):
+            basis.append(x.to_vector())
+            work.extend(x * alg.basis_element(j) for j in alg.basis_indices())
+    return basis
 
 
 def poly_divmod_oracle(num, den):

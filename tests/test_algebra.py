@@ -24,7 +24,7 @@ from mapvir import (
     point_ideal,
     quotient_algebra,
 )
-from oracles import poly_divmod_oracle
+from oracles import oracle_ideal_closure, oracle_rank, poly_divmod_oracle
 
 
 def rand_elt(rng, alg):
@@ -171,6 +171,42 @@ def test_ideal_product_inside_intersection():
         prod = ideal_product(i1, i2)
         inter = ideal_intersection(i1, i2)
         assert all(inter.contains(x) for x in prod.basis_elements())
+
+
+def _gaussian_rationals():
+    # Q(i): e0 = 1, e1 = i, i^2 = -1
+    return Algebra.structure_constants([[[1, 0], [0, 1]], [[0, 1], [-1, 0]]],
+                                       (1, 0), labels=("1", "i"))
+
+
+def _three_points():
+    # Q x Q x Q through its orthogonal idempotents e0, e1, e2
+    return Algebra.structure_constants(
+        [[[int(i == j == k) for k in range(3)] for j in range(3)] for i in range(3)],
+        (1, 1, 1))
+
+
+@pytest.mark.parametrize("alg", [
+    _gaussian_rationals(),
+    _three_points(),
+    Algebra.product_local([(0, 3)]),
+    Algebra.product_local([(0, 2), (1, 2)]),
+    Algebra.product_local([(F(1, 2), 2), (-1, 1), (2, 1)]),
+], ids=["Q(i)", "QxQxQ", "t^3", "two_points", "three_points"])
+def test_ideal_closure_and_product_match_the_fixpoint(alg):
+    rng = random.Random(alg.dim)
+    for _ in range(12):
+        gens = [rand_elt(rng, alg) for _ in range(rng.randint(1, 2))]
+        if all(g.is_zero() for g in gens):
+            continue
+        ideal = ideal_closure(gens)
+        span = oracle_ideal_closure(gens)
+        assert ideal.dim == len(span) == oracle_rank(span + list(map(list, ideal.rows)))
+        other = ideal_closure([rand_elt(rng, alg) + alg.basis_element(alg.dim - 1)])
+        prods = [a * b for a in ideal.basis_elements() for b in other.basis_elements()]
+        prod = ideal_product(ideal, other)
+        span = oracle_ideal_closure(prods)
+        assert prod.dim == len(span) == oracle_rank(span + list(map(list, prod.rows)))
 
 
 def test_principal_ideals_polynomial():

@@ -104,6 +104,13 @@ def test_classify_polynomial_undetermined():
     assert record2.verdict == "not_quasifinite"
 
 
+def test_classify_rejects_negative_bound():
+    P = Algebra.polynomial((0, 16))
+    phi = Functional.from_sequences(P, [F(2) ** k for k in range(6)], [F(0)] * 6)
+    with pytest.raises(ValueError, match="bound"):
+        classify_module(phi, bound=-1, assume_exact=True)
+
+
 def test_classify_lowest_weight():
     phi = Functional.from_values(SPLIT, {"1": 5, "t": 2}, {})
     record = classify_module(phi, lowest=True)

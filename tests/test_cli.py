@@ -219,6 +219,20 @@ def test_exit_code_window_overflow(capsys, tmp_path):
     assert "window" in err.lower()
 
 
+@pytest.mark.parametrize("command", [("check", "--quasifinite"),
+                                     ("check", "--reducible"), ("classify",)])
+def test_exit_code_negative_bound(capsys, tmp_path, command):
+    alg = tmp_path / "poly.json"
+    alg.write_text(json.dumps({"kind": "polynomial", "window": [0, 16]}))
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"d0_seq": ["1", "2", "4", "8", "16", "32"],
+                               "c_seq": ["0"] * 6}))
+    code, out, err = run_cli(capsys, *command, "-A", str(alg), "-phi", str(phi),
+                             "--bound=-1", "--assume-exact")
+    assert code == 1
+    assert out == "" and "bound" in err
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "mapvir.cli", "bracket",
                            "d[2]*1", "d[-2]*1"],

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from mapvir import linalg
+from mapvir.recurrence import minimal_annihilator
 from oracles import oracle_rank
 
 
@@ -19,10 +20,8 @@ def _low_rank(rng, nrows, ncols, rank, ints=False):
 
 
 def _hankel(seq, order):
-    """The tall system recurrence.minimal_annihilator solves for ``order``."""
-    rows = [[seq[k + i] for i in range(order)] for k in range(len(seq) - order)]
-    rhs = [-seq[k + order] for k in range(len(seq) - order)]
-    return rows, rhs
+    """Rows of the tall Hankel system of an order-``order`` recurrence."""
+    return [[seq[k + i] for i in range(order)] for k in range(len(seq) - order)]
 
 
 def _cases():
@@ -48,7 +47,7 @@ def _cases():
     while len(seq) < 40:
         seq.append(seq[-1] + seq[-2] / 2 - seq[-3] / 3)
     for order in (2, 3, 5):
-        cases[f"hankel_{order}"] = (_hankel(seq, order)[0], order)
+        cases[f"hankel_{order}"] = (_hankel(seq, order), order)
     return cases, seq
 
 
@@ -84,26 +83,9 @@ def test_kernel_is_a_null_space_basis(name):
         assert not any(_apply(rows, x))
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_solve_is_exact_or_none_when_inconsistent(name):
-    rows, ncols = CASES[name]
-    rng = random.Random(name)
-    x0 = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ncols)]
-    rhs_options = [_apply(rows, x0), [F(rng.randint(-5, 5)) for _ in rows]]
-    if name.startswith("hankel_"):
-        rhs_options.append(_hankel(HANKEL_SEQ, ncols)[1])
-    for rhs in rhs_options:
-        sol = linalg.solve(rows, rhs)
-        aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-        if oracle_rank(aug) > oracle_rank(rows):
-            assert sol is None
-        else:
-            assert sol is not None and _apply(rows, sol) == list(rhs)
-
-
 def test_hankel_solves_find_the_recurrence_order():
-    assert linalg.solve(*_hankel(HANKEL_SEQ, 2)) is None
-    assert linalg.solve(*_hankel(HANKEL_SEQ, 3)) == [F(1, 3), F(-1, 2), F(-1)]
+    assert minimal_annihilator([HANKEL_SEQ], max_order=2) is None
+    assert minimal_annihilator([HANKEL_SEQ]) == (F(1, 3), F(-1, 2), F(-1), F(1))
 
 
 def test_row_space_intersection_dimension():

@@ -1,8 +1,10 @@
 from fractions import Fraction as F
 import math
+import random
 
+from mapvir import linalg, recurrence
 from mapvir.recurrence import extend, minimal_annihilator, satisfies
-from oracles import oracle_det
+from oracles import oracle_det, oracle_min_recurrence
 
 
 def test_geometric():
@@ -55,3 +57,72 @@ def test_satisfies_and_extend():
     assert seq == [F(3) * F(2) ** k for k in range(6)]
     assert satisfies(seq, p)
     assert not satisfies([F(1), F(3)], p)
+
+
+def _recurrent(rng, p, n):
+    """n terms from random initial values under the monic recurrence p."""
+    r = len(p) - 1
+    out = [F(rng.randint(-3, 3)) for _ in range(r)]
+    while len(out) < n:
+        out.append(-sum(p[i] * out[len(out) - r + i] for i in range(r)))
+    return out[:n]
+
+
+def _random_poly(rng, zero_roots=0):
+    deg = rng.randint(0, 3)
+    p = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(deg)] + [F(1)]
+    return [F(0)] * zero_roots + p
+
+
+def _oracle_cases():
+    """Seeded windows in six families, cycled so each appears as often."""
+    rng = random.Random(6601)
+    cases = []
+    for i in range(1020):
+        family = i % 6
+        lengths = [rng.randint(0, 14) for _ in range(rng.randint(1, 3))]
+        if family == 0:  # all-zero windows
+            seqs = [[F(0)] * n for n in lengths]
+        elif family == 1:  # a zero root: p = x^z q
+            p = _random_poly(rng, zero_roots=rng.randint(1, 2))
+            seqs = [_recurrent(rng, p, rng.randint(6, 14)) for _ in lengths]
+        elif family == 2:  # one late nonzero value
+            seqs = []
+            for n in lengths:
+                s = [F(0)] * n
+                if n:
+                    s[rng.randint(n // 3, n - 1)] = F(rng.randint(1, 4))
+                seqs.append(s)
+        elif family == 3:  # unequal lengths under one recurrence
+            p = _random_poly(rng)
+            seqs = [_recurrent(rng, p, rng.randint(4, 14)) for _ in range(3)]
+        elif family == 4:  # independent recurrences, joined by their lcm
+            seqs = [_recurrent(rng, _random_poly(rng), rng.randint(6, 14))
+                    for _ in range(2)]
+        else:  # noise
+            seqs = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                    for n in lengths]
+        cases.append((seqs, [None, 0, 1, 2, 3][i % 5]))
+    return cases
+
+
+def test_minimal_annihilator_matches_the_hankel_search():
+    found = 0
+    for seqs, max_order in _oracle_cases():
+        expected = oracle_min_recurrence(seqs, max_order)
+        assert minimal_annihilator(seqs, max_order) == expected, (seqs, max_order)
+        found += expected is not None and len(expected) > 1
+    assert found >= 170  # the data exercises positive-order recurrences
+
+
+def test_minimal_annihilator_calls_nothing_in_linalg(monkeypatch):
+    assert not hasattr(recurrence, "linalg")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("recurrence detection reached linalg")
+
+    for name, value in vars(linalg).items():
+        if callable(value) and getattr(value, "__module__", None) == linalg.__name__:
+            monkeypatch.setattr(linalg, name, forbidden)
+    for seqs, max_order in _oracle_cases()[:60]:
+        minimal_annihilator(seqs, max_order)

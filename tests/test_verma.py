@@ -564,6 +564,19 @@ def test_quasifinite_sampled_not_certified():
     assert check_quasifinite(phi, assume_exact=True).status == "quasifinite_certified"
 
 
+def test_negative_bound_is_rejected():
+    # a negative bound leaves an empty detection window, whose vacuous
+    # annihilator 1 would certify any functional
+    phi = Functional.from_sequences(Algebra.polynomial((0, 16)),
+                                    [F(2) ** k for k in range(6)], [F(0)] * 6)
+    for check in (check_quasifinite, check_verma_reducible):
+        for assume_exact in (False, True):
+            with pytest.raises(ValueError, match="bound"):
+                check(phi, bound=-1, assume_exact=assume_exact)
+    verdict = check_quasifinite(phi, bound=0, assume_exact=True)
+    assert verdict.status == "no_witness_up_to_bound"
+
+
 # -- reducibility -------------------------------------------------------------
 
 def test_reducible_dual_numbers():
