@@ -267,15 +267,11 @@ class Algebra:
                         if s:
                             out[k] = out.get(k, Fraction(0)) + f * s
         elif self.kind == "product_local":
-            prod: dict = {}
+            dense = [Fraction(0)] * (max(a, default=0) + max(b, default=0) + 1)
             for i, ca in a.items():
                 for j, cb in b.items():
-                    prod[i + j] = prod.get(i + j, Fraction(0)) + ca * cb
-            dense = [Fraction(0)] * (max(prod) + 1 if prod else 0)
-            for k, v in prod.items():
-                dense[k] = v
-            red = polyutil.pmod(polyutil.trim(dense), self._modulus)
-            out = {k: c for k, c in enumerate(red)}
+                    dense[i + j] += ca * cb
+            out = dict(enumerate(polyutil.pmod(polyutil.trim(dense), self._modulus)))
         else:
             lo, hi = self.window
             for i, ca in a.items():
@@ -287,12 +283,21 @@ class Algebra:
                     out[k] = out.get(k, Fraction(0)) + ca * cb
         return {k: v for k, v in out.items() if v != 0}
 
-    def basis_product(self, i: int, j: int) -> "AlgebraElement":
+    def product_terms(self, i: int, j: int) -> tuple:
+        """e_i e_j as cached (index, numerator, denominator) triples of ints:
+        plain data, so the cache holds no reference back to the algebra."""
         cache = self._caches.setdefault("basis_product", {})
         key = (i, j) if i <= j else (j, i)
-        if key not in cache:
-            cache[key] = self.basis_element(i) * self.basis_element(j)
-        return cache[key]
+        hit = cache.get(key)
+        if hit is None:
+            prod = (self.basis_element(i) * self.basis_element(j))._coeffs
+            hit = cache[key] = tuple((k, c.numerator, c.denominator)
+                                     for k, c in prod.items())
+        return hit
+
+    def basis_product(self, i: int, j: int) -> "AlgebraElement":
+        return AlgebraElement(self, {k: Fraction(n, d)
+                                     for k, n, d in self.product_terms(i, j)})
 
 
 class AlgebraElement:
@@ -762,7 +767,8 @@ def local_decomposition(algebra: Algebra) -> list[LocalFactor]:
         raise UnsupportedKind("local_decomposition needs a product_local presentation")
     cached = algebra._caches.get("local_decomposition")
     if cached is not None:
-        return cached
+        return [LocalFactor(p, n, Ideal(algebra, rows), AlgebraElement(algebra, dict(idem)))
+                for p, n, rows, idem in cached]
     modulus = algebra._modulus
     out = []
     for point, order in algebra.factors:
@@ -784,7 +790,10 @@ def local_decomposition(algebra: Algebra) -> list[LocalFactor]:
     for f, g in itertools.combinations(out, 2):
         if not (f.idempotent * g.idempotent).is_zero():
             raise ValueError("idempotents are not orthogonal")
-    algebra._caches["local_decomposition"] = out
+    # plain data: a cached ideal or element would point back at the algebra
+    algebra._caches["local_decomposition"] = tuple(
+        (f.point, f.order, f.maximal_ideal.rows, tuple(f.idempotent.coeffs.items()))
+        for f in out)
     return out
 
 

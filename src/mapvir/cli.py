@@ -190,31 +190,21 @@ def _cmd_verma(args) -> int:
 def _cmd_check(args) -> int:
     alg = _load_algebra(args.algebra)
     phi = functional_from_spec(alg, _load_json(args.phi))
+    if not (args.reducible or args.quasifinite):
+        raise ValueError("check needs --quasifinite or --reducible")
+    check = check_verma_reducible if args.reducible else check_quasifinite
+    verdict = check(phi, bound=args.bound, assume_exact=args.assume_exact)
+    payload = {"status": verdict.status, "note": verdict.note, "metadata": _metadata(alg)}
     if args.reducible:
-        verdict = check_verma_reducible(phi, bound=args.bound,
-                                        assume_exact=args.assume_exact)
-        payload = {"status": verdict.status,
-                   "witness": _witness_str(verdict.witness_ideal),
-                   "singular_vector": (None if verdict.singular_vector is None
-                                       else f"({format_env(verdict.singular_vector.env)}) v"),
-                   "note": verdict.note,
-                   "metadata": _metadata(alg)}
-        if verdict.candidate is not None:
-            payload["candidate"] = _witness_str(verdict.candidate)
-        _emit_json(payload)
-        return 0
-    if args.quasifinite:
-        verdict = check_quasifinite(phi, bound=args.bound,
-                                    assume_exact=args.assume_exact)
-        payload = {"status": verdict.status,
-                   "witness": _witness_str(verdict.witness),
-                   "note": verdict.note,
-                   "metadata": _metadata(alg)}
-        if verdict.candidate is not None:
-            payload["candidate"] = _witness_str(verdict.candidate)
-        _emit_json(payload)
-        return 0
-    raise ValueError("check needs --quasifinite or --reducible")
+        vec = verdict.singular_vector
+        payload["witness"] = _witness_str(verdict.witness_ideal)
+        payload["singular_vector"] = None if vec is None else f"({format_env(vec.env)}) v"
+    else:
+        payload["witness"] = _witness_str(verdict.witness)
+    if verdict.candidate is not None:
+        payload["candidate"] = _witness_str(verdict.candidate)
+    _emit_json(payload)  # emitted with sorted keys
+    return 0
 
 
 def _cmd_split(args) -> int:

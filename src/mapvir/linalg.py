@@ -22,7 +22,7 @@ def _echelon(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
         return []
     ints = []
     for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
+        den = math.lcm(*[x.denominator for x in row])
         ints.append([x.numerator * (den // x.denominator) for x in row])
     return row_basis(ints, len(rows[0]))
 
@@ -130,12 +130,7 @@ def row_space_intersection(rows_a: Sequence[Sequence[Fraction]],
     for c in range(ncols):
         stacked.append([row[c] for row in a] + [-row[c] for row in b])
     combos = kernel(stacked, len(a) + len(b))
-    vecs = []
-    for combo in combos:
-        v = [Fraction(0)] * ncols
-        for coef, row in zip(combo[: len(a)], a):
-            if coef != 0:
-                v = [x + coef * y for x, y in zip(v, row)]
-        vecs.append(v)
+    vecs = [[sum((coef * row[j] for coef, row in zip(combo, a)), Fraction(0))
+             for j in range(ncols)] for combo in combos]
     red, _ = rref(vecs)
     return red

@@ -15,6 +15,7 @@ echoed in report metadata.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Sequence
@@ -35,8 +36,8 @@ def genkey(gen: Generator):
 
 def monomial_key(mono: Monomial):
     return (len(mono),
-            tuple(m for m, _ in mono),
-            tuple(-b for _, b in mono))
+            tuple([m for m, _ in mono]),
+            tuple([-b for _, b in mono]))
 
 
 def monomial_weight(mono: Monomial) -> int:
@@ -118,16 +119,36 @@ class EnvElement:
         return f"<{format_env(self)}>"
 
 
-def _acc(dst: dict, mono: Monomial, coeff: Fraction):
-    v = dst.get(mono, Fraction(0)) + coeff
-    if v == 0:
-        dst.pop(mono, None)
-    else:
-        dst[mono] = v
+def _lincomb(parts) -> tuple:
+    """sum of num/den * result over (num, den, result) parts.
+
+    A result is a frozen (den, monomials, numerators) triple: the combination
+    sum_i numerators[i]/den * monomials[i] with integer numerators over one
+    positive denominator.  The sum comes back in that form, in lowest terms;
+    zero is (1, (), ()).  Two flat tuples keep cached results compact.
+    """
+    # build tuples and star-args from lists: a tuple built from a generator is
+    # resized, which piles freed tuples into free lists that only a full gc empties
+    den = math.lcm(*[d * r[0] for _, d, r in parts])
+    acc: dict = {}
+    for num, d, (rden, monos, nums) in parts:
+        f = num * (den // (d * rden))
+        for mono, c in zip(monos, nums):
+            acc[mono] = acc.get(mono, 0) + f * c
+    acc = {mono: c for mono, c in acc.items() if c}
+    g = math.gcd(den, *acc.values())
+    return den // g, tuple(acc), tuple([c // g for c in acc.values()])
 
 
-def _left_mult(algebra: Algebra, gen: Generator, mono: Monomial) -> dict:
-    """Normal form of gen * mono in U(V_-), as a monomial -> coeff map.
+def _single(mono: Monomial) -> tuple:
+    """The frozen result of the monomial itself."""
+    return 1, (mono,), (1,)
+
+
+def _left_mult(algebra: Algebra, gen: Generator, mono: Monomial) -> tuple:
+    """Normal form of gen * mono in U(V_-), as a frozen result (see
+    ``_lincomb``): integer numerators over one denominator, which is 1 unless
+    basis products carry denominators.
 
     Straightening rule for an out-of-order adjacent pair (u smaller than h):
 
@@ -135,28 +156,24 @@ def _left_mult(algebra: Algebra, gen: Generator, mono: Monomial) -> dict:
         [d_{-mu} (x) e_bu, d_{-mh} (x) e_bh] = (mu - mh) d_{-(mu+mh)} (x) e_bu e_bh.
 
     No central terms arise: -mu = -(-mh) is impossible for positive depths.
+    Results are cached per algebra and shared, so they are immutable tuples.
     """
     if not mono or genkey(gen) >= genkey(mono[0]):
-        return {(gen,) + mono: Fraction(1)}
+        return _single((gen,) + mono)
     cache = algebra._caches.setdefault("pbw_left_mult", {})
     key = (gen, mono)
     hit = cache.get(key)
     if hit is not None:
         return hit
     head, rest = mono[0], mono[1:]
-    out: dict = {}
-    for m2, c2 in _left_mult(algebra, gen, rest).items():
-        for m3, c3 in _left_mult(algebra, head, m2).items():
-            _acc(out, m3, c2 * c3)
+    den, monos, nums = _left_mult(algebra, gen, rest)
+    parts = [(c2, den, _left_mult(algebra, head, m2)) for m2, c2 in zip(monos, nums)]
     mu, bu = gen
     mh, bh = head
-    coeff = mu - mh
-    if coeff != 0:
-        prod = algebra.basis_product(bu, bh)
-        for bk, ck in prod.coeffs.items():
-            for m3, c3 in _left_mult(algebra, (mu + mh, bk), rest).items():
-                _acc(out, m3, coeff * ck * c3)
-    cache[key] = out
+    if mu != mh:
+        parts += [((mu - mh) * nk, dk, _left_mult(algebra, (mu + mh, bk), rest))
+                  for bk, nk, dk in algebra.product_terms(bu, bh)]
+    out = cache[key] = _lincomb(parts)
     return out
 
 
@@ -184,16 +201,13 @@ def straighten(word: Sequence[LieElement]) -> EnvElement:
     alg = word[0].algebra
     for letter in word[1:]:
         alg.require_compatible(letter.algebra)
-    acc: dict = {(): Fraction(1)}
+    den, monos, nums = _single(())
     for letter in reversed(word):
         gens = _letter_generators(letter)
-        nxt: dict = {}
-        for mono, cm in acc.items():
-            for gen, cg in gens:
-                for m2, c2 in _left_mult(alg, gen, mono).items():
-                    _acc(nxt, m2, cm * cg * c2)
-        acc = nxt
-    return EnvElement(alg, acc)
+        den, monos, nums = _lincomb([(cm * cg.numerator, den * cg.denominator,
+                                      _left_mult(alg, gen, mono))
+                                     for mono, cm in zip(monos, nums) for gen, cg in gens])
+    return EnvElement(alg, {mono: Fraction(c, den) for mono, c in zip(monos, nums)})
 
 
 def height_hm(x: EnvElement) -> tuple[int, EnvElement]:

@@ -1,7 +1,8 @@
 """Dense univariate polynomial arithmetic over the rationals.
 
 Polynomials are tuples of Fractions indexed by exponent, trailing zeros
-stripped; the zero polynomial is the empty tuple.
+stripped; the zero polynomial is the empty tuple.  They are built from lists,
+not generators, for the free-list reason given in ``pbw._lincomb``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ def trim(coeffs: Sequence[Fraction]) -> Poly:
     c = list(coeffs)
     while c and c[-1] == 0:
         c.pop()
-    return tuple(Fraction(x) for x in c)
+    return tuple([Fraction(x) for x in c])
 
 
 def degree(p: Poly) -> int:
@@ -33,13 +34,13 @@ def padd(p: Poly, q: Poly) -> Poly:
 
 
 def pneg(p: Poly) -> Poly:
-    return tuple(-x for x in p)
+    return tuple([-x for x in p])
 
 
 def pscale(p: Poly, c: Fraction) -> Poly:
     if c == 0:
         return ()
-    return tuple(c * x for x in p)
+    return tuple([c * x for x in p])
 
 
 def pmul(p: Poly, q: Poly) -> Poly:
@@ -85,7 +86,7 @@ def pmod(p: Poly, q: Poly) -> Poly:
 def pmonic(p: Poly) -> Poly:
     if not p:
         return ()
-    return tuple(x / p[-1] for x in p)
+    return tuple([x / p[-1] for x in p])
 
 
 def pgcd(p: Poly, q: Poly) -> Poly:

@@ -32,8 +32,9 @@ from .liealg import LieElement, central_scalar, d_term
 from .pbw import (
     EnvElement,
     Monomial,
-    _acc,
     _left_mult,
+    _lincomb,
+    _single,
     format_env,
     monomial_weight,
     pbw_basis,
@@ -274,7 +275,7 @@ def highest_weight_vector(phi: Functional) -> VermaVector:
 # -- the action -------------------------------------------------------------
 
 
-def _act_basis(phi: Functional, j: int, b: int, mono: Monomial) -> dict:
+def _act_basis(phi: Functional, j: int, b: int, mono: Monomial) -> tuple:
     """Push d_j (x) e_b through mono * v; the result lives in U(V_-) v.
 
     Lowering modes straighten into the PBW basis; a mode-0 piece arriving at v
@@ -284,8 +285,11 @@ def _act_basis(phi: Functional, j: int, b: int, mono: Monomial) -> dict:
         [d_j (x) e_b, d_{-m} (x) e_h] = (-m - j) d_{j-m} (x) e_b e_h
                                         + delta_{j,m} (j^3-j)/12 c (x) e_b e_h,
 
-    and central pieces evaluate immediately through phi.  Results are cached
-    per functional: distinct raising words share long suffixes.
+    and central pieces evaluate immediately through phi.  The result is a
+    frozen (den, monomials, numerators) triple of integers over one
+    denominator, like ``pbw._left_mult``; Fractions enter only through the
+    values of phi.  Results are cached per functional, since distinct raising
+    words share long suffixes, and are immutable tuples.
     """
     alg = phi.algebra
     if j < 0:
@@ -295,31 +299,22 @@ def _act_basis(phi: Functional, j: int, b: int, mono: Monomial) -> dict:
     if hit is not None:
         return hit
     if not mono:
-        if j == 0:
-            val = phi.value_d0(b)
-            out = {(): val} if val != 0 else {}
-        else:
-            out = {}
-        phi._act_cache[key] = out
-        return out
-    head, rest = mono[0], mono[1:]
-    mh, bh = head
-    out: dict = {}
-    for m2, c2 in _act_basis(phi, j, b, rest).items():
-        for m3, c3 in _left_mult(alg, head, m2).items():
-            _acc(out, m3, c2 * c3)
-    prod = alg.basis_product(b, bh)
-    k = -mh - j
-    cs = central_scalar(j) if j == mh else Fraction(0)
-    for bk, ck in prod.coeffs.items():
-        if k != 0:
-            for m2, c2 in _act_basis(phi, j - mh, bk, rest).items():
-                _acc(out, m2, k * ck * c2)
-        if cs != 0:
-            val = cs * ck * phi.value_c(bk)
-            if val != 0:
-                _acc(out, rest, val)
-    phi._act_cache[key] = out
+        val = phi.value_d0(b) if j == 0 else 0
+        parts = [(val.numerator, val.denominator, _single(()))] if val else []
+    else:
+        head, rest = mono[0], mono[1:]
+        mh, bh = head
+        den, monos, nums = _act_basis(phi, j, b, rest)
+        parts = [(c2, den, _left_mult(alg, head, m2)) for m2, c2 in zip(monos, nums)]
+        k = -mh - j
+        cs = central_scalar(j) if j == mh else 0
+        for bk, nk, dk in alg.product_terms(b, bh):
+            if k != 0:
+                parts.append((k * nk, dk, _act_basis(phi, j - mh, bk, rest)))
+            val = cs * phi.value_c(bk) if cs else 0
+            if val:
+                parts.append((val.numerator * nk, val.denominator * dk, _single(rest)))
+    out = phi._act_cache[key] = _lincomb(parts)
     return out
 
 
@@ -327,59 +322,58 @@ def verma_act(x: LieElement, v: VermaVector) -> list[VermaVector]:
     """Action of a Lie element, returned as homogeneous pieces by depth."""
     phi = v.functional
     phi.algebra.require_compatible(x.algebra)
-    total: dict = {}
-    c_val = phi.eval_c(x.c_part) if not x.c_part.is_zero() else Fraction(0)
-    for mono, cm in v.env.terms.items():
-        for j, g in x.d_part.items():
-            for b, cb in g.coeffs.items():
-                for m2, c2 in _act_basis(phi, j, b, mono).items():
-                    _acc(total, m2, cm * cb * c2)
-        if c_val != 0:
-            _acc(total, mono, cm * c_val)
+    c_val = phi.eval_c(x.c_part)
+    scaled = [(cm * cb, _act_basis(phi, j, b, mono)) for mono, cm in v.env.terms.items()
+              for j, g in x.d_part.items() for b, cb in g.coeffs.items()]
+    scaled += [(cm * c_val, _single(mono)) for mono, cm in v.env.terms.items()]
+    den, monos, nums = _lincomb([(s.numerator, s.denominator, r) for s, r in scaled if s])
     buckets: dict[int, dict] = {}
-    for mono, coeff in total.items():
-        buckets.setdefault(monomial_weight(mono), {})[mono] = coeff
+    for mono, c in zip(monos, nums):
+        buckets.setdefault(monomial_weight(mono), {})[mono] = Fraction(c, den)
     return [VermaVector(phi, EnvElement(phi.algebra, terms))
             for _, terms in sorted(buckets.items(), reverse=True)]
 
 
-def _raise(phi: Functional, x_mono: Monomial, chains: dict) -> dict:
+def _raise(phi: Functional, x_mono: Monomial, chains: dict) -> tuple:
     """X w for the raising monomial X = x X', computed as x (X' w).
 
-    ``chains`` maps raising monomials to their results on one fixed w and is
-    seeded with {(): w}; a miss computes the suffix X' first and stores X, so
-    monomials sharing a suffix share its chain.  Depths act as modes +m.
+    ``chains`` maps raising monomials to their frozen results on one fixed w
+    and is seeded with {(): w}; a miss computes the suffix X' first and stores
+    X, so monomials sharing a suffix share its chain.  Depths act as modes +m.
     """
     hit = chains.get(x_mono)
     if hit is not None:
         return hit
     m, b = x_mono[0]
-    out: dict = {}
-    for mono, cm in _raise(phi, x_mono[1:], chains).items():
-        for m2, c2 in _act_basis(phi, m, b, mono).items():
-            _acc(out, m2, cm * c2)
-    chains[x_mono] = out
+    den, monos, nums = _raise(phi, x_mono[1:], chains)
+    out = chains[x_mono] = _lincomb(
+        [(cm, den, _act_basis(phi, m, b, mono)) for mono, cm in zip(monos, nums)])
     return out
 
 
 def _v_coefficients(phi: Functional, terms, raising):
     """Lazily yield coeff_v(X w), w = sum terms, for each X in ``raising``."""
-    chains = {(): terms}
-    zero = Fraction(0)
-    return (_raise(phi, x_mono, chains).get((), zero) for x_mono in raising)
+    chains = {(): _lincomb([(c.numerator, c.denominator, _single(mono))
+                            for mono, c in terms.items()])}
+    for x_mono in raising:
+        den, monos, nums = _raise(phi, x_mono, chains)
+        yield Fraction(dict(zip(monos, nums)).get((), 0), den)
 
 
 # -- singular vectors and graded dimensions ---------------------------------
 
 
 def _action_rows(phi: Functional, mode: int, b: int, basis) -> dict:
-    """Sparse matrix of d_mode (x) e_b on the span of ``basis``: a
-    {column: coefficient} row for each target monomial that occurs, including
-    targets whose colors leave a color window."""
+    """Sparse matrix of d_mode (x) e_b on the span of ``basis``, scaled to
+    integers by the lcm of its denominators (which moves neither its kernel
+    nor its row space): a {column: int} row for each target monomial that
+    occurs, including targets whose colors leave a color window."""
+    acts = [_act_basis(phi, mode, b, mono) for mono in basis]
+    den = math.lcm(*[d for d, _, _ in acts])
     rows: dict = {}
-    for col, mono in enumerate(basis):
-        for m2, c2 in _act_basis(phi, mode, b, mono).items():
-            rows.setdefault(m2, {})[col] = c2
+    for col, (d, monos, nums) in enumerate(acts):
+        for m2, c2 in zip(monos, nums):
+            rows.setdefault(m2, {})[col] = c2 * (den // d)
     return rows
 
 
@@ -395,13 +389,12 @@ def singular_vectors(phi: Functional, depth: int, window=None) -> list[VermaVect
         raise ValueError("singular vectors live at positive depth")
     alg = phi.algebra
     basis = pbw_basis(depth, alg, window=window)
-    zero = Fraction(0)
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for mode in (1, 2):
         if depth - mode < 0:
             continue
         for b in alg.window_indices(window):
-            rows.extend([row.get(col, zero) for col in range(len(basis))]
+            rows.extend([row.get(col, 0) for col in range(len(basis))]
                         for row in _action_rows(phi, mode, b, basis).values())
     out = []
     for vec in linalg.kernel(rows, len(basis)):
@@ -441,7 +434,9 @@ def quotient_dims(phi: Functional, max_depth: int, window=None) -> tuple[int, ..
     where A_{mode,b} is the matrix of d_mode (x) e_b : V_n -> V_{n-mode}.  The
     quotient dimension at depth n is rank Q_n.  This costs one action matrix
     per generator and one elimination per depth, against a raising walk over
-    every monomial per column of the pairing matrix.
+    every monomial per column of the pairing matrix.  A layer Q_{n-mode} of
+    full rank spans V_{n-mode}, so its block has the row space of A_{mode,b}
+    itself and the product is skipped.  The action is integer throughout.
 
     Over the windowed polynomial and Laurent kinds the radical is tested
     against raising monomials whose colors stay in the window.  Products of
@@ -459,7 +454,7 @@ def _layered_quotient_dims(phi: Functional, max_depth: int) -> tuple[int, ...]:
     """The Q_n recursion of ``quotient_dims``; only Q_{n-1}, Q_{n-2} stay alive.
 
     Rows are kept as integer echelon bases: scaling a row does not move the
-    kernel, so each action block is cleared to one common denominator.
+    kernel, so each action block arrives scaled to integers.
     """
     alg = phi.algebra
     colors = list(alg.basis_indices())
@@ -473,11 +468,12 @@ def _layered_quotient_dims(phi: Functional, max_depth: int) -> tuple[int, ...]:
                 continue
             for b in colors:
                 action = _action_rows(phi, mode, b, basis)
-                den = math.lcm(*(c.denominator for a_row in action.values()
-                                 for c in a_row.values()))
-                action = [(tpos[m2], {col: c.numerator * (den // c.denominator)
-                                      for col, c in a_row.items()})
-                          for m2, a_row in action.items()]
+                if len(q_prev) == len(tpos):
+                    # Q_{n-mode} spans V_{n-mode}: Q A has the row space of A
+                    rows += [[a_row.get(col, 0) for col in range(len(basis))]
+                             for a_row in action.values()]
+                    continue
+                action = [(tpos[m2], a_row) for m2, a_row in action.items()]
                 for q_row in q_prev:
                     row = [0] * len(basis)
                     for t, a_row in action:
@@ -636,10 +632,8 @@ def largest_v0_ideal(phi: Functional) -> Ideal:
     if not alg.is_finite:
         raise UnsupportedKind("largest_v0_ideal needs a finite-dimensional algebra")
     dim = alg.dim
-    rows = []
-    for j in range(dim):
-        rows.append([phi.eval_d0(alg.basis_product(i, j)) for i in range(dim)])
-        rows.append([phi.eval_c(alg.basis_product(i, j)) for i in range(dim)])
+    rows = [[ev(alg.basis_product(i, j)) for i in range(dim)]
+            for j in range(dim) for ev in (phi.eval_d0, phi.eval_c)]
     ker = linalg.kernel(rows, dim)
     return Ideal(alg, ker)
 
@@ -728,13 +722,9 @@ def split_phi(phi: Functional) -> list[Functional]:
         raise UnsupportedKind("split_phi needs a product_local algebra")
     out = []
     for factor in local_decomposition(alg):
-        d0 = {}
-        c = {}
-        for j in range(alg.dim):
-            prod = factor.idempotent * alg.basis_element(j)
-            d0[j] = phi.eval_d0(prod)
-            c[j] = phi.eval_c(prod)
-        out.append(Functional(alg, d0, c))
+        prods = [factor.idempotent * alg.basis_element(j) for j in range(alg.dim)]
+        out.append(Functional(alg, dict(enumerate(map(phi.eval_d0, prods))),
+                              dict(enumerate(map(phi.eval_c, prods)))))
     return out
 
 

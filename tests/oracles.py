@@ -2,13 +2,16 @@
 
 Nothing here reuses the library's linear algebra or PBW action paths: ranks
 come from plain Fraction Gauss elimination, the classical Virasoro action is a
-worklist rewriter on bare mode tuples, partition counts come from the
+worklist rewriter on bare mode tuples (and the action of Vir (x) A another,
+on (mode, color) letters over a hand-written product table), the zeros of the
+Kac determinant come from the h_{r,s} formula, partition counts come from the
 generating function, minimal recurrences from a per-order Hankel search, and
 ideal closures from a rank-driven worklist over the algebra's product.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -215,6 +218,86 @@ def virasoro_apply(modes, h, cprime) -> dict[tuple, Fraction]:
             if central != 0:
                 work.append((coeff * central, ms[:pos] + ms[pos + 2:]))
     return {k: v for k, v in out.items() if v != 0}
+
+
+def colored_virasoro_apply(word, table, d0, c) -> dict[tuple, Fraction]:
+    """Normal form of (d_{m_1} (x) e_{a_1}) ... (d_{m_k} (x) e_{a_k}) v in the
+    Verma module of Vir (x) A, for A given by its structure-constant table.
+
+    ``word`` lists (mode, color) letters; ``table[a, b]`` is the {k: coeff}
+    expansion of e_a e_b; ``d0`` and ``c`` map a color k to phi(d_0 (x) e_k)
+    and phi(c (x) e_k).  Worklist rewriter like ``virasoro_apply``, on letters
+    ordered by (-mode, -color): an adjacent pair whose right letter has the
+    smaller mode, or the same mode and an earlier color, splits into the swap
+    plus (n - m) d_{m+n} (x) e_a e_b and, when m = -n,
+    (m^3 - m)/12 phi(c (x) e_a e_b).
+    Trailing positive modes kill v, a trailing mode 0 contributes
+    phi(d_0 (x) e_a).  Canonical words come back as PBW monomials
+    ((depth, color), ...).
+
+    Every rewrite shortens the word or removes one inversion, so words leave
+    the worklist longest first, then most inverted: each word is rewritten
+    once, with the coefficients of all its paths merged.
+    """
+    def key(letter):
+        return -letter[0], -letter[1]
+
+    def rank(ls):
+        inversions = sum(key(x) < key(y) for i, x in enumerate(ls) for y in ls[i + 1:])
+        return -len(ls), -inversions, ls
+
+    out: dict[tuple, Fraction] = {}
+    start = tuple(word)
+    pending: dict[tuple, Fraction] = {start: Fraction(1)}
+    heap = [rank(start)]
+    while heap:
+        ls = heapq.heappop(heap)[2]
+        coeff = pending.pop(ls)
+        if coeff == 0 or (ls and ls[-1][0] > 0):
+            continue
+        if ls and ls[-1][0] == 0:
+            nxt = [(ls[:-1], coeff * d0.get(ls[-1][1], 0))]
+        else:
+            pos = next((j for j in range(len(ls) - 1) if key(ls[j]) < key(ls[j + 1])), None)
+            if pos is None:
+                mono = tuple((-m, a) for m, a in ls)
+                out[mono] = out.get(mono, Fraction(0)) + coeff
+                continue
+            (m, a), (n, b) = ls[pos], ls[pos + 1]
+            head, tail = ls[:pos], ls[pos + 2:]
+            nxt = [(head + ((n, b), (m, a)) + tail, coeff)]
+            for k, s in table[a, b].items():
+                nxt.append((head + ((m + n, k),) + tail, coeff * s * (n - m)))
+                if m == -n:
+                    central = Fraction(m ** 3 - m, 12) * c.get(k, 0)
+                    nxt.append((head + tail, coeff * s * central))
+        for w, x in nxt:
+            if w not in pending:
+                pending[w] = Fraction(0)
+                heapq.heappush(heap, rank(w))
+            pending[w] += x
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def kac_vanishes(h, c, n: int) -> bool:
+    """Does the classical Kac determinant at depth n vanish at L_0 weight h
+    and central charge c?
+
+    It vanishes exactly when h = h_{r,s}(c) for some r, s >= 1 with rs <= n,
+    where c = 13 - 6 (t + 1/t) and h_{r,s} = ((r t - s)^2 - (t - 1)^2) / (4t).
+    With u = t + 1/t = (13 - c)/6, h_{r,s} = A t + B/t - D for
+    A = (r^2 - 1)/4, B = (s^2 - 1)/4, D = (rs - 1)/2, so the pair h_{r,s},
+    h_{s,r} are the roots of the rational quadratic h^2 - S h + P with
+    S = (A + B) u - 2D and P = AB (u^2 - 2) + A^2 + B^2 - D (A + B) u + D^2.
+    """
+    h, u = Fraction(h), (13 - Fraction(c)) / 6
+    for r in range(1, n + 1):
+        for s in range(1, n // r + 1):
+            a, b, d = Fraction(r * r - 1, 4), Fraction(s * s - 1, 4), Fraction(r * s - 1, 2)
+            p = a * b * (u * u - 2) + a * a + b * b - d * (a + b) * u + d * d
+            if h * h - ((a + b) * u - 2 * d) * h + p == 0:
+                return True
+    return False
 
 
 def classical_pairing_matrix(depth: int, h, cprime):

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -234,8 +236,12 @@ def test_exit_code_negative_bound(capsys, tmp_path, command):
 
 
 def test_console_script_installed():
+    # src first, so an uninstalled checkout runs its own package
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "mapvir.cli", "bracket",
                            "d[2]*1", "d[-2]*1"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip() == "-4*d[0] + 1/2*c"

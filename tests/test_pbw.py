@@ -7,16 +7,23 @@ import pytest
 from mapvir import (
     Algebra,
     EnvElement,
+    Functional,
     LieElement,
     NotLowering,
     bracket,
     c_term,
+    check_verma_reducible,
     d_term,
+    depth_one_vector,
     format_env,
     format_monomial,
     height_hm,
+    in_maximal_submodule,
     monomial_weight,
     pbw_basis,
+    quotient_dims,
+    singular_vectors,
+    split_phi,
     straighten,
 )
 from oracles import colored_partition_series
@@ -155,15 +162,48 @@ def test_basis_sorted_descending():
     assert keys == sorted(keys, reverse=True)
 
 
-def test_basis_leaves_no_reference_cycle():
-    # a cycle would keep each returned basis alive until the next gc pass
+def _cyclic_garbage(query) -> int:
+    """Objects that only the cycle collector frees after running query."""
     gc.collect()
     gc.disable()
     try:
-        pbw_basis(5, A2)
-        assert gc.collect() == 0
+        query()
+        return gc.collect()
     finally:
         gc.enable()
+
+
+def test_basis_leaves_no_reference_cycle():
+    # a cycle would keep each returned basis alive until the next gc pass
+    assert _cyclic_garbage(lambda: pbw_basis(5, A2)) == 0
+
+
+def _fresh_phi(factors, d0, c):
+    # each query builds its own algebra: a cycle through its caches would
+    # leave the whole algebra to the cycle collector
+    return Functional.from_values(Algebra.product_local(factors), d0, c)
+
+
+def _dual_phi():
+    return _fresh_phi([(0, 2)], {"1": F(2, 7), "t": F(1, 3)}, {"1": F(1, 2), "t": 5})
+
+
+def _depth_one_vector():
+    phi = _dual_phi()
+    return depth_one_vector(phi, phi.algebra.one())
+
+
+@pytest.mark.parametrize("query", [
+    lambda: quotient_dims(_dual_phi(), 4),
+    lambda: singular_vectors(_dual_phi(), 2),
+    lambda: in_maximal_submodule(_depth_one_vector()),
+    lambda: check_verma_reducible(_fresh_phi([(0, 2)], {"1": 1}, {"t": 2})),
+    lambda: split_phi(_fresh_phi([(0, 1), (1, 1)], {"1": 1, "t": 3}, {"t": 2})),
+], ids=["quotient_dims", "singular_vectors", "in_maximal_submodule",
+        "check_verma_reducible", "split_phi"])
+def test_verma_queries_leave_no_reference_cycle(query):
+    # the algebra caches hold plain data, so an Algebra dies by refcount
+    assert _cyclic_garbage(query) == 0
 
 
 def test_window_basis():

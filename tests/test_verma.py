@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -32,7 +33,9 @@ from oracles import (
     classical_pairing_matrix,
     classical_singular_dim,
     colored_partition_series,
+    colored_virasoro_apply,
     convolve,
+    kac_vanishes,
     minimal_model_weight,
     oracle_det,
     oracle_rank,
@@ -373,6 +376,29 @@ def test_finite_quotient_dims_make_no_raising_calls(monkeypatch):
     assert calls == []
 
 
+def _frozen_result(result) -> bool:
+    """A (den, monomials, numerators) triple of ints in tuples, in lowest terms."""
+    den, monos, nums = result
+    return (type(result) is tuple and type(monos) is tuple and type(nums) is tuple
+            and type(den) is int and den > 0 and len(monos) == len(nums)
+            and all(type(mono) is tuple and all(type(g) is tuple for g in mono)
+                    for mono in monos)
+            and all(type(c) is int and c != 0 for c in nums)
+            and math.gcd(den, *nums) == 1)
+
+
+@pytest.mark.parametrize("phi", [
+    _minimal_model_phi("ising_sigma"), PARITY_CASES["dual"][0], PARITY_CASES["gauss"][0]],
+    ids=["ising_sigma", "dual", "gauss"])
+def test_action_caches_hold_frozen_integer_results(phi):
+    quotient_dims(phi, 6)
+    caches = (phi._act_cache, phi.algebra._caches["pbw_left_mult"])
+    assert all(caches)
+    for cache in caches:
+        assert all(type(key) is tuple and _frozen_result(result)
+                   for key, result in cache.items())
+
+
 def test_windowed_quotient_dims_keep_pairing_path(monkeypatch):
     depths = []
     real = verma.pairing_matrix
@@ -394,6 +420,98 @@ def test_quotient_dims_match_rocha_caridi(name):
     (p, pp, r, s), weight = MINIMAL_MODELS[name]
     assert minimal_model_weight(p, pp, r, s) == weight
     assert list(quotient_dims(_minimal_model_phi(name), 14)) == rocha_caridi_dims(p, pp, r, s, 14)
+
+
+def _kac_points():
+    """(h, c, planted): seeded generic weights, planted diagonal zeros
+    h_{r,r} = (r^2 - 1)(1 - c)/24 and planted h_{r,s}, r != s, at rational t
+    with c = 13 - 6 (t + 1/t), all with rs <= 8."""
+    rng = random.Random(1301)
+    points = [(F(rng.randint(-60, 60), rng.choice((17, 19, 23))),
+               F(rng.randint(-60, 60), rng.choice((29, 31))), False) for _ in range(6)]
+    for r in (1, 2):
+        for _ in range(2):
+            c = F(rng.randint(-30, 30), rng.randint(1, 7))
+            points.append((F(r * r - 1, 24) * (1 - c), c, True))
+    for t in (F(4, 3), F(-2, 3), F(5, 2), F(1), F(-1)):
+        for r, s in ((1, 2), (2, 1), (1, 3), (3, 2), (2, 4), (1, 7)):
+            points.append((((r * t - s) ** 2 - (t - 1) ** 2) / (4 * t),
+                           13 - 6 * (t + 1 / t), True))
+    return points
+
+
+@pytest.mark.parametrize("h, c, planted", _kac_points())
+def test_classical_quotient_dims_are_full_exactly_off_the_kac_zeros(h, c, planted):
+    # both branches of the layered engine run: full-rank layers until the
+    # first zero of the Kac determinant, rank-deficient ones after it
+    assert kac_vanishes(h, c, 8) == planted
+    dims = quotient_dims(Functional.classical(-h, c), 8)
+    full = colored_partition_series(1, 8)
+    assert [dims[n] == full[n] for n in range(9)] == [
+        not kac_vanishes(h, c, n) for n in range(9)]
+
+
+# -- the colored action against an independent rewriter ----------------------
+
+def _table(products):
+    """Symmetric product table from the expansions of e_a e_b, a <= b."""
+    table = {}
+    for (a, b), prod in products.items():
+        table[a, b] = table[b, a] = {k: F(v) for k, v in prod.items()}
+    return table
+
+
+QXQ = Algebra.structure_constants(                  # Q x Q: orthogonal idempotents
+    [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], (1, 1))
+HALF = Algebra.product_local([(F(1, 2), 2)])       # Q[t]/((t - 1/2)^2): t^2 = t - 1/4
+
+# algebra, its products written out by hand, color window
+COLORED_CASES = {
+    "dual": (DUAL, _table({(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 1): {}}), None),
+    "q_times_q": (QXQ, _table({(0, 0): {0: 1}, (0, 1): {}, (1, 1): {1: 1}}), None),
+    "gauss": (GAUSS, _table({(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 1): {0: -1}}), None),
+    "half_point": (HALF, _table({(0, 0): {0: 1}, (0, 1): {1: 1},
+                                 (1, 1): {0: F(-1, 4), 1: 1}}), None),
+    # depth-4 words multiply up to 8 colors of the window (-1, 0)
+    "laurent": (Algebra.laurent((-8, 8)),
+                _table({(a, b): {a + b: 1} for a in range(-8, 1) for b in range(a, 1)
+                        if a + b >= -8}), (-1, 0)),
+}
+
+
+def _colored_phi(alg):
+    rng = random.Random(1303)
+    d0, c = ({k: F(rng.randint(-9, 9), rng.randint(1, 5)) for k in alg.window_indices()}
+             for _ in range(2))
+    return Functional(alg, d0, c), d0, c
+
+
+@pytest.mark.parametrize("name", COLORED_CASES)
+def test_verma_act_matches_colored_oracle(name):
+    alg, table, window = COLORED_CASES[name]
+    phi, d0, c = _colored_phi(alg)
+    for depth in range(5):
+        for mono in pbw_basis(depth, alg, window=window):
+            w = VermaVector(phi, EnvElement(alg, {mono: F(1)}))
+            lowering = [(-m, b) for m, b in mono]
+            for j in range(-2, depth + 2):
+                for b in alg.window_indices(window):
+                    got = {}
+                    for piece in verma_act(d_term(alg, j, alg.basis_element(b)), w):
+                        got.update(piece.env.terms)
+                    assert got == colored_virasoro_apply([(j, b)] + lowering, table, d0, c)
+
+
+@pytest.mark.parametrize("name", COLORED_CASES)
+def test_pairing_matrix_matches_colored_oracle(name):
+    alg, table, window = COLORED_CASES[name]
+    phi, d0, c = _colored_phi(alg)
+    for depth in range(5):
+        basis = pbw_basis(depth, alg, window=window)
+        expected = [[colored_virasoro_apply(list(x) + [(-m, b) for m, b in y],
+                                            table, d0, c).get((), 0) for y in basis]
+                    for x in basis]
+        assert pairing_matrix(phi, depth, window=window) == expected
 
 
 # -- singular vectors ---------------------------------------------------------
