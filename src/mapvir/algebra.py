@@ -442,8 +442,26 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 # -- ideals -----------------------------------------------------------------
 
 
-class Ideal:
-    """An ideal of a finite-dimensional algebra, stored as an RREF basis."""
+class _IdealInterface:
+    """What both flavors of ideal answer: generators(), points() (the
+    presentation points whose maximal ideal contains the ideal, or None
+    when there is no point presentation), is_closed(), and str(), the
+    "(g1, g2)" / "(0)" witness form."""
+
+    __slots__ = ()
+
+    def __str__(self):
+        return "(" + (", ".join(map(format_element, self.generators())) or "0") + ")"
+
+    def __repr__(self):
+        return type(self).__name__ + str(self)
+
+
+class Ideal(_IdealInterface):
+    """An ideal of a finite-dimensional algebra, stored as an RREF basis.
+
+    The rows need not span a product-closed subspace; is_closed() says
+    whether they do."""
 
     __slots__ = ("algebra", "rows", "pivots")
 
@@ -480,6 +498,20 @@ class Ideal:
         return [AlgebraElement(self.algebra, {i: c for i, c in enumerate(r)})
                 for r in self.rows]
 
+    generators = basis_elements
+
+    def points(self) -> list[Fraction] | None:
+        # on the monomial basis a row is a polynomial; (t - p) contains it
+        # exactly when it vanishes at p, since (t - p) divides the modulus
+        if self.algebra.kind != "product_local":
+            return None
+        return [p for p, _ in self.algebra.factors
+                if all(polyutil.peval(r, p) == 0 for r in self.rows)]
+
+    def is_closed(self) -> bool:
+        return all(self.contains(b * self.algebra.basis_element(j))
+                   for b in self.basis_elements() for j in self.algebra.basis_indices())
+
     def __eq__(self, other):
         if not isinstance(other, Ideal):
             return NotImplemented
@@ -488,12 +520,8 @@ class Ideal:
     def __hash__(self):
         return hash((self.algebra.signature, self.rows))
 
-    def __repr__(self):
-        gens = ", ".join(format_element(b) for b in self.basis_elements())
-        return f"Ideal({gens or '0'})"
 
-
-class PrincipalIdeal:
+class PrincipalIdeal(_IdealInterface):
     """An ideal of a polynomial/Laurent algebra given by one generator.
 
     The generator is normalized: monic, and (for Laurent algebras) shifted so
@@ -520,6 +548,18 @@ class PrincipalIdeal:
     def generator_poly(self) -> polyutil.Poly:
         return self.generator.as_poly()
 
+    def generators(self) -> list[AlgebraElement]:
+        return [] if self.is_zero() else [self.generator]
+
+    def points(self) -> list[Fraction] | None:
+        # the zero ideal lies in the maximal ideal of every point of Q
+        if self.is_zero():
+            return None
+        return [r for r, _ in polyutil.rational_roots(self.generator_poly())[0]]
+
+    def is_closed(self) -> bool:
+        return True  # generated as an ideal by construction
+
     def contains(self, x: AlgebraElement) -> bool:
         self.algebra.require_compatible(x.algebra)
         if x.is_zero():
@@ -542,9 +582,6 @@ class PrincipalIdeal:
 
     def __hash__(self):
         return hash((self.algebra.signature, self.generator))
-
-    def __repr__(self):
-        return f"PrincipalIdeal({format_element(self.generator)})"
 
 
 def _normalize_generator(g: AlgebraElement) -> AlgebraElement:
@@ -638,14 +675,13 @@ class QuotientMap:
 
 def quotient_algebra(algebra: Algebra, ideal) -> tuple[Algebra, QuotientMap]:
     """The quotient A/I as a structure-constants algebra, with its projection."""
-    if isinstance(ideal, PrincipalIdeal):
-        return _principal_quotient(algebra, ideal)
     algebra.require_compatible(ideal.algebra)
     if ideal.is_whole():
         raise ImproperIdeal("cannot form the quotient by the whole algebra")
     if ideal.is_zero():
-        ident = QuotientMap(algebra, algebra, lambda x: x, lambda x: x)
-        return algebra, ident
+        return algebra, QuotientMap(algebra, algebra, lambda x: x, lambda x: x)
+    if isinstance(ideal, PrincipalIdeal):
+        return _principal_quotient(algebra, ideal.generator_poly())
     dim = algebra.dim
     pivot_set = set(ideal.pivots)
     complement = [j for j in range(dim) if j not in pivot_set]
@@ -679,9 +715,11 @@ def quotient_algebra(algebra: Algebra, ideal) -> tuple[Algebra, QuotientMap]:
     return quotient, QuotientMap(algebra, quotient, project, lift)
 
 
-def reduction_map(algebra: Algebra, modulus: polyutil.Poly
-                  ) -> Callable[[AlgebraElement], polyutil.Poly]:
-    """x -> the dense remainder of x modulo a polynomial (monomial kinds).
+def polynomial_quotient(algebra: Algebra, quotient: Algebra,
+                        modulus: polyutil.Poly) -> QuotientMap:
+    """Reduction of a monomial-kind algebra modulo a polynomial, onto a
+    quotient whose basis is 1, t, ..., t^{deg - 1}, with the section that
+    keeps coefficients.
 
     Negative Laurent exponents reduce through the inverse of t modulo the
     modulus, computed once here; it exists exactly when t and the modulus
@@ -694,7 +732,7 @@ def reduction_map(algebra: Algebra, modulus: polyutil.Poly
             raise ImproperIdeal("t is not invertible modulo the generator")
         tinv = polyutil.pmod(u, modulus)
 
-    def reduce(x: AlgebraElement) -> polyutil.Poly:
+    def project(x: AlgebraElement) -> AlgebraElement:
         dense = [Fraction(0)] * (max(x.coeffs, default=-1) + 1)
         negative: polyutil.Poly = ()
         for k, c in x.coeffs.items():
@@ -703,20 +741,17 @@ def reduction_map(algebra: Algebra, modulus: polyutil.Poly
             else:
                 negative = polyutil.padd(negative, polyutil.pscale(
                     polyutil.pmod(polyutil.ppow(tinv, -k), modulus), c))
-        return polyutil.pmod(polyutil.padd(polyutil.trim(dense), negative), modulus)
+        red = polyutil.pmod(polyutil.padd(polyutil.trim(dense), negative), modulus)
+        return AlgebraElement(quotient, dict(enumerate(red)))
 
-    return reduce
+    def lift(y: AlgebraElement) -> AlgebraElement:
+        return AlgebraElement(algebra, dict(y.coeffs))
+
+    return QuotientMap(algebra, quotient, project, lift)
 
 
-def _principal_quotient(algebra: Algebra, ideal: PrincipalIdeal):
-    algebra.require_compatible(ideal.algebra)
-    if ideal.is_zero():
-        ident = QuotientMap(algebra, algebra, lambda x: x, lambda x: x)
-        return algebra, ident
-    p = ideal.generator_poly()
+def _principal_quotient(algebra: Algebra, p: polyutil.Poly):
     deg = polyutil.degree(p)
-    if deg == 0:
-        raise ImproperIdeal("cannot form the quotient by the whole algebra")
     labels = tuple(_exponent_label(k) for k in range(deg))
     tensor = []
     for a in range(deg):
@@ -732,15 +767,7 @@ def _principal_quotient(algebra: Algebra, ideal: PrincipalIdeal):
     quotient = Algebra.structure_constants(tuple(tensor), unit, labels=labels,
                                            validate=False)
     # t is invertible mod p exactly when p(0) != 0; normalization assures it.
-    reduce = reduction_map(algebra, p)
-
-    def project(x: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(quotient, dict(enumerate(reduce(x))))
-
-    def lift(y: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(algebra, dict(y.coeffs))
-
-    return quotient, QuotientMap(algebra, quotient, project, lift)
+    return quotient, polynomial_quotient(algebra, quotient, p)
 
 
 # -- local structure --------------------------------------------------------

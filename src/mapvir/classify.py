@@ -20,7 +20,6 @@ from .algebra import (
     Ideal,
     PrincipalIdeal,
     format_element,
-    ideal_power,
     local_decomposition,
 )
 from .errors import UnsupportedKind
@@ -28,7 +27,6 @@ from .evalmod import (
     IntSeriesSpec,
     ModuleHandle,
     WeightTable,
-    local_quotient,
     weight_multiplicities,
 )
 from .scalars import as_scalar, format_scalar
@@ -183,7 +181,7 @@ def _split_product_local(phi: Functional, notes: dict) -> ClassificationRecord:
             dropped += 1
             continue
         order = _minimal_order(piece, factor)
-        quotient, _ = local_quotient(alg, factor.point, order)
+        quotient = Algebra.product_local([(factor.point, order)])
         # the piece kills m^order, so evaluating it on monomial lifts gives a
         # well-defined functional on the local quotient
         local_phi = Functional(
@@ -203,19 +201,18 @@ def _split_product_local(phi: Functional, notes: dict) -> ClassificationRecord:
 
 
 def _minimal_order(piece: Functional, factor) -> int:
-    """Smallest N with the piece vanishing on Vir_0 (x) m^N.
+    """Smallest N with the piece vanishing on Vir_0 (x) m^N, m = (t - point).
 
-    Bounded by the factor's presentation order, since the piece kills the
-    complementary factors by construction.
+    m^N is spanned by the powers (t - point)^k with k >= N, and the piece
+    kills those with k >= the factor's order (it is phi(e x) for the
+    factor's idempotent e), so N is one past the highest power below that
+    order on which the piece does not vanish.
     """
     alg = piece.algebra
-    for n in range(1, factor.order + 1):
-        mpow = ideal_power(factor.maximal_ideal, n)
-        killed = all(piece.eval_d0(b) == 0 and piece.eval_c(b) == 0
-                     for b in mpow.basis_elements())
-        if killed:
-            return n
-    return factor.order
+    m = (-factor.point, Fraction(1))
+    return 1 + max((k for k in range(factor.order)
+                    if any(ev(alg.from_poly(polyutil.ppow(m, k)))
+                           for ev in (piece.eval_d0, piece.eval_c))), default=0)
 
 
 # -- trichotomy profiling ----------------------------------------------------

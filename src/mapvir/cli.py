@@ -15,11 +15,8 @@ import sys
 
 from .algebra import (
     Algebra,
-    Ideal,
-    PrincipalIdeal,
     algebra_from_spec,
     algebra_to_spec,
-    format_element,
     local_decomposition,
 )
 from .classify import CONVENTION_NOTE, classify_module, trichotomy_profile
@@ -84,15 +81,7 @@ def _emit_json(payload: dict):
 
 
 def _witness_str(ideal) -> str | None:
-    if ideal is None:
-        return None
-    if isinstance(ideal, PrincipalIdeal):
-        return f"({format_element(ideal.generator)})"
-    if isinstance(ideal, Ideal):
-        if ideal.is_zero():
-            return "(0)"
-        return "(" + ", ".join(format_element(b) for b in ideal.basis_elements()) + ")"
-    return repr(ideal)
+    return None if ideal is None else str(ideal)
 
 
 def _parse_offsets(text: str) -> tuple[int, int]:

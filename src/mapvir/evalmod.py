@@ -29,7 +29,7 @@ from .algebra import (
     ideal_intersection,
     ideal_power,
     point_ideal,
-    reduction_map,
+    polynomial_quotient,
 )
 from .errors import MissingWindow, UnsupportedKind, WindowOverflow
 from .liealg import LieElement
@@ -149,44 +149,9 @@ class AnnihilatorReport:
         }
 
 
-def _presentation_points(algebra: Algebra) -> list[Fraction] | None:
-    if algebra.kind == "product_local":
-        return [p for p, _ in algebra.factors]
-    return None
-
-
-def _support_of_ideal(ann, algebra: Algebra) -> list[Fraction] | None:
-    """Points of the presentation whose maximal ideal contains ann."""
-    if isinstance(ann, PrincipalIdeal):
-        if ann.is_zero():
-            return None
-        roots, rest = polyutil.rational_roots(ann.generator_poly())
-        return [r for r, _ in roots]
-    points = _presentation_points(algebra)
-    if points is None:
-        return None
-    out = []
-    for factor_point in points:
-        maxi = point_ideal(algebra, factor_point)
-        if all(maxi.contains(b) for b in ann.basis_elements()):
-            out.append(factor_point)
-    return out
-
-
-def _verify_closure(ann, algebra: Algebra) -> bool:
-    if isinstance(ann, PrincipalIdeal):
-        return True  # principal ideals are ideals by construction
-    for b in ann.basis_elements():
-        for j in algebra.basis_indices():
-            if not ann.contains(b * algebra.basis_element(j)):
-                return False
-    return True
-
-
-def _generators(ann) -> list[AlgebraElement]:
-    if ann is None:
-        return []
-    return ann.basis_elements() if isinstance(ann, Ideal) else [ann.generator]
+def _report(ann, support, notes=()) -> AnnihilatorReport:
+    return AnnihilatorReport(ann, ann.generators(), support, ann.is_closed(),
+                             tuple(notes))
 
 
 # -- module handles ---------------------------------------------------------
@@ -263,14 +228,13 @@ class VermaHandle(_HighestWeightHandle):
 
     def annihilator(self) -> AnnihilatorReport:
         # free over the lowering half, so every presentation point supports it
-        alg = self.algebra
-        ann = Ideal(alg, []) if alg.is_finite else PrincipalIdeal(alg, alg.zero())
-        support = _presentation_points(alg)
+        ann = ideal_closure([self.algebra.zero()])
+        support = ann.points()
         notes = [] if support is not None else ["no point presentation; "
                                                 "support unavailable"]
         notes.append("Verma modules are free over the lowering half; "
                      "their annihilator is zero")
-        return AnnihilatorReport(ann, [], support, True, tuple(notes))
+        return _report(ann, support, notes)
 
 
 class IrreducibleQuotientHandle(_HighestWeightHandle):
@@ -286,22 +250,19 @@ class IrreducibleQuotientHandle(_HighestWeightHandle):
         notes: list[str] = []
         if alg.is_finite:
             ann = largest_v0_ideal(phi)
-            support = _support_of_ideal(ann, alg)
+            support = ann.points()
             if support is None:
                 notes.append("no point presentation; support unavailable")
             if ann.is_whole():
                 support = []
                 notes.append("trivial module: annihilator is the whole algebra")
-            return AnnihilatorReport(ann, ann.basis_elements(), support,
-                                     _verify_closure(ann, alg), tuple(notes))
+            return _report(ann, support, notes)
         verdict = check_quasifinite(phi)
         if verdict.certified and verdict.witness is not None:
             ann = verdict.witness
-            roots, rest = polyutil.rational_roots(ann.generator_poly())
-            if polyutil.degree(rest) > 0:
+            if polyutil.degree(polyutil.rational_roots(ann.generator_poly())[1]) > 0:
                 notes.append("annihilator has irrational factors; support incomplete")
-            return AnnihilatorReport(ann, [ann.generator], [r for r, _ in roots],
-                                     True, tuple(notes))
+            return _report(ann, ann.points(), notes)
         notes.append("no certified annihilator within the window")
         return AnnihilatorReport(None, [], None, False, tuple(notes))
 
@@ -369,14 +330,10 @@ class IntSeriesEvalHandle(ModuleHandle):
         return WeightTable(s, (lo, hi), mult, truncated, tuple(notes))
 
     def annihilator(self) -> AnnihilatorReport:
-        alg = self.algebra
         if self.point is None:
-            return AnnihilatorReport(
-                Ideal(alg, []), [], None, True,
-                ("one-dimensional algebra: evaluation is the identity",))
-        ann = point_ideal(alg, self.point)
-        return AnnihilatorReport(ann, _generators(ann), [self.point],
-                                 _verify_closure(ann, alg))
+            return _report(Ideal(self.algebra, []), None,
+                           ("one-dimensional algebra: evaluation is the identity",))
+        return _report(point_ideal(self.algebra, self.point), [self.point])
 
     def act(self, x, v):
         self.algebra.require_compatible(x.algebra)
@@ -443,22 +400,16 @@ class GeneralizedEvalHandle(ModuleHandle):
 
     def annihilator(self) -> AnnihilatorReport:
         # the order-th power of the point ideal, plus the lifted inner ideal
-        alg = self.algebra
-        inner_report = annihilator_support(self.inner)
-        mpow = ideal_power(point_ideal(alg, self.point), self.order)
-        ann = mpow
-        if isinstance(inner_report.ideal, Ideal) and isinstance(mpow, Ideal):
-            gens = mpow.basis_elements() + [
-                self.projection.lift(b) for b in inner_report.ideal.basis_elements()]
-            if gens:
-                ann = ideal_closure(gens)
+        mpow = ideal_power(point_ideal(self.algebra, self.point), self.order)
+        gens = mpow.generators() + [self.projection.lift(g) for g in
+                                    annihilator_support(self.inner).ideal.generators()]
+        ann = ideal_closure(gens) if gens else mpow
         notes = [f"contains the order-{self.order} power of the point ideal"]
         support = [self.point]
-        if isinstance(ann, Ideal) and ann.is_whole():
+        if ann.is_whole():
             support = []
             notes.append("trivial module: annihilator is the whole algebra")
-        return AnnihilatorReport(ann, _generators(ann), support,
-                                 _verify_closure(ann, alg), tuple(notes))
+        return _report(ann, support, notes)
 
     def act(self, x, v):
         self.algebra.require_compatible(x.algebra)
@@ -537,30 +488,20 @@ class TensorHandle(ModuleHandle):
         return WeightTable(self.base_weight(), (lo, hi), mult, truncated, notes)
 
     def annihilator(self) -> AnnihilatorReport:
-        # the intersection of the factors' ideals, when they are of one flavor
+        # the intersection of the factors' ideals; the factors share one
+        # algebra, hence one flavor, so only an uncertified factor has none
         reports = [annihilator_support(f) for f in self.factors]
-        support: list[Fraction] | None = []
-        for r in reports:
-            if r.support is None:
-                support = None
-                break
-            support.extend(p for p in r.support if p not in support)
-        ideals = [r.ideal for r in reports]
-        notes = []
-        ann = None
-        if (all(isinstance(i, Ideal) for i in ideals)
-                or all(isinstance(i, PrincipalIdeal) for i in ideals)):
-            ann = ideals[0]
-            for i in ideals[1:]:
-                ann = ideal_intersection(ann, i)
-        else:
-            notes.append("mixed factor annihilators; no common ideal computed")
-        notes.append("intersection of factor annihilators "
-                     "(exact when supports are disjoint)")
-        return AnnihilatorReport(ann, _generators(ann),
-                                 sorted(support) if support is not None else None,
-                                 ann is not None and _verify_closure(ann, self.algebra),
-                                 tuple(notes))
+        supports = [r.support for r in reports]
+        support = None if None in supports else sorted(set().union(*supports))
+        intersection = ("intersection of factor annihilators "
+                        "(exact when supports are disjoint)")
+        if any(r.ideal is None for r in reports):
+            return AnnihilatorReport(None, [], support, False, (
+                "mixed factor annihilators; no common ideal computed", intersection))
+        ann = reports[0].ideal
+        for r in reports[1:]:
+            ann = ideal_intersection(ann, r.ideal)
+        return _report(ann, support, (intersection,))
 
 
 _HANDLE_CLASSES = {cls.variant: cls for cls in (
@@ -578,10 +519,6 @@ def local_quotient(algebra: Algebra, point, order: int) -> tuple[Algebra, Quotie
     order = int(order)
     if order < 1:
         raise ValueError("order must be positive")
-    key = ("local_quotient", point, order)
-    cached = algebra._caches.get(key)
-    if cached is not None:
-        return cached
     if algebra.kind == "product_local":
         match = next((o for p, o in algebra.factors if p == point), None)
         if match is None or match < order:
@@ -592,17 +529,8 @@ def local_quotient(algebra: Algebra, point, order: int) -> tuple[Algebra, Quotie
     elif algebra.kind not in ("polynomial", "laurent"):
         raise UnsupportedKind("local quotients need a monomial-based algebra")
     target = Algebra.product_local([(point, order)])
-    reduce = reduction_map(algebra, polyutil.ppow((-point, Fraction(1)), order))
-
-    def project(x: AlgebraElement) -> AlgebraElement:
-        return target.from_poly(reduce(x))
-
-    def lift(y: AlgebraElement) -> AlgebraElement:
-        return algebra.from_poly(y.as_poly())
-
-    qmap = QuotientMap(algebra, target, project, lift)
-    algebra._caches[key] = (target, qmap)
-    return target, qmap
+    return target, polynomial_quotient(
+        algebra, target, polyutil.ppow((-point, Fraction(1)), order))
 
 
 def project_lie(projection: QuotientMap, x: LieElement) -> LieElement:

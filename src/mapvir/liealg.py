@@ -23,18 +23,26 @@ from .scalars import as_scalar, format_scalar, join_signed
 MODE_MAX_DEFAULT = 64
 
 
-def mode_max() -> int:
-    """The |n| bound on stored modes; override with MAPVIR_MODE_MAX."""
-    raw = os.environ.get("MAPVIR_MODE_MAX")
+def _read_mode_max(raw: str | None) -> int | str:
+    """The bound MAPVIR_MODE_MAX sets, or why the value is invalid."""
     if raw is None:
         return MODE_MAX_DEFAULT
     try:
         value = int(raw)
     except ValueError:
-        raise ModeRangeError(f"MAPVIR_MODE_MAX={raw!r} is not an integer") from None
-    if value < 1:
-        raise ModeRangeError("MAPVIR_MODE_MAX must be positive")
-    return value
+        return f"MAPVIR_MODE_MAX={raw!r} is not an integer"
+    return value if value >= 1 else "MAPVIR_MODE_MAX must be positive"
+
+
+# read once, at import; an invalid value is reported when a mode is checked
+_MODE_MAX = _read_mode_max(os.environ.get("MAPVIR_MODE_MAX"))
+
+
+def mode_max() -> int:
+    """The |n| bound on stored modes; override with MAPVIR_MODE_MAX."""
+    if isinstance(_MODE_MAX, str):
+        raise ModeRangeError(_MODE_MAX)
+    return _MODE_MAX
 
 
 def _check_mode(n: int) -> int:
@@ -189,12 +197,12 @@ def grade_decompose(x: LieElement) -> list[GradeComponent]:
     return comps
 
 
-def format_lie_element(x: LieElement, plain_scalars: bool = True) -> str:
+def format_lie_element(x: LieElement) -> str:
     """Render, e.g. "-4*d[0] + 1/2*c" over Q or "d[-1]*(t) + c*(1/2)" in general."""
     parts: list[tuple[bool, str]] = []  # (negative, body without sign)
 
     def push(coeff: AlgebraElement, symbol: str):
-        scalar = _as_plain_scalar(coeff) if plain_scalars else None
+        scalar = _as_plain_scalar(coeff)
         if scalar is not None:
             neg = scalar < 0
             mag = abs(scalar)

@@ -12,9 +12,6 @@ from typing import Iterable
 
 Scalar = Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def as_scalar(value) -> Fraction:
     """Coerce an int, string or Fraction to a Fraction.  Floats are rejected."""

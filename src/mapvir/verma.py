@@ -605,37 +605,29 @@ def check_quasifinite(phi: Functional, bound: int | None = None,
                               candidate=candidate if rung == "fallback" else None)
 
 
-def largest_d0_ideal(phi: Functional) -> Ideal:
-    """The largest ideal J with phi(d_0 (x) J) = 0 (finite algebras).
-
-    Computed as the kernel of f -> (phi(d_0 (x) f e_j))_j, which is already
-    an ideal: f in the kernel forces every multiple into it.
-    """
+def _largest_killed_ideal(phi: Functional, evals, name: str) -> Ideal:
+    """The kernel of f -> (ev(f e_j))_{j, ev}, which is already an ideal: f in
+    the kernel forces every multiple into it."""
     alg = phi.algebra
     if not alg.is_finite:
-        raise UnsupportedKind("largest_d0_ideal needs a finite-dimensional algebra")
+        raise UnsupportedKind(f"{name} needs a finite-dimensional algebra")
     dim = alg.dim
-    rows = [[phi.eval_d0(alg.basis_product(i, j)) for i in range(dim)]
-            for j in range(dim)]
-    ker = linalg.kernel(rows, dim)
-    ideal = Ideal(alg, ker)
-    for b in ideal.basis_elements():
-        for j in range(dim):
-            if not ideal.contains(b * alg.basis_element(j)):
-                raise AssertionError("kernel failed ideal stability")  # unreachable
+    rows = [[ev(alg.basis_product(i, j)) for i in range(dim)]
+            for j in range(dim) for ev in evals]
+    ideal = Ideal(alg, linalg.kernel(rows, dim))
+    if not ideal.is_closed():
+        raise AssertionError("kernel failed ideal stability")  # unreachable
     return ideal
+
+
+def largest_d0_ideal(phi: Functional) -> Ideal:
+    """The largest ideal J with phi(d_0 (x) J) = 0 (finite algebras)."""
+    return _largest_killed_ideal(phi, (phi.eval_d0,), "largest_d0_ideal")
 
 
 def largest_v0_ideal(phi: Functional) -> Ideal:
     """The largest ideal J with phi(Vir_0 (x) J) = 0 (finite algebras)."""
-    alg = phi.algebra
-    if not alg.is_finite:
-        raise UnsupportedKind("largest_v0_ideal needs a finite-dimensional algebra")
-    dim = alg.dim
-    rows = [[ev(alg.basis_product(i, j)) for i in range(dim)]
-            for j in range(dim) for ev in (phi.eval_d0, phi.eval_c)]
-    ker = linalg.kernel(rows, dim)
-    return Ideal(alg, ker)
+    return _largest_killed_ideal(phi, (phi.eval_d0, phi.eval_c), "largest_v0_ideal")
 
 
 def depth_one_vector(phi: Functional, f: AlgebraElement) -> VermaVector:

@@ -5,8 +5,9 @@ come from plain Fraction Gauss elimination, the classical Virasoro action is a
 worklist rewriter on bare mode tuples (and the action of Vir (x) A another,
 on (mode, color) letters over a hand-written product table), the zeros of the
 Kac determinant come from the h_{r,s} formula, partition counts come from the
-generating function, minimal recurrences from a per-order Hankel search, and
-ideal closures from a rank-driven worklist over the algebra's product.
+generating function, minimal recurrences from a per-order Hankel search,
+ideal closures from a rank-driven worklist over the algebra's product, and
+the order of a local piece from successive ideal powers.
 """
 
 from __future__ import annotations
@@ -122,6 +123,19 @@ def oracle_ideal_closure(gens):
             basis.append(x.to_vector())
             work.extend(x * alg.basis_element(j) for j in alg.basis_indices())
     return basis
+
+
+def oracle_minimal_order(piece, factor) -> int:
+    """Smallest N with the CRT piece vanishing on Vir_0 (x) m^N, searched by
+    forming each ideal power m^N of the factor's maximal ideal in turn."""
+    from mapvir import ideal_power
+
+    for n in range(1, factor.order + 1):
+        mpow = ideal_power(factor.maximal_ideal, n)
+        if all(piece.eval_d0(b) == 0 and piece.eval_c(b) == 0
+               for b in mpow.basis_elements()):
+            return n
+    return factor.order
 
 
 def poly_divmod_oracle(num, den):

@@ -1,9 +1,12 @@
+import ast
 import json
+import pathlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import mapvir
 from mapvir import (
     Algebra,
     AlgebraMismatch,
@@ -220,6 +223,77 @@ def test_principal_ideals_polynomial():
     # t is not a unit: (t^2) stays (t^2)
     sq = ideal_closure([alg.basis_element(2)])
     assert not sq.contains(alg.basis_element(1))
+
+
+# -- the shared ideal interface ------------------------------------------------
+
+PL = Algebra.product_local([(0, 2), (1, 1)])     # Q[t]/(t^3 - t^2)
+POLY = Algebra.polynomial((0, 12))
+LAUR = Algebra.laurent((-6, 6))
+QQ = Algebra.rationals()
+
+
+def _interface(ideal):
+    return ([format_element(g) for g in ideal.generators()], ideal.points(),
+            ideal.is_closed(), str(ideal))
+
+
+@pytest.mark.parametrize("ideal, answers", [
+    (Ideal(PL, []), ([], [0, 1], True, "(0)")),
+    (ideal_closure([PL.one()]), (["1", "t", "t^2"], [], True, "(1, t, t^2)")),
+    (ideal_closure([PL.basis_element(1)]), (["t", "t^2"], [0], True, "(t, t^2)")),
+    (ideal_closure([PL.from_poly((F(-1), F(1)))]),
+     (["-t^2 + 1", "-t^2 + t"], [1], True, "(-t^2 + 1, -t^2 + t)")),
+    (Ideal(PL, [[0, 1, 0]]), (["t"], [0], False, "(t)")),          # t*t is not in span{t}
+    (Ideal(PL, [[1, 0, -1]]), (["-t^2 + 1"], [1], False, "(-t^2 + 1)")),
+    (Ideal(QQ, []), ([], None, True, "(0)")),
+    (ideal_closure([QQ.one()]), (["1"], None, True, "(1)")),
+    (ideal_closure([POLY.zero()]), ([], None, True, "(0)")),
+    (ideal_closure([POLY.one().scale(3)]), (["1"], [], True, "(1)")),
+    (ideal_closure([POLY.from_poly((F(0), F(-2), F(2)))]),
+     (["t^2 - t"], [0, 1], True, "(t^2 - t)")),
+    (ideal_closure([POLY.from_poly((F(-2), F(0), F(1))) * POLY.from_poly((F(-3), F(1)))]),
+     (["t^3 - 3*t^2 - 2*t + 6"], [3], True, "(t^3 - 3*t^2 - 2*t + 6)")),
+    (ideal_closure([POLY.from_poly((F(4), F(-4), F(1)))]), (["t^2 - 4*t + 4"], [2], True,
+                                                            "(t^2 - 4*t + 4)")),
+    (ideal_closure([LAUR.zero()]), ([], None, True, "(0)")),
+    (ideal_closure([LAUR.element({-1: 1, 1: F(1, 2)})]), (["t^2 + 2"], [], True, "(t^2 + 2)")),
+    (ideal_closure([LAUR.element({1: -4, 2: 2})]), (["t - 2"], [2], True, "(t - 2)")),
+], ids=["pl-zero", "pl-whole", "pl-at-0", "pl-at-1", "pl-unclosed-t", "pl-unclosed-1-t2",
+        "qq-zero", "qq-whole", "poly-zero", "poly-whole", "poly-two-points",
+        "poly-irrational-factor", "poly-double-root", "laurent-zero",
+        "laurent-no-rational-point", "laurent-shifted"])
+def test_both_ideal_flavors_answer_the_same_interface(ideal, answers):
+    gens, points, closed, text = answers
+    assert _interface(ideal) == (gens, points, closed, text)
+    assert ideal.is_zero() == (gens == [])
+    assert repr(ideal) == type(ideal).__name__ + text
+    if ideal.algebra.is_finite and gens:
+        # closed exactly when the oracle's closure adds nothing to the span
+        assert (len(oracle_ideal_closure(ideal.generators())) == len(gens)) == closed
+
+
+def test_points_are_the_maximal_ideals_containing_the_ideal():
+    # points() on a finite kind agrees with containment in point_ideal
+    rng = random.Random(71)
+    alg = Algebra.product_local([(0, 2), (F(1, 2), 1), (-1, 2)])
+    for _ in range(40):
+        ideal = Ideal(alg, [[F(rng.randint(-2, 2)) for _ in range(alg.dim)]
+                            for _ in range(rng.randint(1, 2))])
+        expected = [p for p, _ in alg.factors
+                    if all(point_ideal(alg, p).contains(g) for g in ideal.generators())]
+        assert ideal.points() == expected
+
+
+def test_ideal_flavor_is_decided_only_in_algebra():
+    # evalmod, cli and classify ask an ideal for its answers, never its class
+    src = pathlib.Path(mapvir.__file__).parent
+    for name in ("evalmod.py", "cli.py", "classify.py"):
+        for node in ast.walk(ast.parse((src / name).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                named = {getattr(n, "id", None) or getattr(n, "attr", None)
+                         for arg in node.args[1:] for n in ast.walk(arg)}
+                assert not named & {"Ideal", "PrincipalIdeal"}, f"{name}:{node.lineno}"
 
 
 # -- quotients ---------------------------------------------------------------

@@ -16,10 +16,13 @@ from mapvir import (
     VermaHandle,
     classify_module,
     involute_functional,
+    local_decomposition,
     quotient_dims,
+    split_phi,
     trichotomy_profile,
 )
-from oracles import convolve
+from mapvir.classify import _minimal_order
+from oracles import convolve, oracle_minimal_order
 
 QQ = Algebra.rationals()
 SPLIT = Algebra.product_local([(0, 1), (1, 1)])
@@ -138,6 +141,34 @@ def test_classified_components_rebuild_as_handles():
     handle = GeneralizedEvalHandle(dual, comp.point, comp.order,
                                    IrreducibleQuotientHandle(comp.functional))
     assert handle.variant == "generalized_eval"
+
+
+def _planted_local_values(factors, planted, dim, rng):
+    """Values on t^0..t^{dim-1} of sum_i sum_{j < N_i} c_ij (D^j/j!)|_{a_i}:
+    the piece at a_i then vanishes exactly on (t - a_i)^k for k >= N_i."""
+    coeffs = [[F(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3)) for _ in range(n)]
+              for n in planted]
+    return {k: sum((c * math.comb(k, j) * a ** (k - j)
+                    for (a, _), cs in zip(factors, coeffs) for j, c in enumerate(cs)
+                    if j <= k), F(0))
+            for k in range(dim)}
+
+
+def test_minimal_order_matches_the_ideal_power_oracle():
+    rng = random.Random(41)
+    points = [F(0), F(1), F(-1), F(1, 2), F(3), F(-2, 3)]
+    for _ in range(40):
+        factors = [(p, rng.randint(1, 4)) for p in rng.sample(points, rng.randint(1, 2))]
+        alg = Algebra.product_local(factors)
+        planted_d0 = [rng.randint(0, n) for _, n in factors]
+        planted_c = [rng.randint(0, n) for _, n in factors]
+        phi = Functional(alg, _planted_local_values(factors, planted_d0, alg.dim, rng),
+                         _planted_local_values(factors, planted_c, alg.dim, rng))
+        for factor, piece, nd, nc in zip(local_decomposition(alg), split_phi(phi),
+                                         planted_d0, planted_c):
+            expected = max(nd, nc, 1)
+            assert _minimal_order(piece, factor) == expected
+            assert oracle_minimal_order(piece, factor) == expected
 
 
 def test_json_record():

@@ -20,6 +20,7 @@ from mapvir import (
     c_term,
     eval_act,
     highest_weight_vector,
+    ideal_closure,
     int_series_act,
     local_quotient,
     module_from_spec,
@@ -288,6 +289,34 @@ def test_annihilator_generalized_eval():
     assert not report.ideal.contains(POLY.basis_element(1))  # t survives
 
 
+@pytest.mark.parametrize("inner_cls, inner_values, generator, support", [
+    (VermaHandle, ({"1": 3, "t": F(1, 2)}, {}), (0, 0, 1), [0]),      # Ann = (t^2)
+    (IrreducibleQuotientHandle, ({"1": 1}, {}), (0, 1), [0]),          # kills t too
+    (IrreducibleQuotientHandle, ({}, {}), (1,), []),                   # trivial module
+], ids=["verma", "quotient-killing-t", "trivial"])
+def test_generalized_eval_annihilator_is_the_same_ideal_on_both_flavors(
+        inner_cls, inner_values, generator, support):
+    # Ann = m^order + the lifted inner annihilator, over Q[t] as over Q[t]/(t^3 - t^2)
+    for alg in (POLY, Algebra.product_local([(0, 2), (1, 1)])):
+        quotient, _ = local_quotient(alg, 0, 2)
+        inner = inner_cls(Functional.from_values(quotient, *inner_values))
+        report = annihilator_support(GeneralizedEvalHandle(alg, 0, 2, inner))
+        assert report.ideal == ideal_closure([alg.from_poly([F(c) for c in generator])])
+        assert report.support == support and report.closure_verified
+
+
+def test_zero_annihilator_has_no_generators_on_either_flavor():
+    spec = IntSeriesSpec(F(1, 2), F(1, 3), (-6, 6))
+    sampled = Functional.from_sequences(POLY, [F(2) ** k for k in range(6)], [F(0)] * 6)
+    split = Functional.from_values(SPLIT, {"1": 5, "t": 2}, {})
+    for handle in (TensorHandle([VermaHandle(sampled), IntSeriesEvalHandle(POLY, spec, 2)]),
+                   TensorHandle([VermaHandle(split), IntSeriesEvalHandle(SPLIT, spec, 1)]),
+                   VermaHandle(sampled), VermaHandle(split)):
+        report = annihilator_support(handle)
+        assert report.ideal.is_zero() and report.generators == []
+        assert report.to_json_dict()["annihilator_generators"] == []
+
+
 def test_annihilator_tensor_union_support():
     phi = Functional.from_values(SPLIT, {"1": 5, "t": 2}, {})
     p0, p1 = split_phi(phi)
@@ -531,7 +560,7 @@ def test_local_quotient_polynomial():
     # t^3 = (t - 2)^3 + 6t^2 - 12t + 8
     assert proj(POLY.basis_element(3)) == quotient.from_poly((F(8), F(-12), F(6)))
     assert proj.lift(quotient.basis_element(2)) == POLY.basis_element(2)
-    assert local_quotient(POLY, 2, 3)[1] is proj   # cached per algebra
+    assert local_quotient(POLY, 2, 3)[0] == quotient   # equal, not cached
 
 
 def test_local_quotient_laurent():

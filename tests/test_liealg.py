@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from mapvir import (
     d_term,
     format_lie_element,
     grade_decompose,
+    liealg,
 )
 
 
@@ -134,10 +139,32 @@ def test_mode_bound(monkeypatch):
     A = Algebra.rationals()
     with pytest.raises(ModeRangeError):
         d_term(A, 65)
-    monkeypatch.setenv("MAPVIR_MODE_MAX", "4")
+    monkeypatch.setattr(liealg, "_MODE_MAX", 4)  # MAPVIR_MODE_MAX is read at import
     with pytest.raises(ModeRangeError):
         d_term(A, 5)
     assert not d_term(A, 4).is_zero()
+
+
+@pytest.mark.parametrize("raw, answer", [
+    ("4", "mode 5 exceeds the bound |n| <= 4"),
+    ("abc", "MAPVIR_MODE_MAX='abc' is not an integer"),
+    ("0", "MAPVIR_MODE_MAX must be positive"),
+], ids=["valid", "not-an-integer", "not-positive"])
+def test_mode_bound_is_read_once_at_import(raw, answer):
+    # a later change to the environment does not move the bound, and an
+    # invalid value still raises ModeRangeError when a mode is checked
+    code = ("import os, mapvir\n"
+            "os.environ['MAPVIR_MODE_MAX'] = '64'\n"
+            "try:\n"
+            "    mapvir.d_term(mapvir.Algebra.rationals(), 5)\n"
+            "except mapvir.ModeRangeError as exc:\n"
+            "    print(exc)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, "MAPVIR_MODE_MAX": raw})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == answer
 
 
 def test_format():

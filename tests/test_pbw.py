@@ -8,23 +8,29 @@ from mapvir import (
     Algebra,
     EnvElement,
     Functional,
+    GeneralizedEvalHandle,
+    IrreducibleQuotientHandle,
     LieElement,
     NotLowering,
+    annihilator_support,
     bracket,
     c_term,
     check_verma_reducible,
+    classify_module,
     d_term,
     depth_one_vector,
     format_env,
     format_monomial,
     height_hm,
     in_maximal_submodule,
+    local_quotient,
     monomial_weight,
     pbw_basis,
     quotient_dims,
     singular_vectors,
     split_phi,
     straighten,
+    weight_multiplicities,
 )
 from oracles import colored_partition_series
 
@@ -203,6 +209,35 @@ def _depth_one_vector():
         "check_verma_reducible", "split_phi"])
 def test_verma_queries_leave_no_reference_cycle(query):
     # the algebra caches hold plain data, so an Algebra dies by refcount
+    assert _cyclic_garbage(query) == 0
+
+
+def _generalized_eval_queries():
+    P = Algebra.polynomial((0, 16))
+    quotient, _ = local_quotient(P, 0, 2)
+    psi = Functional.from_values(quotient, {"t": 1}, {"1": F(1, 2)})
+    handle = GeneralizedEvalHandle(P, 0, 2, IrreducibleQuotientHandle(psi))
+    annihilator_support(handle)
+    weight_multiplicities(handle, (-2, 0), window=(0, 2))
+
+
+def _exact_polynomial_phi():
+    P = Algebra.polynomial((0, 32))
+    return Functional.from_sequences(P, [3 * F(2) ** k for k in range(6)],
+                                     [F(2) ** k for k in range(6)],
+                                     exact_ideal=(F(-2), F(1)))
+
+
+@pytest.mark.parametrize("query", [
+    lambda: local_quotient(Algebra.polynomial((0, 16)), 2, 3),
+    _generalized_eval_queries,
+    lambda: classify_module(_fresh_phi([(0, 2), (1, 2), (F(1, 2), 1)],
+                                       {"1": 1, "t": 3, "t^3": 2}, {"t^2": 2, "t^4": -1})),
+    lambda: classify_module(_exact_polynomial_phi()),
+], ids=["local_quotient", "generalized_eval", "classify_product_local",
+        "classify_polynomial"])
+def test_ideal_queries_leave_no_reference_cycle(query):
+    # local quotients are rebuilt, not cached on the source algebra
     assert _cyclic_garbage(query) == 0
 
 
