@@ -192,17 +192,21 @@ class Algebra:
                 f"{self.kind} algebra has no finite basis; use the window")
         return range(self.dim)
 
-    def window_indices(self, window=None) -> range:
+    def window_indices(self, window=None, factors: int = 1) -> range:
         """The basis indices of a finite kind; otherwise the exponents of
-        ``window`` (default the algebra window), which must lie inside it."""
+        ``window`` (default the algebra window).  A caller multiplying up to
+        ``factors`` colors of the window [lo, hi] reaches the exponents
+        [min(lo, factors * lo), max(hi, factors * hi)], which must lie inside
+        the algebra window, so an overflow is raised before any product."""
         if self.is_finite:
             return range(self.dim)
-        lo, hi = self.window
-        if window is not None:
-            if window[0] < lo or window[1] > hi:
-                raise WindowOverflow(f"color window [{window[0]}, {window[1]}] "
-                                     f"outside window [{lo}, {hi}]")
-            lo, hi = window
+        lo, hi = self.window if window is None else window
+        reach = min(lo, factors * lo), max(hi, factors * hi)
+        if reach[0] < self.window[0] or reach[1] > self.window[1]:
+            products = f" (products of {factors} colors)" if factors > 1 else ""
+            raise WindowOverflow(f"color window [{lo}, {hi}]{products} reaches "
+                                 f"[{reach[0]}, {reach[1]}], outside window "
+                                 f"[{self.window[0]}, {self.window[1]}]")
         return range(lo, hi + 1)
 
     def check_index(self, i: int):

@@ -1,9 +1,14 @@
-"""Dense exact linear algebra over the rationals.
+"""Dense exact linear algebra over the rationals, plus one mod-p rank test.
 
 Matrices are lists of rows of Fractions (ints are accepted too).  There is
-one elimination loop, ``row_basis``: it is fraction-free on integer rows, so
-``rref`` and ``rank`` first scale each row to integers and Fractions appear
-only when ``rref`` normalizes pivots and back-substitutes.
+one exact elimination loop, ``row_basis``: it is fraction-free on integer
+rows, so ``rref`` and ``rank`` first scale each row to integers and Fractions
+appear only when ``rref`` normalizes pivots and back-substitutes.
+
+``full_rank_mod_p`` eliminates sparse integer rows over F_p for the fixed
+prime ``PRIME``.  It can only certify: an integer matrix's rank mod p never
+exceeds its rank over Q, so a full rank mod p is a full rank over Q, while
+"not shown" says nothing and callers fall back to ``row_basis``.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 Row = list[Fraction]
+
+PRIME = 2**31 - 1
 
 
 def _echelon(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
@@ -84,6 +91,32 @@ def row_basis(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
         if len(basis) == ncols:
             break
     return [basis[p] for p in sorted(basis)]
+
+
+def full_rank_mod_p(rows: Iterable[dict[int, int]], ncols: int) -> bool:
+    """True when the sparse integer rows ({column: int}) have rank ncols mod
+    ``PRIME``, hence over Q; False only means that the test did not show it.
+    Pivot rows have a leading 1, and a row is cleared lowest column first."""
+    pivots: dict[int, list[tuple[int, int]]] = {}
+    for row in rows:
+        v = {c: x % PRIME for c, x in row.items() if x % PRIME}
+        while v:
+            lead = min(v)
+            f = v.pop(lead)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(f, -1, PRIME)
+                pivots[lead] = [(c, x * inv % PRIME) for c, x in v.items()]
+                break
+            for c, x in piv:
+                y = (v.get(c, 0) - f * x) % PRIME
+                if y:
+                    v[c] = y
+                else:  # f and x are units, so c was in v
+                    del v[c]
+        if len(pivots) == ncols:
+            return True
+    return len(pivots) == ncols
 
 
 def reduce_against(rref_rows: Sequence[Row], pivots: Sequence[int],

@@ -383,21 +383,26 @@ def singular_vectors(phi: Functional, depth: int, window=None) -> list[VermaVect
     Exact kernel of the stacked maps w -> (d_1 (x) e_i) w and
     w -> (d_2 (x) e_i) w over all basis directions i; d_1 and d_2 together
     generate the whole raising half, so members are annihilated by every
-    positive mode.
+    positive mode.  When one mod-p elimination certifies that the stacked
+    integer rows have full column rank, the kernel is zero and no exact
+    elimination runs.  A color window multiplies up to depth + 1 of its
+    colors, which must stay inside the algebra window.
     """
     if depth < 1:
         raise ValueError("singular vectors live at positive depth")
     alg = phi.algebra
+    colors = alg.window_indices(window, factors=depth + 1)
     basis = pbw_basis(depth, alg, window=window)
-    rows: list[list[int]] = []
+    rows: list[dict] = []
     for mode in (1, 2):
-        if depth - mode < 0:
-            continue
-        for b in alg.window_indices(window):
-            rows.extend([row.get(col, 0) for col in range(len(basis))]
-                        for row in _action_rows(phi, mode, b, basis).values())
+        if depth - mode >= 0:
+            for b in colors:
+                rows += _action_rows(phi, mode, b, basis).values()
+    if linalg.full_rank_mod_p(rows, len(basis)):
+        return []
     out = []
-    for vec in linalg.kernel(rows, len(basis)):
+    dense = [[row.get(col, 0) for col in range(len(basis))] for row in rows]
+    for vec in linalg.kernel(dense, len(basis)):
         terms = {mono: c for mono, c in zip(basis, vec) if c != 0}
         out.append(VermaVector(phi, EnvElement(alg, terms)))
     return out
@@ -411,7 +416,11 @@ def module_dims(algebra: Algebra, max_depth: int, window=None) -> tuple[int, ...
 
 def pairing_matrix(phi: Functional, depth: int, window=None) -> list[list[Fraction]]:
     """Matrix of v-coefficients <X, Y> = coeff_v(X * Y v) over raising/lowering
-    monomials of the given weight, one suffix-sharing raising walk per Y."""
+    monomials of the given weight, one suffix-sharing raising walk per Y.
+
+    X and Y together carry up to 2 * depth colors of the window, and the walk
+    multiplies them all, so that product bound is checked before any work."""
+    phi.algebra.window_indices(window, factors=2 * depth)
     basis = pbw_basis(depth, phi.algebra, window=window)
     # one walk per column Y; each walk's chains are dropped before the next
     cols = [list(_v_coefficients(phi, {y_mono: Fraction(1)}, basis)) for y_mono in basis]
@@ -438,14 +447,21 @@ def quotient_dims(phi: Functional, max_depth: int, window=None) -> tuple[int, ..
     full rank spans V_{n-mode}, so its block has the row space of A_{mode,b}
     itself and the product is skipped.  The action is integer throughout.
 
+    Every answer is exact.  A layer counts as full only when one mod-p
+    elimination of its integer rows certifies it (rank mod p never exceeds
+    rank over Q) or when the exact ``row_basis`` finds it full; every other
+    layer is ranked by ``row_basis``.  At a generic weight no layer needs it.
+
     Over the windowed polynomial and Laurent kinds the radical is tested
     against raising monomials whose colors stay in the window.  Products of
     windowed colors leave the window, so the generator recursion would
     compute a different subspace; these kinds keep the pairing rank, whose
-    window restriction can only shrink it.
+    window restriction can only shrink it.  Its 2 * max_depth color product
+    bound is checked before any depth is computed.
     """
     if phi.algebra.is_finite:
         return _layered_quotient_dims(phi, max_depth)
+    phi.algebra.window_indices(window, factors=2 * max_depth)  # before any depth
     return tuple(linalg.rank(pairing_matrix(phi, n, window=window))
                  for n in range(max_depth + 1))
 
@@ -454,37 +470,49 @@ def _layered_quotient_dims(phi: Functional, max_depth: int) -> tuple[int, ...]:
     """The Q_n recursion of ``quotient_dims``; only Q_{n-1}, Q_{n-2} stay alive.
 
     Rows are kept as integer echelon bases: scaling a row does not move the
-    kernel, so each action block arrives scaled to integers.
+    kernel, so each action block arrives scaled to integers.  A layer of full
+    rank is kept as None.  Until the first deficient depth every block is a
+    sparse A_{mode,b}, and one mod-p elimination certifies most layers full;
+    a layer it does not certify gets the exact ``row_basis``.  Past the first
+    deficient depth the test is skipped, since Rad stays nonzero: it is a
+    submodule and d_{-1} (x) 1 acts injectively on the Verma module.
     """
     alg = phi.algebra
     colors = list(alg.basis_indices())
     dims = []
-    layers: list = []  # (basis positions, Q) at depths n-2 and n-1
+    layers: list = []  # (basis positions, Q or None if full) at depths n-2 and n-1
+    deficient = False
     for n in range(max_depth + 1):
         basis = pbw_basis(n, alg)
-        rows = [[1]] if n == 0 else []
+        width = len(basis)
+        sparse = [{0: 1}] if n == 0 else []  # the A blocks under full layers
+        products = []  # dense Q A blocks under deficient layers
         for mode, (tpos, q_prev) in zip((1, 2), reversed(layers)):
-            if not q_prev:
+            if q_prev == []:  # Q_{n-mode} = 0 adds no rows
                 continue
             for b in colors:
                 action = _action_rows(phi, mode, b, basis)
-                if len(q_prev) == len(tpos):
+                if q_prev is None:
                     # Q_{n-mode} spans V_{n-mode}: Q A has the row space of A
-                    rows += [[a_row.get(col, 0) for col in range(len(basis))]
-                             for a_row in action.values()]
+                    sparse += action.values()
                     continue
                 action = [(tpos[m2], a_row) for m2, a_row in action.items()]
                 for q_row in q_prev:
-                    row = [0] * len(basis)
+                    row = [0] * width
                     for t, a_row in action:
                         x = q_row[t]
                         if x:
                             for col, c in a_row.items():
                                 row[col] += x * c
-                    rows.append(row)
-        q = linalg.row_basis(rows, len(basis))
-        dims.append(len(q))
-        layers = layers[-1:] + [({mono: i for i, mono in enumerate(basis)}, q)]
+                    products.append(row)
+        q = None
+        if deficient or not linalg.full_rank_mod_p(sparse, width):
+            dense = [[row.get(col, 0) for col in range(width)] for row in sparse]
+            q = linalg.row_basis(products + dense, width)
+            deficient = len(q) < width
+        dims.append(len(q) if deficient else width)
+        positions = {mono: i for i, mono in enumerate(basis)}
+        layers = layers[-1:] + [(positions, q if deficient else None)]
     return tuple(dims)
 
 

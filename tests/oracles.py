@@ -6,8 +6,10 @@ worklist rewriter on bare mode tuples (and the action of Vir (x) A another,
 on (mode, color) letters over a hand-written product table), the zeros of the
 Kac determinant come from the h_{r,s} formula, partition counts come from the
 generating function, minimal recurrences from a per-order Hankel search,
-ideal closures from a rank-driven worklist over the algebra's product, and
-the order of a local piece from successive ideal powers.
+ideal closures from a rank-driven worklist over the algebra's product, the
+order of a local piece from successive ideal powers, and the quotient
+characters of Q[t]/t^N Verma modules with one top-degree zero from a
+closed form.
 """
 
 from __future__ import annotations
@@ -192,6 +194,19 @@ def colored_partition_series(colors: int, max_n: int) -> list[int]:
                 j += 1
         series = nxt
     return [int(x) for x in series]
+
+
+def top_zero_dims(order: int, n0: int, max_n: int) -> list[int]:
+    """Coefficients of (1 - q^{n0}) prod_{k>=1} (1 - q^k)^(-order) through
+    q^max_n: the graded dimensions of V(phi)/Rad over Q[t]/t^order when the
+    top-degree values lambda = phi(d_0 (x) t^{order-1}), kappa = phi(c (x)
+    t^{order-1}) make -2 n lambda + (n^3 - n) kappa / 12 vanish at n = n0
+    only, i.e. lambda = (n0^2 - 1) kappa / 24 with kappa != 0.  Observed on
+    planted cases with n0 >= 2, not proved; at n0 = 1 the lower-degree
+    values can cut the quotient further.
+    """
+    series = colored_partition_series(order, max_n)
+    return [series[n] - (series[n - n0] if n >= n0 else 0) for n in range(max_n + 1)]
 
 
 def virasoro_apply(modes, h, cprime) -> dict[tuple, Fraction]:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -119,3 +120,28 @@ def test_rref_and_rank_eliminate_through_row_basis(monkeypatch):
     assert calls == [2]
     assert linalg.rank(rows) == 2
     assert calls == [2, 2]
+
+
+def test_certificate_prime_is_prime():
+    assert linalg.PRIME == 2**31 - 1
+    assert all(linalg.PRIME % d for d in range(2, math.isqrt(linalg.PRIME) + 1))
+
+
+def test_determinant_equal_to_the_prime_is_not_certified():
+    # det = PRIME: full rank over Q, rank 1 mod PRIME
+    sparse = [{0: 1}, {1: linalg.PRIME}]
+    assert not linalg.full_rank_mod_p(sparse, 2)
+    assert len(linalg.row_basis([[1, 0], [0, linalg.PRIME]], 2)) == 2
+    assert not linalg.full_rank_mod_p([{0: 3, 1: 1}, {0: linalg.PRIME + 3, 1: 1}], 2)
+
+
+@pytest.mark.parametrize("rows, ncols, full", [
+    ([], 0, True),
+    ([], 2, False),
+    ([{}, {1: 5}], 2, False),
+    ([{0: 2, 2: -1}, {1: 7}, {0: 4, 1: 7, 2: -2}], 3, False),
+    ([{0: 2, 2: -1}, {1: 7}, {0: 4, 1: 7, 2: 5}], 3, True),
+    ([{0: -1}, {0: 1}, {0: 2, 1: -3}], 2, True),
+])
+def test_full_rank_mod_p_small_cases(rows, ncols, full):
+    assert linalg.full_rank_mod_p(rows, ncols) == full

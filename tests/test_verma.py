@@ -41,6 +41,7 @@ from oracles import (
     oracle_rank,
     partitions,
     rocha_caridi_dims,
+    top_zero_dims,
 )
 
 QQ = Algebra.rationals()
@@ -338,20 +339,163 @@ def _parity_cases():
 PARITY_CASES = _parity_cases()
 
 
-def test_row_basis_matches_oracle_rank():
+def _low_rank_matrices():
+    """Seeded integer matrices (rows, ncols) of rank at most 4."""
     rng = random.Random(1207)
     for _ in range(40):
         nrows, ncols, rank = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 4)
         left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(nrows)]
         right = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rank)]
-        rows = [[sum(a * b for a, b in zip(lrow, col)) for col in zip(*right)] or [0] * ncols
-                for lrow in left]
+        yield [[sum(a * b for a, b in zip(lrow, col)) for col in zip(*right)] or [0] * ncols
+               for lrow in left], ncols
+
+
+def test_row_basis_matches_oracle_rank():
+    for rows, ncols in _low_rank_matrices():
         basis = linalg.row_basis(rows, ncols)
         assert len(basis) == oracle_rank(rows)
         leads = [next(j for j, x in enumerate(b) if x) for b in basis]
         assert leads == sorted(set(leads)) and all(b[j] > 0 for b, j in zip(basis, leads))
         # same row space: stacking the basis onto the rows adds no rank
         assert oracle_rank(rows + basis) == len(basis)
+
+
+def test_seeded_rank_deficient_matrices_are_never_certified():
+    deficient = 0
+    for rows, ncols in _low_rank_matrices():
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        full = oracle_rank(rows) == ncols
+        deficient += not full
+        # a deficient matrix is never certified; these small full ones are
+        assert linalg.full_rank_mod_p(sparse, ncols) == full
+    assert deficient > 20
+
+
+def test_uncertified_full_layer_falls_back_to_row_basis(monkeypatch):
+    # d_1 d_{-1} v = -2 phi(d_0) v = -PRIME v: the depth-1 layer has full rank
+    # over Q and rank 0 mod PRIME, so only row_basis can call it full
+    h, c = F(-linalg.PRIME, 2), F(1, 3)
+    assert not kac_vanishes(h, c, 5)
+    answers = []
+    real = linalg.full_rank_mod_p
+
+    def recording(rows, ncols):
+        rows = list(rows)
+        answers.append((rows, real(rows, ncols)))
+        return answers[-1][1]
+
+    monkeypatch.setattr(linalg, "full_rank_mod_p", recording)
+    assert quotient_dims(Functional.classical(-h, c), 5) == (1, 1, 2, 3, 5, 7)
+    assert answers[1] == ([{0: -linalg.PRIME}], False)
+    assert len(answers) == 6
+
+
+def _without_certificate(monkeypatch):
+    monkeypatch.setattr(linalg, "full_rank_mod_p", lambda rows, ncols: False)
+
+
+@pytest.mark.parametrize("name", PARITY_CASES)
+def test_results_do_not_depend_on_the_certificate(name, monkeypatch):
+    phi, depth = PARITY_CASES[name]
+    singular_depth = min(depth, 4)
+    certified = (quotient_dims(phi, depth),
+                 [singular_vectors(phi, n) for n in range(1, singular_depth + 1)])
+    _without_certificate(monkeypatch)
+    assert certified == (quotient_dims(phi, depth),
+                         [singular_vectors(phi, n) for n in range(1, singular_depth + 1)])
+
+
+@pytest.mark.parametrize("name", MINIMAL_MODELS)
+def test_rocha_caridi_without_the_certificate(name, monkeypatch):
+    _without_certificate(monkeypatch)
+    (p, pp, r, s), _ = MINIMAL_MODELS[name]
+    assert list(quotient_dims(_minimal_model_phi(name), 14)) == rocha_caridi_dims(p, pp, r, s, 14)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("phi, depth", [
+    (Functional.classical(F(2, 7), F(5, 3)), 10),
+    # top form -2 n / 3 + (n^3 - n) / 30 vanishes only at n^2 = 21
+    (Functional(DUAL, {0: F(2, 7), 1: F(1, 3)}, {0: F(5, 3), 1: F(2, 5)}), 6),
+    (Functional(GAUSS, {0: F(2, 7), 1: F(1, 3)}, {0: F(5, 3), 1: F(2, 5)}), 6),
+], ids=["classical", "dual", "gauss"])
+def test_generic_weights_make_no_exact_elimination(phi, depth, monkeypatch):
+    row_basis_calls = _counting(monkeypatch, linalg, "row_basis")
+    kernel_calls = _counting(monkeypatch, linalg, "kernel")
+    colors = phi.algebra.dim
+    assert list(quotient_dims(phi, depth)) == colored_partition_series(colors, depth)
+    assert all(singular_vectors(phi, n) == [] for n in range(1, 5))
+    assert row_basis_calls == [] and kernel_calls == []
+
+
+def test_certificate_stops_at_the_first_deficient_depth(monkeypatch):
+    calls = _counting(monkeypatch, linalg, "full_rank_mod_p")
+    # Ising sigma has its singular vector at depth 2
+    assert quotient_dims(_minimal_model_phi("ising_sigma"), 8) == (1, 1, 1, 2, 2, 3, 4, 5, 6)
+    assert [ncols for _, ncols in calls] == [1, 1, 2]
+
+
+# planted functionals on which the closed form fails: (order, n0, d0, c, dims),
+# dims from the layered engine, equal to the exact pairing rank
+CLOSED_FORM_EXCEPTIONS = {
+    "order2_n0_1": (2, 1, {0: F(1, 2), 1: F(0)}, {0: F(0), 1: F(-3)}, [1, 1, 2, 4]),
+    "order3_n0_5": (3, 5, {0: F(2), 1: F(-1, 2), 2: F(-1, 2)},
+                    {0: F(1), 1: F(-1, 2), 2: F(-1, 2)}, [1, 3, 9, 22, 51, 106]),
+}
+
+
+def _planted_top_zeros():
+    """(order, n0, depth, functional) over Q[t]/t^order with random lower
+    values and lambda = (n0^2 - 1) kappa / 24 on the top basis vector; 24
+    draws with n0 >= 2, less any listed in CLOSED_FORM_EXCEPTIONS."""
+    rng = random.Random(1409)
+    plan = [(2, n0, 8) for n0 in (2, 3, 4, 5, 6, 7, 8, 2, 3, 4, 5, 6)]
+    plan += [(3, n0, 5) for n0 in (2, 3, 4, 5, 2, 3, 4, 5, 2, 3, 4, 5)]
+    exceptions = [(d0, c) for _, _, d0, c, _ in CLOSED_FORM_EXCEPTIONS.values()]
+    cases = []
+    for order, n0, depth in plan:
+        kappa = F(rng.choice((-1, 1)) * rng.randint(1, 3), rng.choice((1, 2)))
+        d0, c = ({i: F(rng.randint(-3, 3), rng.choice((1, 2))) for i in range(order - 1)}
+                 for _ in range(2))
+        d0[order - 1], c[order - 1] = (n0 * n0 - 1) * kappa / 24, kappa
+        if (d0, c) not in exceptions:
+            alg = Algebra.product_local([(0, order)])
+            cases.append((order, n0, depth, Functional(alg, d0, c)))
+    return cases
+
+
+@pytest.mark.parametrize("order, n0, depth, phi", _planted_top_zeros(),
+                         ids=lambda x: x if isinstance(x, int) else "phi")
+def test_top_zero_quotient_dims_match_closed_form(order, n0, depth, phi):
+    # deficient layers from depth n0 on run the exact row_basis fallback
+    assert list(quotient_dims(phi, depth)) == top_zero_dims(order, n0, depth)
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_EXCEPTIONS)
+def test_top_zero_closed_form_exceptions(name):
+    order, n0, d0, c, dims = CLOSED_FORM_EXCEPTIONS[name]
+    phi = Functional(Algebra.product_local([(0, order)]), d0, c)
+    depth = len(dims) - 1
+    assert list(quotient_dims(phi, depth)) == dims != top_zero_dims(order, n0, depth)
+    if order == 2:
+        alg, table, _ = COLORED_CASES["dual"]
+        for n in range(depth + 1):
+            basis = pbw_basis(n, alg)
+            pairing = [[colored_virasoro_apply(list(x) + [(-m, b) for m, b in y],
+                                               table, d0, c).get((), 0) for y in basis]
+                       for x in basis]
+            assert oracle_rank(pairing) == dims[n]
 
 
 @pytest.mark.parametrize("name", PARITY_CASES)
@@ -629,12 +773,32 @@ PHI4 = Functional.from_sequences(POLY4, [F(1), F(2)], [F(3), F(6)], exact_ideal=
     lambda: singular_vectors(PHI4, 1, window=WIDE),
     lambda: in_maximal_submodule(depth_one_vector(PHI4, POLY4.one()), window=WIDE),
     lambda: verma._is_singular(depth_one_vector(PHI4, POLY4.one()), window=WIDE),
+    lambda: Algebra.laurent((-3, 3)).window_indices((-1, 1), factors=4),
+    lambda: Algebra.laurent((-3, 3)).window_indices((-2, 0), factors=2),
+    lambda: POLY4.window_indices((0, 2), factors=3),
 ], ids=["window_indices", "laurent_below", "pbw_basis", "pbw_basis_weight0",
         "module_dims", "pairing_matrix", "quotient_dims", "singular_vectors",
-        "in_maximal_submodule", "is_singular"])
+        "in_maximal_submodule", "is_singular", "laurent_products", "laurent_products_below",
+        "polynomial_products"])
 def test_color_window_past_algebra_window_raises(call):
     with pytest.raises(WindowOverflow):
         call()
+
+
+def test_pairing_product_bound_raises_before_any_action(monkeypatch):
+    calls = _counting(monkeypatch, verma, "_act_basis")
+    L = Algebra.laurent((-3, 3))
+    phi = Functional(L, {k: F(k + 5, 3) for k in L.window_indices()},
+                     {k: F(1, k + 5) for k in L.window_indices()})
+    # depth 3 raising and lowering multiply 6 colors of [-1, 1], reaching [-6, 6]
+    for call in (lambda: pairing_matrix(phi, 3, window=(-1, 1)),
+                 lambda: quotient_dims(phi, 3, window=(-1, 1)),
+                 lambda: singular_vectors(phi, 3, window=(-1, 1))):
+        with pytest.raises(WindowOverflow, match="products of"):
+            call()
+    assert calls == []
+    assert len(pairing_matrix(phi, 1, window=(-1, 1))) == 3
+    assert calls
 
 
 def test_color_window_inside_algebra_window():
@@ -642,6 +806,11 @@ def test_color_window_inside_algebra_window():
     assert POLY4.window_indices((0, 2)) == range(0, 3)
     assert Algebra.laurent((-3, 3)).window_indices((-3, -1)) == range(-3, 0)
     assert DUAL.window_indices((5, 9)) == range(2)  # finite kinds use their basis
+    # products of up to `factors` colors stay inside the algebra window
+    assert Algebra.laurent((-3, 3)).window_indices((-1, 1), factors=3) == range(-1, 2)
+    assert POLY4.window_indices((0, 2), factors=2) == range(0, 3)
+    assert POLY4.window_indices((0, 0), factors=9) == range(0, 1)
+    assert DUAL.window_indices((5, 9), factors=9) == range(2)
 
 
 # -- quasifiniteness ----------------------------------------------------------
