@@ -46,6 +46,7 @@ from .verma import (
     check_verma_reducible,
     functional_from_spec,
     functional_to_spec,
+    module_dims,
     quotient_dims,
     singular_vectors,
     split_phi,
@@ -142,7 +143,7 @@ def _cmd_verma(args) -> int:
     if args.n is None:
         raise ValueError("verma queries need a depth: -n N")
     if args.dims:
-        dims = [len(pbw_basis(n, alg)) for n in range(args.n + 1)]
+        dims = list(module_dims(alg, args.n))
         if args.format == "json":
             _emit_json({"module_dims": dims, "metadata": _metadata(alg)})
         else:

@@ -27,7 +27,7 @@ from .algebra import (
     PrincipalIdeal,
     local_decomposition,
 )
-from .errors import AlgebraMismatch, UnsupportedKind
+from .errors import AlgebraMismatch, UnsupportedKind, WindowOverflow
 from .liealg import LieElement, central_scalar, d_term
 from .pbw import (
     EnvElement,
@@ -383,13 +383,17 @@ def singular_vectors(phi: Functional, depth: int, window=None) -> list[VermaVect
     Exact kernel of the stacked maps w -> (d_1 (x) e_i) w and
     w -> (d_2 (x) e_i) w over all basis directions i; d_1 and d_2 together
     generate the whole raising half, so members are annihilated by every
-    positive mode.  When one mod-p elimination certifies that the stacked
-    integer rows have full column rank, the kernel is zero and no exact
-    elimination runs.  A color window multiplies up to depth + 1 of its
-    colors, which must stay inside the algebra window.
+    positive mode.  A singular vector lies in Rad, so on finite kinds a depth
+    below ``_first_reducible_depth`` returns [] with no action built.  When
+    one mod-p elimination certifies that the stacked integer rows have full
+    column rank, the kernel is zero and no exact elimination runs.  A color
+    window multiplies up to depth + 1 of its colors, which must stay inside
+    the algebra window.
     """
     if depth < 1:
         raise ValueError("singular vectors live at positive depth")
+    if depth < _first_reducible_depth(phi, depth):
+        return []  # a singular vector at positive depth lies in Rad
     alg = phi.algebra
     colors = alg.window_indices(window, factors=depth + 1)
     basis = pbw_basis(depth, alg, window=window)
@@ -410,6 +414,7 @@ def singular_vectors(phi: Functional, depth: int, window=None) -> list[VermaVect
 
 def module_dims(algebra: Algebra, max_depth: int, window=None) -> tuple[int, ...]:
     """Graded dimensions of the Verma module itself (colored partitions)."""
+    _check_depth(max_depth)
     return tuple(len(pbw_basis(n, algebra, window=window))
                  for n in range(max_depth + 1))
 
@@ -447,18 +452,23 @@ def quotient_dims(phi: Functional, max_depth: int, window=None) -> tuple[int, ..
     full rank spans V_{n-mode}, so its block has the row space of A_{mode,b}
     itself and the product is skipped.  The action is integer throughout.
 
-    Every answer is exact.  A layer counts as full only when one mod-p
-    elimination of its integer rows certifies it (rank mod p never exceeds
-    rank over Q) or when the exact ``row_basis`` finds it full; every other
-    layer is ranked by ``row_basis``.  At a generic weight no layer needs it.
+    Every answer is exact.  Layers below ``_first_reducible_depth`` are full
+    by the Kac determinant or the top-degree criterion, evaluated exactly,
+    and are not built.  From that depth on a layer counts as full only when
+    one mod-p elimination of its integer rows certifies it (rank mod p never
+    exceeds rank over Q) or when the exact ``row_basis`` finds it full; every
+    other layer is ranked by ``row_basis``.  At a generic weight over a
+    product_local algebra or Q no layer is built at all.
 
     Over the windowed polynomial and Laurent kinds the radical is tested
     against raising monomials whose colors stay in the window.  Products of
     windowed colors leave the window, so the generator recursion would
     compute a different subspace; these kinds keep the pairing rank, whose
     window restriction can only shrink it.  Its 2 * max_depth color product
-    bound is checked before any depth is computed.
+    bound is checked before any depth is computed.  A negative max_depth
+    raises ValueError.
     """
+    _check_depth(max_depth)
     if phi.algebra.is_finite:
         return _layered_quotient_dims(phi, max_depth)
     phi.algebra.window_indices(window, factors=2 * max_depth)  # before any depth
@@ -466,25 +476,37 @@ def quotient_dims(phi: Functional, max_depth: int, window=None) -> tuple[int, ..
                  for n in range(max_depth + 1))
 
 
+def _check_depth(max_depth: int):
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
+
+
 def _layered_quotient_dims(phi: Functional, max_depth: int) -> tuple[int, ...]:
     """The Q_n recursion of ``quotient_dims``; only Q_{n-1}, Q_{n-2} stay alive.
 
     Rows are kept as integer echelon bases: scaling a row does not move the
     kernel, so each action block arrives scaled to integers.  A layer of full
-    rank is kept as None.  Until the first deficient depth every block is a
-    sparse A_{mode,b}, and one mod-p elimination certifies most layers full;
-    a layer it does not certify gets the exact ``row_basis``.  Past the first
-    deficient depth the test is skipped, since Rad stays nonzero: it is a
-    submodule and d_{-1} (x) 1 acts injectively on the Verma module.
+    rank is kept as None.  Below ``_first_reducible_depth`` every layer is
+    full by theorem and nothing is built.  From there until the first
+    deficient depth every block is a sparse A_{mode,b}, and one mod-p
+    elimination certifies most layers full; a layer it does not certify gets
+    the exact ``row_basis``.  Past the first deficient depth the test is
+    skipped, since Rad stays nonzero: it is a submodule and d_{-1} (x) 1 acts
+    injectively on the Verma module.
     """
     alg = phi.algebra
     colors = list(alg.basis_indices())
+    first = _first_reducible_depth(phi, max_depth)
     dims = []
     layers: list = []  # (basis positions, Q or None if full) at depths n-2 and n-1
     deficient = False
     for n in range(max_depth + 1):
         basis = pbw_basis(n, alg)
         width = len(basis)
+        if n < first:  # full by theorem: nothing is built
+            dims.append(width)
+            layers = layers[-1:] + [(None, None)]
+            continue
         sparse = [{0: 1}] if n == 0 else []  # the A blocks under full layers
         products = []  # dense Q A blocks under deficient layers
         for mode, (tpos, q_prev) in zip((1, 2), reversed(layers)):
@@ -516,15 +538,80 @@ def _layered_quotient_dims(phi: Functional, max_depth: int) -> tuple[int, ...]:
     return tuple(dims)
 
 
+def _first_reducible_depth(phi: Functional, max_depth: int) -> int:
+    """The least depth n <= max_depth at which Rad_n can be nonzero;
+    max_depth + 1 when the theorems below prove Rad = 0 through max_depth,
+    and 0 when none applies (every kind but product_local and the
+    one-dimensional algebra Q).
+
+    V(phi) is the tensor product of the Verma modules of its CRT pieces, so
+    the answer is the least depth over the local factors (a, N).  With
+    s = t - a and e the factor's idempotent, a piece is reducible first at a
+    depth read off lambda = phi(d_0 (x) e s^{N-1}), kappa = phi(c (x) e s^{N-1}):
+
+    * N = 1 is the Virasoro algebra at h = -lambda, c = kappa.  Its Kac
+      determinant at depth n vanishes iff h = h_{r,s}(c) for some rs <= n
+      (Kac 1978; Feigin-Fuchs 1984).
+    * N >= 2 vanishes first at the least n with
+      -2 n lambda + (n^3 - n) kappa / 12 = 0 (B. J. Wilson, "Highest-weight
+      theory for truncated current Lie algebras", J. Algebra 336, 2011).
+
+    e s^{N-1} = s^{N-1} r(t) / r(a), r the product of the other factors'
+    moduli: it is s^{N-1} modulo s^N, zero modulo every other factor and of
+    degree below dim, so no idempotent and no ideal is formed.
+    """
+    alg = phi.algebra
+    if alg.kind == "product_local":
+        tops = []
+        for a, order in alg.factors:
+            top, r_a = polyutil.ppow((-a, Fraction(1)), order - 1), Fraction(1)
+            for b, m in alg.factors:
+                if b != a:
+                    top = polyutil.pmul(top, polyutil.ppow((-b, Fraction(1)), m))
+                    r_a *= (a - b) ** m
+            tops.append((order, polyutil.pscale(top, 1 / r_a)))
+    elif alg.kind == "structure_constants" and alg.dim == 1:
+        tops = [(1, alg.one().to_vector())]
+    else:
+        return 0
+    first = max_depth + 1
+    for order, top in tops:
+        lam, kappa = (sum(x * value(k) for k, x in enumerate(top) if x)
+                      for value in (phi.value_d0, phi.value_c))
+        u = (13 - kappa) / 6
+        for n in range(1, first):
+            if (24 * n * lam == (n ** 3 - n) * kappa if order > 1 else
+                    any(_kac_pair_vanishes(-lam, u, r, n // r)
+                        for r in range(1, math.isqrt(n) + 1) if n % r == 0)):
+                first = n
+                break
+    return first
+
+
+def _kac_pair_vanishes(h: Fraction, u: Fraction, r: int, s: int) -> bool:
+    """Is h one of h_{r,s}(c), h_{s,r}(c), where u = t + 1/t = (13 - c) / 6?
+    h_{r,s} = ((rt - s)^2 - (t - 1)^2) / 4t = (a t + b/t - d) / 4 with the
+    integers a, b, d below, so the pair are the roots of
+    16 h^2 - 4 ((a + b) u - 2d) h + ab (u^2 - 2) + a^2 + b^2 - d (a + b) u + d^2,
+    tested here times the denominators of h and u: no square root is taken."""
+    hn, hd, un, ud = h.numerator, h.denominator, u.numerator, u.denominator
+    a, b, d = r * r - 1, s * s - 1, 2 * (r * s - 1)
+    return 16 * hn * hn * ud * ud == 4 * hn * hd * ud * ((a + b) * un - 2 * d * ud) - hd * hd * (
+        a * b * (un * un - 2 * ud * ud) + (a * a + b * b + d * d) * ud * ud - d * (a + b) * un * ud)
+
+
 def in_maximal_submodule(v: VermaVector, window=None) -> bool:
     """Is the vector in the maximal proper submodule (zero image in V(phi))?
 
     Tests the v-coefficient of X * v for every raising monomial X of matching
-    weight (window-restricted for infinite algebras).
+    weight (window-restricted for infinite algebras).  X carries up to depth
+    colors, and their products with the vector's colors are bounded before
+    any action.
     """
     if v.is_zero():
         return True
     phi = v.functional
+    _check_products(v, window, single=False)
     raising = pbw_basis(v.depth, phi.algebra, window=window)
     return not any(_v_coefficients(phi, v.env.terms, raising))
 
@@ -664,8 +751,37 @@ def depth_one_vector(phi: Functional, f: AlgebraElement) -> VermaVector:
     return VermaVector(phi, EnvElement(phi.algebra, terms))
 
 
+def _check_products(v: VermaVector, window, single: bool):
+    """Raise WindowOverflow before any action when raising v by colors of the
+    window, one raising letter if ``single`` else any raising word of v's
+    depth, could form a product outside the algebra window (infinite kinds).
+
+    Every product the action forms multiplies raising colors into a nonempty
+    set L of letters (m, b) of one monomial of v.  A raising letter has
+    mode >= 1 and meets another only inside a lowering letter, so up to
+    sum_L m colors of a word meet L: the reach is additive over the letters.
+    """
+    alg = v.functional.algebra
+    if alg.is_finite:
+        return
+    lo, hi = alg.window if window is None else window
+    reach = []
+    for mono in filter(None, v.env.terms):  # v itself meets no raising color
+        for color, pick in ((lo, min), (hi, max)):
+            # colors past 0 on this side add up, one per mode; else one suffices
+            spread = not single and pick(color, 0) == color != 0
+            weights = [b + m * color if spread else b for m, b in mono]
+            gains = [w for w in weights if pick(w, 0) == w != 0]
+            reach.append((sum(gains) if gains else pick(weights)) + (0 if spread else color))
+    if reach and (min(reach) < alg.window[0] or max(reach) > alg.window[1]):
+        raise WindowOverflow(f"raising colors of [{lo}, {hi}] reach [{min(reach)}, "
+                             f"{max(reach)}] on this vector, outside window "
+                             f"[{alg.window[0]}, {alg.window[1]}]")
+
+
 def _is_singular(v: VermaVector, window=None) -> bool:
     alg = v.functional.algebra
+    _check_products(v, window, single=True)
     return not any(verma_act(d_term(alg, mode, alg.basis_element(b)), v)
                    for mode in (1, 2) for b in alg.window_indices(window))
 

@@ -52,6 +52,12 @@ def test_verma_dims_example(capsys):
     assert out.strip() == "1 1 2 3 5 7"
 
 
+def test_verma_negative_depth_exits_1(capsys):
+    code, out, err = run_cli(capsys, "verma", "--dims", "-n", "-3")
+    assert code == 1 and out == ""
+    assert "nonnegative" in err
+
+
 def test_verma_quotient_dims(capsys, tmp_path):
     phi = tmp_path / "phi.json"
     phi.write_text(json.dumps({"d0": {"1": "5/7"}, "c": {"1": "2"}}))

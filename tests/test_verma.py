@@ -301,6 +301,8 @@ def test_raising_walk_computes_each_suffix_once(monkeypatch):
 GAUSS = Algebra.structure_constants(                # Q(i): e_1 e_1 = -e_0
     [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]], (1, 0), labels=("1", "i"))
 CUBIC = Algebra.product_local([(0, 3)])            # Q[t]/(t^3)
+QXQ = Algebra.structure_constants(                  # Q x Q: orthogonal idempotents
+    [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], (1, 1))
 
 # (p, p', r, s) of the minimal model and the expected (h_{r,s}, c)
 MINIMAL_MODELS = {
@@ -371,11 +373,17 @@ def test_seeded_rank_deficient_matrices_are_never_certified():
     assert deficient > 20
 
 
+def _without_skip(monkeypatch):
+    monkeypatch.setattr(verma, "_first_reducible_depth", lambda phi, max_depth: 0)
+
+
 def test_uncertified_full_layer_falls_back_to_row_basis(monkeypatch):
     # d_1 d_{-1} v = -2 phi(d_0) v = -PRIME v: the depth-1 layer has full rank
-    # over Q and rank 0 mod PRIME, so only row_basis can call it full
+    # over Q and rank 0 mod PRIME, so only row_basis can call it full; the
+    # Kac determinant proves every layer full, so the skip is turned off
     h, c = F(-linalg.PRIME, 2), F(1, 3)
     assert not kac_vanishes(h, c, 5)
+    _without_skip(monkeypatch)
     answers = []
     real = linalg.full_rank_mod_p
 
@@ -396,13 +404,19 @@ def _without_certificate(monkeypatch):
 
 @pytest.mark.parametrize("name", PARITY_CASES)
 def test_results_do_not_depend_on_the_certificate(name, monkeypatch):
+    _assert_parity_without(_without_certificate, name, monkeypatch)
+
+
+def _assert_parity_without(disable, name, monkeypatch):
+    """quotient_dims and singular_vectors (to depth 4) on a PARITY_CASES
+    entry are the same after ``disable(monkeypatch)``."""
     phi, depth = PARITY_CASES[name]
     singular_depth = min(depth, 4)
-    certified = (quotient_dims(phi, depth),
-                 [singular_vectors(phi, n) for n in range(1, singular_depth + 1)])
-    _without_certificate(monkeypatch)
-    assert certified == (quotient_dims(phi, depth),
-                         [singular_vectors(phi, n) for n in range(1, singular_depth + 1)])
+    before = (quotient_dims(phi, depth),
+              [singular_vectors(phi, n) for n in range(1, singular_depth + 1)])
+    disable(monkeypatch)
+    assert before == (quotient_dims(phi, depth),
+                      [singular_vectors(phi, n) for n in range(1, singular_depth + 1)])
 
 
 @pytest.mark.parametrize("name", MINIMAL_MODELS)
@@ -429,7 +443,12 @@ def _counting(monkeypatch, module, name):
     # top form -2 n / 3 + (n^3 - n) / 30 vanishes only at n^2 = 21
     (Functional(DUAL, {0: F(2, 7), 1: F(1, 3)}, {0: F(5, 3), 1: F(2, 5)}), 6),
     (Functional(GAUSS, {0: F(2, 7), 1: F(1, 3)}, {0: F(5, 3), 1: F(2, 5)}), 6),
-], ids=["classical", "dual", "gauss"])
+    # the pieces e_0, e_1 are classical at (2/7, 5/3) and (1/3, 2/5)
+    (Functional(QXQ, {0: F(2, 7), 1: F(1, 3)}, {0: F(5, 3), 1: F(2, 5)}), 5),
+    # top form -2 n / 8 + (n^3 - n) / 36 vanishes only at n^2 = 10
+    (Functional(CUBIC, {0: F(2, 7), 1: F(1, 3), 2: F(1, 8)},
+                {0: F(5, 3), 1: F(2, 5), 2: F(1, 3)}), 4),
+], ids=["classical", "dual", "gauss", "q_times_q", "cubic"])
 def test_generic_weights_make_no_exact_elimination(phi, depth, monkeypatch):
     row_basis_calls = _counting(monkeypatch, linalg, "row_basis")
     kernel_calls = _counting(monkeypatch, linalg, "kernel")
@@ -440,10 +459,111 @@ def test_generic_weights_make_no_exact_elimination(phi, depth, monkeypatch):
 
 
 def test_certificate_stops_at_the_first_deficient_depth(monkeypatch):
+    _without_skip(monkeypatch)  # the skip leaves only depth 2 to test
     calls = _counting(monkeypatch, linalg, "full_rank_mod_p")
     # Ising sigma has its singular vector at depth 2
     assert quotient_dims(_minimal_model_phi("ising_sigma"), 8) == (1, 1, 1, 2, 2, 3, 4, 5, 6)
     assert [ncols for _, ncols in calls] == [1, 1, 2]
+
+
+def test_skip_runs_the_engine_from_the_first_reducible_depth(monkeypatch):
+    calls = _counting(monkeypatch, linalg, "full_rank_mod_p")
+    actions = _counting(monkeypatch, verma, "_action_rows")
+    # h_{1,2} = 1/16 at c = 1/2: depths 0 and 1 are full by the Kac determinant
+    assert quotient_dims(_minimal_model_phi("ising_sigma"), 8) == (1, 1, 1, 2, 2, 3, 4, 5, 6)
+    assert [ncols for _, ncols in calls] == [2]
+    assert actions and all(len(basis) >= 2 for _, _, _, basis in actions)  # depth >= 2
+    calls.clear()
+    actions.clear()
+    # a generic weight builds no layer and no singular-vector action at all
+    phi = Functional(DUAL, {0: F(2, 7), 1: F(1, 3)}, {0: F(5, 3), 1: F(2, 5)})
+    assert list(quotient_dims(phi, 6)) == colored_partition_series(2, 6)
+    assert all(singular_vectors(phi, n) == [] for n in range(1, 5))
+    assert calls == [] and actions == []
+
+
+@pytest.mark.parametrize("name", PARITY_CASES)
+def test_results_do_not_depend_on_the_skip(name, monkeypatch):
+    _assert_parity_without(_without_skip, name, monkeypatch)
+
+
+def _local_functional(factors, d0_local, c_local):
+    """The product_local functional whose CRT piece at (a, N) takes the value
+    mu_j on (t - a)^j, j < N: t^k = sum_j binom(k, j) a^(k-j) (t - a)^j, so
+    phi(t^k) is the sum over the pieces of sum_j binom(k, j) a^(k-j) mu_j."""
+    alg = Algebra.product_local(factors)
+
+    def value(local, k):
+        return sum((math.comb(k, j) * F(a) ** (k - j) * mu[j] for (a, _), mu in zip(factors, local)
+                    for j in range(min(len(mu), k + 1))), F(0))
+
+    return Functional(alg, *({k: value(local, k) for k in range(alg.dim)}
+                             for local in (d0_local, c_local)))
+
+
+def _planted_local_cases():
+    """(label, functional, depth): seeded values on the CRT pieces of four
+    layouts, generic or with one piece planted on a Kac zero h_{r,s}, rs = n0
+    (order 1, rational t), or on a top-degree zero
+    lambda = (n0^2 - 1) kappa / 24 (order >= 2)."""
+    rng = random.Random(1511)
+    layouts = [((0, 3),), ((0, 2), (1, 1)), ((0, 1), (2, 1), (-1, 1)), ((F(1, 2), 3),)]
+    cases = []
+    for factors in layouts:
+        for plant in [None] + [(i, n0) for i in range(len(factors)) for n0 in (1, 2, 3, 4)]:
+            d0, c = ([[F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+                       for _ in range(n)] for _, n in factors] for _ in range(2))
+            if plant is not None:
+                i, n0 = plant
+                if factors[i][1] == 1:
+                    r = rng.choice([r for r in range(1, n0 + 1) if n0 % r == 0])
+                    t = rng.choice((F(4, 3), F(-2, 3), F(5, 2), F(2), F(-1)))
+                    c[i][0] = 13 - 6 * (t + 1 / t)
+                    d0[i][0] = -((r * t - n0 // r) ** 2 - (t - 1) ** 2) / (4 * t)
+                else:
+                    d0[i][-1] = (n0 * n0 - 1) * c[i][-1] / 24
+            layout = ",".join(f"{a}^{n}" for a, n in factors)
+            label = f"{layout}-" + ("generic" if plant is None else "{}-at-{}".format(*plant))
+            cases.append((label, _local_functional(factors, d0, c), 4))
+    return cases
+
+
+PLANTED_LOCAL = _planted_local_cases()
+
+
+def test_planted_local_corpus_covers_both_criteria():
+    first = [verma._first_reducible_depth(phi, depth) for _, phi, depth in PLANTED_LOCAL]
+    assert len(PLANTED_LOCAL) == 32
+    assert 0 not in first and {1, 2, 3, 4, 5} <= set(first)
+
+
+@pytest.mark.parametrize("label, phi, depth", PLANTED_LOCAL,
+                         ids=[label for label, _, _ in PLANTED_LOCAL])
+def test_skip_is_exact_on_planted_local_functionals(label, phi, depth, monkeypatch):
+    first = verma._first_reducible_depth(phi, depth)
+    skipped = (quotient_dims(phi, depth),
+               [singular_vectors(phi, n) for n in range(1, depth)])
+    _without_skip(monkeypatch)
+    dims = quotient_dims(phi, depth)
+    assert skipped == (dims, [singular_vectors(phi, n) for n in range(1, depth)])
+    # the predicted depth is the engine's first deficient one
+    full = module_dims(phi.algebra, depth)
+    assert first == next((n for n in range(depth + 1) if dims[n] < full[n]), depth + 1)
+
+
+def test_order_one_criterion_matches_the_kac_oracle():
+    weights = [F(0), F(1, 16), F(-1, 4), F(1), F(2, 3), F(-5), F(3, 80)]
+    for t in (F(4, 3), F(-2, 3), F(5, 2), F(1), F(-1), F(-3, 2)):  # c = 1, 25, 26 among them
+        for r, s in ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (1, 5), (2, 2)):
+            weights.append(((r * t - s) ** 2 - (t - 1) ** 2) / (4 * t))
+    charges = [13 - 6 * (t + 1 / t) for t in (F(4, 3), F(-2, 3), F(5, 2), F(1), F(-1), F(-3, 2))]
+    charges += [F(1, 2), F(7, 10), F(-22, 5), F(0), F(3)]
+    assert {F(1), F(25), F(26)} <= set(charges)
+    for c in charges:
+        for h in weights:
+            first = verma._first_reducible_depth(Functional.classical(-h, c), 8)
+            assert [n >= first for n in range(1, 9)] == [
+                kac_vanishes(h, c, n) for n in range(1, 9)], (h, c)
 
 
 # planted functionals on which the closed form fails: (order, n0, d0, c, dims),
@@ -605,8 +725,6 @@ def _table(products):
     return table
 
 
-QXQ = Algebra.structure_constants(                  # Q x Q: orthogonal idempotents
-    [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], (1, 1))
 HALF = Algebra.product_local([(F(1, 2), 2)])       # Q[t]/((t - 1/2)^2): t^2 = t - 1/4
 
 # algebra, its products written out by hand, color window
@@ -801,6 +919,75 @@ def test_pairing_product_bound_raises_before_any_action(monkeypatch):
     assert calls
 
 
+def test_vector_product_bound_raises_before_any_action(monkeypatch):
+    calls = _counting(monkeypatch, verma, "_act_basis")
+    L = Algebra.laurent((-3, 3))
+    phi = Functional(L, {k: F(k + 5, 3) for k in L.window_indices()},
+                     {k: F(1, k + 5) for k in L.window_indices()})
+    # two raising colors of [-1, 1] meet both letters t^-2: t^-6
+    low = VermaVector(phi, EnvElement(L, {((1, -2), (1, -2)): F(1)}))
+    with pytest.raises(WindowOverflow, match="reach \\[-6, "):
+        in_maximal_submodule(low, window=(-1, 1))
+    # one raising color of [0, 1] meets t^3: t^4
+    with pytest.raises(WindowOverflow, match="reach \\[3, 4\\]"):
+        verma._is_singular(depth_one_vector(phi, L.basis_element(3)), window=(0, 1))
+    assert calls == []
+    # inside the bound both run: t^-1 t^-1 meets up to two colors of [0, 1]
+    inside = VermaVector(phi, EnvElement(L, {((1, -1), (1, -1)): F(1)}))
+    assert isinstance(in_maximal_submodule(inside, window=(0, 1)), bool)
+    assert isinstance(verma._is_singular(depth_one_vector(phi, L.basis_element(3)),
+                                         window=(0, 0)), bool)
+    assert not in_maximal_submodule(highest_weight_vector(phi), window=(-1, 1))
+    assert calls
+
+
+def _windowed_vectors():
+    """Seeded (vector, color window) pairs over small polynomial and Laurent
+    windows, many of them near the window's edge."""
+    rng = random.Random(1601)
+    out = []
+    for _ in range(60):
+        if rng.random() < 0.6:
+            alg = Algebra.laurent((-rng.randint(1, 4), rng.randint(1, 4)))
+            phi = Functional(alg, {k: rand_scalar(rng) for k in alg.window_indices()},
+                             {k: rand_scalar(rng) for k in alg.window_indices()})
+        else:
+            alg = Algebra.polynomial((0, rng.randint(2, 9)))
+            phi = Functional.from_sequences(alg, [F(1), F(3)], [F(1), F(-2)],
+                                            exact_ideal=(F(-6), F(-1), F(1)))
+        lo, hi = alg.window
+        wlo = rng.randint(lo, 0)
+        window = (wlo, rng.randint(max(wlo, 0), hi))
+        monos = pbw_basis(rng.randint(1, 3), alg)
+        terms = {m: F(rng.randint(1, 3)) for m in rng.sample(monos, min(len(monos), 2))}
+        out.append((VermaVector(phi, EnvElement(alg, terms)), window))
+    return out
+
+
+def _overflows(call) -> bool:
+    try:
+        call()
+    except WindowOverflow:
+        return True
+    return False
+
+
+def test_vector_product_bound_is_reached_by_the_full_walk():
+    refused = 0
+    for v, window in _windowed_vectors():
+        raising = pbw_basis(v.depth, v.functional.algebra, window=window)
+        # every raising monomial's walk, with no early exit
+        walk = _overflows(lambda: list(verma._v_coefficients(v.functional, v.env.terms, raising)))
+        assert _overflows(lambda: verma._check_products(v, window, single=False)) == walk
+        refused += walk
+        # one raising letter: the bound is sound
+        alg = v.functional.algebra
+        acts = _overflows(lambda: [verma_act(d_term(alg, mode, alg.basis_element(b)), v)
+                                   for mode in (1, 2) for b in alg.window_indices(window)])
+        assert _overflows(lambda: verma._check_products(v, window, single=True)) >= acts
+    assert 10 < refused < 50
+
+
 def test_color_window_inside_algebra_window():
     assert POLY4.window_indices() == range(0, 5)
     assert POLY4.window_indices((0, 2)) == range(0, 3)
@@ -811,6 +998,18 @@ def test_color_window_inside_algebra_window():
     assert POLY4.window_indices((0, 2), factors=2) == range(0, 3)
     assert POLY4.window_indices((0, 0), factors=9) == range(0, 1)
     assert DUAL.window_indices((5, 9), factors=9) == range(2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: quotient_dims(PARITY_CASES["dual"][0], -1),
+    lambda: quotient_dims(Functional.classical(F(1, 3), F(2)), -1),
+    lambda: quotient_dims(PHI4, -2, window=(0, 1)),
+    lambda: module_dims(DUAL, -2),
+    lambda: module_dims(POLY4, -1),
+], ids=["finite", "classical", "windowed", "module_dims", "module_dims_windowed"])
+def test_negative_depth_raises(call):
+    with pytest.raises(ValueError, match="nonnegative"):
+        call()
 
 
 # -- quasifiniteness ----------------------------------------------------------
