@@ -20,17 +20,7 @@ from .algebra import (
     local_decomposition,
 )
 from .classify import CONVENTION_NOTE, classify_module, trichotomy_profile
-from .errors import (
-    AlgebraMismatch,
-    ImproperIdeal,
-    InfiniteDimensionalAlgebra,
-    MapVirError,
-    MissingWindow,
-    ModeRangeError,
-    NotLowering,
-    UnsupportedKind,
-    WindowOverflow,
-)
+from .errors import AlgebraMismatch, MapVirError, MissingWindow, UnsupportedKind
 from .evalmod import (
     annihilator_support,
     module_from_spec,
@@ -55,8 +45,6 @@ from .verma import (
 VALIDATION_ERRORS = (ValueError, TypeError, KeyError, OSError,
                      json.JSONDecodeError, UnsupportedKind, MissingWindow,
                      AlgebraMismatch)
-COMPUTATIONAL_ERRORS = (WindowOverflow, ModeRangeError, NotLowering,
-                        ImproperIdeal, InfiniteDimensionalAlgebra)
 
 
 def _load_json(path: str) -> dict:
@@ -357,9 +345,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except COMPUTATIONAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

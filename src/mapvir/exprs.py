@@ -98,12 +98,12 @@ class _Parser:
             self.eat_op("+")
         value = self.term()
         if negate:
-            value = self._neg(value)
+            value = -value
         while True:
             if self.eat_op("+"):
                 value = self._add(value, self.term())
             elif self.eat_op("-"):
-                value = self._add(value, self._neg(self.term()))
+                value = self._add(value, -self.term())
             else:
                 return value
 
@@ -129,7 +129,7 @@ class _Parser:
 
     def atom(self):
         if self.eat_op("-"):
-            return self._neg(self.atom())
+            return -self.atom()
         if self.eat_op("("):
             value = self.expr()
             self.expect_op(")")
@@ -152,9 +152,6 @@ class _Parser:
         raise ValueError(f"unexpected token {(kind, val)!r}")
 
     # value arithmetic over AlgebraElement | LieElement
-
-    def _neg(self, v):
-        return -v if isinstance(v, (AlgebraElement, LieElement)) else -v
 
     def _add(self, a, b):
         if isinstance(a, LieElement) != isinstance(b, LieElement):
@@ -179,8 +176,6 @@ class _Parser:
         scalar = _as_plain_scalar(b)
         if scalar is None or scalar == 0:
             raise ValueError("division is only by nonzero scalars")
-        if isinstance(a, LieElement):
-            return a.scale(1 / scalar)
         return a.scale(1 / scalar)
 
     def _pow(self, a, n: int):

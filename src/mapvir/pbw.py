@@ -252,6 +252,18 @@ def pbw_basis(weight: int, algebra: Algebra, window=None) -> list[Monomial]:
     return out
 
 
+def colored_partition_counts(colors: int, max_n: int) -> list[int]:
+    """len(pbw_basis(n, ...)) over ``colors`` colors for n = 0..max_n: the
+    coefficients of prod_k (1 - q^k)^(-colors), one factor 1/(1 - q^k) at a
+    time."""
+    coeffs = [1] + [0] * max_n
+    for k in range(1, max_n + 1):
+        for _ in range(colors):
+            for total in range(k, max_n + 1):
+                coeffs[total] += coeffs[total - k]
+    return coeffs
+
+
 def format_monomial(mono: Monomial, algebra: Algebra) -> str:
     """Display form, e.g. "d[-2]*t . d[-1]*1"."""
     if not mono:

@@ -6,13 +6,12 @@ for identical seeds regardless of suite order.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
 from .algebra import Algebra, ideal_closure, ideal_intersection, ideal_product, local_decomposition
 from .liealg import LieElement, bracket, c_term, d_term, grade_decompose
-from .pbw import pbw_basis, straighten
+from .pbw import colored_partition_counts, pbw_basis, straighten
 
 
 def rand_scalar(rng: random.Random) -> Fraction:
@@ -45,19 +44,6 @@ def rand_lowering(rng: random.Random, algebra: Algebra, max_depth: int = 3) -> L
             n = -rng.randint(1, max_depth)
             x = x + d_term(algebra, n, rand_element(rng, algebra))
     return x
-
-
-def colored_partition_counts(colors: int, max_n: int) -> list[int]:
-    """Coefficients of prod_k (1 - q^k)^(-colors) through degree max_n."""
-    coeffs = [1] + [0] * max_n
-    for k in range(1, max_n + 1):
-        nxt = [0] * (max_n + 1)
-        for total in range(max_n + 1):
-            for j in range(total // k + 1):
-                nxt[total] += coeffs[total - j * k] * math.comb(j + colors - 1,
-                                                               colors - 1)
-        coeffs = nxt
-    return coeffs
 
 
 def _test_algebras():

@@ -35,6 +35,7 @@ from .pbw import (
     _left_mult,
     _lincomb,
     _single,
+    colored_partition_counts,
     format_env,
     monomial_weight,
     pbw_basis,
@@ -413,10 +414,14 @@ def singular_vectors(phi: Functional, depth: int, window=None) -> list[VermaVect
 
 
 def module_dims(algebra: Algebra, max_depth: int, window=None) -> tuple[int, ...]:
-    """Graded dimensions of the Verma module itself (colored partitions)."""
+    """Graded dimensions of the Verma module itself.  V(phi) is free over
+    U(V_-), so depth n has one basis vector per colored partition of n, a
+    color per index of the (color) window; they are counted by
+    ``colored_partition_counts``, not enumerated.  A window past the algebra
+    window raises first."""
     _check_depth(max_depth)
-    return tuple(len(pbw_basis(n, algebra, window=window))
-                 for n in range(max_depth + 1))
+    colors = len(algebra.window_indices(window))
+    return tuple(colored_partition_counts(colors, max_depth))
 
 
 def pairing_matrix(phi: Functional, depth: int, window=None) -> list[list[Fraction]]:
@@ -453,12 +458,13 @@ def quotient_dims(phi: Functional, max_depth: int, window=None) -> tuple[int, ..
     itself and the product is skipped.  The action is integer throughout.
 
     Every answer is exact.  Layers below ``_first_reducible_depth`` are full
-    by the Kac determinant or the top-degree criterion, evaluated exactly,
-    and are not built.  From that depth on a layer counts as full only when
-    one mod-p elimination of its integer rows certifies it (rank mod p never
-    exceeds rank over Q) or when the exact ``row_basis`` finds it full; every
-    other layer is ranked by ``row_basis``.  At a generic weight over a
-    product_local algebra or Q no layer is built at all.
+    by the Kac determinant or the top-degree criterion, evaluated exactly;
+    their widths are colored-partition counts and they are not built.  The
+    theorem's depth and every deeper layer are ranked by the exact
+    ``row_basis``.  On the algebras no theorem covers, a layer counts as full
+    when one mod-p elimination of its integer rows certifies it (rank mod p
+    never exceeds rank over Q) or when ``row_basis`` finds it full.  At a
+    generic weight over a product_local algebra or Q no layer is built at all.
 
     Over the windowed polynomial and Laurent kinds the radical is tested
     against raising monomials whose colors stay in the window.  Products of
@@ -487,8 +493,10 @@ def _layered_quotient_dims(phi: Functional, max_depth: int) -> tuple[int, ...]:
     Rows are kept as integer echelon bases: scaling a row does not move the
     kernel, so each action block arrives scaled to integers.  A layer of full
     rank is kept as None.  Below ``_first_reducible_depth`` every layer is
-    full by theorem and nothing is built.  From there until the first
-    deficient depth every block is a sparse A_{mode,b}, and one mod-p
+    full by theorem: its width is the colored-partition count and nothing is
+    built.  The theorem's own depth is deficient, so it goes straight to the
+    exact ``row_basis``.  Where no theorem applies (first = 0), every block
+    is a sparse A_{mode,b} until the first deficient depth, and one mod-p
     elimination certifies most layers full; a layer it does not certify gets
     the exact ``row_basis``.  Past the first deficient depth the test is
     skipped, since Rad stays nonzero: it is a submodule and d_{-1} (x) 1 acts
@@ -497,27 +505,24 @@ def _layered_quotient_dims(phi: Functional, max_depth: int) -> tuple[int, ...]:
     alg = phi.algebra
     colors = list(alg.basis_indices())
     first = _first_reducible_depth(phi, max_depth)
-    dims = []
-    layers: list = []  # (basis positions, Q or None if full) at depths n-2 and n-1
-    deficient = False
-    for n in range(max_depth + 1):
+    dims = colored_partition_counts(len(colors), max_depth)[:first]
+    layers: list = [None] * min(first, 2)  # depths n-2, n-1: None if full, else (positions, Q)
+    deficient = first > 0  # by theorem; row_basis decides it anyway
+    for n in range(first, max_depth + 1):
         basis = pbw_basis(n, alg)
         width = len(basis)
-        if n < first:  # full by theorem: nothing is built
-            dims.append(width)
-            layers = layers[-1:] + [(None, None)]
-            continue
         sparse = [{0: 1}] if n == 0 else []  # the A blocks under full layers
         products = []  # dense Q A blocks under deficient layers
-        for mode, (tpos, q_prev) in zip((1, 2), reversed(layers)):
-            if q_prev == []:  # Q_{n-mode} = 0 adds no rows
+        for mode, prev in zip((1, 2), reversed(layers)):
+            if prev is not None and not prev[1]:  # Q_{n-mode} = 0 adds no rows
                 continue
             for b in colors:
                 action = _action_rows(phi, mode, b, basis)
-                if q_prev is None:
+                if prev is None:
                     # Q_{n-mode} spans V_{n-mode}: Q A has the row space of A
                     sparse += action.values()
                     continue
+                tpos, q_prev = prev
                 action = [(tpos[m2], a_row) for m2, a_row in action.items()]
                 for q_row in q_prev:
                     row = [0] * width
@@ -527,14 +532,12 @@ def _layered_quotient_dims(phi: Functional, max_depth: int) -> tuple[int, ...]:
                             for col, c in a_row.items():
                                 row[col] += x * c
                     products.append(row)
-        q = None
         if deficient or not linalg.full_rank_mod_p(sparse, width):
             dense = [[row.get(col, 0) for col in range(width)] for row in sparse]
             q = linalg.row_basis(products + dense, width)
             deficient = len(q) < width
         dims.append(len(q) if deficient else width)
-        positions = {mono: i for i, mono in enumerate(basis)}
-        layers = layers[-1:] + [(positions, q if deficient else None)]
+        layers = layers[-1:] + [({mono: i for i, mono in enumerate(basis)}, q) if deficient else None]
     return tuple(dims)
 
 

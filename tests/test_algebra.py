@@ -296,6 +296,35 @@ def test_ideal_flavor_is_decided_only_in_algebra():
                 assert not named & {"Ideal", "PrincipalIdeal"}, f"{name}:{node.lineno}"
 
 
+def _imported_roots(tree):
+    """Top-level names of the modules a parsed file imports, by statement or
+    by a call such as importlib.import_module("x") or importorskip("x")."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield node.module.split(".")[0]
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
+              and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+              in ("import_module", "__import__", "importorskip")):
+            yield node.args[0].value.split(".")[0]
+
+
+def test_library_and_tests_import_no_scratch_only_packages():
+    # sympy and hypothesis may serve scratch cross-checks, never src/ or tests/
+    roots = (pathlib.Path(mapvir.__file__).parent.parent, pathlib.Path(__file__).parent)
+    files = [path for root in roots for path in sorted(root.rglob("*.py"))]
+    assert any(path.name == "verma.py" for path in files)
+    assert any(path.name == "oracles.py" for path in files)
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not set(_imported_roots(tree)) & {"sympy", "hypothesis"}, path.name
+    planted = ast.parse("import sympy.core\nfrom hypothesis import given\n"
+                        "pytest.importorskip('sympy')")
+    assert sorted(_imported_roots(planted)) == ["hypothesis", "sympy", "sympy"]
+
+
 # -- quotients ---------------------------------------------------------------
 
 def test_quotient_monomial():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from mapvir import cli, errors
 from mapvir.cli import main
 from mapvir.scalars import format_scalar, parse_scalar
 
@@ -225,6 +226,19 @@ def test_exit_code_window_overflow(capsys, tmp_path):
                            "d[1]*(t^2)", "d[-1]*(t)")
     assert code == 2
     assert "window" in err.lower()
+
+
+@pytest.mark.parametrize("exc, code", [
+    (ValueError, 1), (errors.UnsupportedKind, 1), (errors.MissingWindow, 1),
+    (errors.AlgebraMismatch, 1), (errors.WindowOverflow, 2), (errors.ModeRangeError, 2),
+    (errors.NotLowering, 2), (errors.ImproperIdeal, 2), (errors.InfiniteDimensionalAlgebra, 2),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_exit_code_by_error_class(capsys, monkeypatch, exc, code):
+    def failing(args):
+        raise exc("planted")
+
+    monkeypatch.setattr(cli, "_cmd_bracket", failing)
+    assert run_cli(capsys, "bracket", "d[1]", "d[-1]") == (code, "", "error: planted\n")
 
 
 @pytest.mark.parametrize("command", [("check", "--quasifinite"),

@@ -28,7 +28,7 @@ from mapvir import (
     split_phi,
     verma_act,
 )
-from mapvir import linalg, polyutil, recurrence, verma
+from mapvir import linalg, pbw, polyutil, recurrence, verma
 from oracles import (
     classical_pairing_matrix,
     classical_singular_dim,
@@ -173,6 +173,37 @@ def test_action_respects_bracket():
 def test_module_dims_match_partitions():
     assert module_dims(QQ, 8) == tuple(colored_partition_series(1, 8))
     assert module_dims(DUAL, 8) == tuple(colored_partition_series(2, 8))
+
+
+@pytest.mark.parametrize("alg, window, colors", [
+    (Algebra.polynomial((0, 4)), None, 5),
+    (Algebra.polynomial((0, 4)), (1, 3), 3),
+    (Algebra.laurent((-3, 3)), None, 7),
+    (Algebra.laurent((-3, 3)), (-1, 0), 2),
+], ids=["polynomial", "polynomial_narrow", "laurent", "laurent_narrow"])
+def test_module_dims_on_windowed_kinds(alg, window, colors):
+    dims = module_dims(alg, 6, window=window)
+    assert dims == tuple(colored_partition_series(colors, 6))
+    assert dims == tuple(len(pbw_basis(n, alg, window=window)) for n in range(7))
+
+
+def test_widths_are_counted_not_enumerated(monkeypatch):
+    calls = _counting(monkeypatch, verma, "pbw_basis")
+    direct = _counting(monkeypatch, pbw, "pbw_basis")
+    for alg in (QQ, DUAL, CUBIC, GAUSS, POLY4, LAUR):
+        assert module_dims(alg, 8) == tuple(colored_partition_series(len(alg.window_indices()), 8))
+    assert calls == [] and direct == []
+    # the engine enumerates a layer only from the first reducible depth on
+    cases = [(phi, depth) for _, phi, depth in PLANTED_LOCAL]
+    cases += [(_minimal_model_phi(name), 8) for name in MINIMAL_MODELS]
+    built = 0
+    for phi, depth in cases:
+        calls.clear()
+        quotient_dims(phi, depth)
+        first = verma._first_reducible_depth(phi, depth)
+        assert all(n >= first for n, *_ in calls)
+        built += len(calls)
+    assert built
 
 
 def test_quotient_dims_generic():
@@ -430,9 +461,9 @@ def _counting(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)
     return calls
@@ -471,7 +502,7 @@ def test_skip_runs_the_engine_from_the_first_reducible_depth(monkeypatch):
     actions = _counting(monkeypatch, verma, "_action_rows")
     # h_{1,2} = 1/16 at c = 1/2: depths 0 and 1 are full by the Kac determinant
     assert quotient_dims(_minimal_model_phi("ising_sigma"), 8) == (1, 1, 1, 2, 2, 3, 4, 5, 6)
-    assert [ncols for _, ncols in calls] == [2]
+    assert calls == []  # depth 2 is deficient by theorem and goes to row_basis
     assert actions and all(len(basis) >= 2 for _, _, _, basis in actions)  # depth >= 2
     calls.clear()
     actions.clear()
@@ -480,6 +511,19 @@ def test_skip_runs_the_engine_from_the_first_reducible_depth(monkeypatch):
     assert list(quotient_dims(phi, 6)) == colored_partition_series(2, 6)
     assert all(singular_vectors(phi, n) == [] for n in range(1, 5))
     assert calls == [] and actions == []
+
+
+def test_certificate_runs_only_where_no_theorem_applies(monkeypatch):
+    calls = _counting(monkeypatch, linalg, "full_rank_mod_p")
+    for _, phi, depth in PLANTED_LOCAL:
+        quotient_dims(phi, depth)
+    for name in MINIMAL_MODELS:
+        quotient_dims(_minimal_model_phi(name), 10)
+    assert calls == []
+    # Q(i) is covered by no theorem, so its layers are certified mod p
+    phi, depth = PARITY_CASES["gauss"]
+    quotient_dims(phi, depth)
+    assert calls
 
 
 @pytest.mark.parametrize("name", PARITY_CASES)
@@ -894,10 +938,11 @@ PHI4 = Functional.from_sequences(POLY4, [F(1), F(2)], [F(3), F(6)], exact_ideal=
     lambda: Algebra.laurent((-3, 3)).window_indices((-1, 1), factors=4),
     lambda: Algebra.laurent((-3, 3)).window_indices((-2, 0), factors=2),
     lambda: POLY4.window_indices((0, 2), factors=3),
+    lambda: module_dims(Algebra.laurent((-3, 3)), 2, window=(-4, 0)),
 ], ids=["window_indices", "laurent_below", "pbw_basis", "pbw_basis_weight0",
         "module_dims", "pairing_matrix", "quotient_dims", "singular_vectors",
         "in_maximal_submodule", "is_singular", "laurent_products", "laurent_products_below",
-        "polynomial_products"])
+        "polynomial_products", "module_dims_laurent"])
 def test_color_window_past_algebra_window_raises(call):
     with pytest.raises(WindowOverflow):
         call()
