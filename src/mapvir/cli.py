@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Subcommands: bracket, pbw, verma, check, split, module, classify, selftest.
-Reports are JSON (machine-readable, stable key order) or text/TSV; every JSON
-report carries algebra, basis-order and convention metadata.  Exit status 0
-on success, 1 on validation errors (bad files, bad expressions), 2 on
-computational errors (window overflow, mode range).
+Each handler builds its report as a payload dict, plus a plain rendering
+where it has one, and hands both to ``_emit``, the one place that prints a
+report: the plain form unless --format is json, else the payload with the
+algebra, basis-order and convention metadata as JSON with sorted keys.
+bracket, pbw and verma default to text; module --weights renders TSV for
+--format tsv; check, split, module and classify are JSON in every format.
+Exit status 0 on success, 1 on validation errors (bad files, bad
+expressions), 2 on computational errors (window overflow, mode range).
 """
 
 from __future__ import annotations
@@ -13,12 +17,7 @@ import argparse
 import json
 import sys
 
-from .algebra import (
-    Algebra,
-    algebra_from_spec,
-    algebra_to_spec,
-    local_decomposition,
-)
+from .algebra import Algebra, algebra_from_spec, algebra_to_spec
 from .classify import CONVENTION_NOTE, classify_module, trichotomy_profile
 from .errors import AlgebraMismatch, MapVirError, MissingWindow, UnsupportedKind
 from .evalmod import (
@@ -65,8 +64,13 @@ def _metadata(algebra: Algebra) -> dict:
             "mode_max": mode_max()}
 
 
-def _emit_json(payload: dict):
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(args, alg: Algebra, payload: dict, text: str | None = None):
+    """Print one report: ``text`` when the handler has a plain rendering and
+    --format is not json, else ``payload`` with the metadata as sorted JSON."""
+    if text is not None and args.format != "json":
+        print(text)
+    else:
+        print(json.dumps({**payload, "metadata": _metadata(alg)}, indent=2, sort_keys=True))
 
 
 def _witness_str(ideal) -> str | None:
@@ -83,14 +87,9 @@ def _parse_offsets(text: str) -> tuple[int, int]:
 
 def _cmd_bracket(args) -> int:
     alg = _load_algebra(args.algebra)
-    x = parse_lie_element(args.x, alg)
-    y = parse_lie_element(args.y, alg)
-    result = bracket(x, y)
-    if args.format == "json":
-        _emit_json({"result": format_lie_element(result),
-                    "metadata": _metadata(alg)})
-    else:
-        print(format_lie_element(result))
+    result = format_lie_element(bracket(parse_lie_element(args.x, alg),
+                                        parse_lie_element(args.y, alg)))
+    _emit(args, alg, {"result": result}, result)
     return 0
 
 
@@ -99,29 +98,16 @@ def _cmd_pbw(args) -> int:
     if args.basis:
         if args.n is None:
             raise ValueError("pbw --basis needs -n N")
-        monomials = pbw_basis(args.n, alg)
-        if args.format == "json":
-            _emit_json({"weight": args.n,
-                        "count": len(monomials),
-                        "monomials": [format_monomial(m, alg) for m in monomials],
-                        "metadata": _metadata(alg)})
-        else:
-            print(len(monomials))
-            for m in monomials:
-                print(format_monomial(m, alg))
+        monomials = [format_monomial(m, alg) for m in pbw_basis(args.n, alg)]
+        _emit(args, alg, {"weight": args.n, "count": len(monomials), "monomials": monomials},
+              "\n".join([str(len(monomials)), *monomials]))
         return 0
     if args.straighten is not None:
-        word = parse_word(args.straighten, alg)
-        env = straighten(word)
+        env = straighten(parse_word(args.straighten, alg))
         height, hm = height_hm(env)
-        if args.format == "json":
-            _emit_json({"normal_form": format_env(env),
-                        "height": height,
-                        "highest_term": format_env(hm),
-                        "metadata": _metadata(alg)})
-        else:
-            print(format_env(env))
-            print(f"height {height}; hm {format_env(hm)}")
+        normal_form, highest = format_env(env), format_env(hm)
+        _emit(args, alg, {"normal_form": normal_form, "height": height, "highest_term": highest},
+              f"{normal_form}\nheight {height}; hm {highest}")
         return 0
     raise ValueError("pbw needs --basis N or --straighten WORD")
 
@@ -132,35 +118,20 @@ def _cmd_verma(args) -> int:
         raise ValueError("verma queries need a depth: -n N")
     if args.dims:
         dims = list(module_dims(alg, args.n))
-        if args.format == "json":
-            _emit_json({"module_dims": dims, "metadata": _metadata(alg)})
-        else:
-            print(" ".join(str(d) for d in dims))
+        _emit(args, alg, {"module_dims": dims}, " ".join(map(str, dims)))
         return 0
     if args.phi is None:
         raise ValueError("this verma query needs -phi FILE")
     phi = functional_from_spec(alg, _load_json(args.phi))
     if args.quotient_dims:
         dims = list(quotient_dims(phi, args.n))
-        if args.format == "json":
-            _emit_json({"quotient_dims": dims,
-                        "functional": functional_to_spec(phi),
-                        "metadata": _metadata(alg)})
-        else:
-            print(" ".join(str(d) for d in dims))
+        _emit(args, alg, {"quotient_dims": dims, "functional": functional_to_spec(phi)},
+              " ".join(map(str, dims)))
         return 0
     if args.singular:
-        vectors = singular_vectors(phi, args.n)
-        payload = {"depth": args.n,
-                   "dimension": len(vectors),
-                   "vectors": [f"({format_env(v.env)}) v" for v in vectors],
-                   "metadata": _metadata(alg)}
-        if args.format == "json":
-            _emit_json(payload)
-        else:
-            print(payload["dimension"])
-            for s in payload["vectors"]:
-                print(s)
+        vectors = [f"({format_env(v.env)}) v" for v in singular_vectors(phi, args.n)]
+        _emit(args, alg, {"depth": args.n, "dimension": len(vectors), "vectors": vectors},
+              "\n".join([str(len(vectors)), *vectors]))
         return 0
     raise ValueError("verma needs one of --dims, --quotient-dims, --singular")
 
@@ -172,7 +143,7 @@ def _cmd_check(args) -> int:
         raise ValueError("check needs --quasifinite or --reducible")
     check = check_verma_reducible if args.reducible else check_quasifinite
     verdict = check(phi, bound=args.bound, assume_exact=args.assume_exact)
-    payload = {"status": verdict.status, "note": verdict.note, "metadata": _metadata(alg)}
+    payload = {"status": verdict.status, "note": verdict.note}
     if args.reducible:
         vec = verdict.singular_vector
         payload["witness"] = _witness_str(verdict.witness_ideal)
@@ -181,19 +152,16 @@ def _cmd_check(args) -> int:
         payload["witness"] = _witness_str(verdict.witness)
     if verdict.candidate is not None:
         payload["candidate"] = _witness_str(verdict.candidate)
-    _emit_json(payload)  # emitted with sorted keys
+    _emit(args, alg, payload)
     return 0
 
 
 def _cmd_split(args) -> int:
     alg = _load_algebra(args.algebra)
-    phi = functional_from_spec(alg, _load_json(args.phi))
-    pieces = split_phi(phi)
-    points = [f.point for f in local_decomposition(alg)]
-    _emit_json({"components": [{"point": format_scalar(p),
-                                "functional": functional_to_spec(piece)}
-                               for p, piece in zip(points, pieces)],
-                "metadata": _metadata(alg)})
+    pieces = split_phi(functional_from_spec(alg, _load_json(args.phi)))
+    _emit(args, alg, {"components": [{"point": format_scalar(p),
+                                      "functional": functional_to_spec(piece)}
+                                     for (p, _), piece in zip(alg.factors, pieces)]})
     return 0
 
 
@@ -204,22 +172,15 @@ def _cmd_module(args) -> int:
         if args.offsets is None:
             raise ValueError("--weights needs --offsets LO:HI")
         table = weight_multiplicities(handle, _parse_offsets(args.offsets))
-        if args.format == "tsv":
-            print(table.to_tsv())
-        else:
-            _emit_json({"weights": table.to_json_dict(),
-                        "metadata": _metadata(alg)})
+        _emit(args, alg, {"weights": table.to_json_dict()},
+              table.to_tsv() if args.format == "tsv" else None)
         return 0
     if args.annihilator:
-        report = annihilator_support(handle)
-        _emit_json({"annihilator": report.to_json_dict(),
-                    "metadata": _metadata(alg)})
+        _emit(args, alg, {"annihilator": annihilator_support(handle).to_json_dict()})
         return 0
     if args.trichotomy:
         offsets = _parse_offsets(args.offsets) if args.offsets else (-8, 8)
-        profile = trichotomy_profile(handle, offsets)
-        _emit_json({"trichotomy": profile.to_json_dict(),
-                    "metadata": _metadata(alg)})
+        _emit(args, alg, {"trichotomy": trichotomy_profile(handle, offsets).to_json_dict()})
         return 0
     raise ValueError("module needs one of --weights, --annihilator, --trichotomy")
 
@@ -238,9 +199,7 @@ def _cmd_classify(args) -> int:
         record = classify_module(handle.spec, point=handle.point)
     else:
         raise ValueError("classify needs -phi FILE or -M FILE")
-    payload = record.to_json_dict(explain=args.explain)
-    payload["metadata"] = _metadata(alg)
-    _emit_json(payload)
+    _emit(args, alg, record.to_json_dict(explain=args.explain))
     return 0
 
 

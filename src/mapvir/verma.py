@@ -385,15 +385,17 @@ def singular_vectors(phi: Functional, depth: int, window=None) -> list[VermaVect
     w -> (d_2 (x) e_i) w over all basis directions i; d_1 and d_2 together
     generate the whole raising half, so members are annihilated by every
     positive mode.  A singular vector lies in Rad, so on finite kinds a depth
-    below ``_first_reducible_depth`` returns [] with no action built.  When
-    one mod-p elimination certifies that the stacked integer rows have full
-    column rank, the kernel is zero and no exact elimination runs.  A color
-    window multiplies up to depth + 1 of its colors, which must stay inside
-    the algebra window.
+    below ``_first_reducible_depth`` returns [] with no action built.  The
+    mod-p certificate serves only algebras no theorem covers (first = 0):
+    there, when one mod-p elimination shows that the stacked integer rows
+    have full column rank, the kernel is zero and no exact elimination runs.
+    A color window multiplies up to depth + 1 of its colors, which must stay
+    inside the algebra window.
     """
     if depth < 1:
         raise ValueError("singular vectors live at positive depth")
-    if depth < _first_reducible_depth(phi, depth):
+    first = _first_reducible_depth(phi, depth)
+    if depth < first:
         return []  # a singular vector at positive depth lies in Rad
     alg = phi.algebra
     colors = alg.window_indices(window, factors=depth + 1)
@@ -403,7 +405,7 @@ def singular_vectors(phi: Functional, depth: int, window=None) -> list[VermaVect
         if depth - mode >= 0:
             for b in colors:
                 rows += _action_rows(phi, mode, b, basis).values()
-    if linalg.full_rank_mod_p(rows, len(basis)):
+    if first == 0 and linalg.full_rank_mod_p(rows, len(basis)):
         return []
     out = []
     dense = [[row.get(col, 0) for col in range(len(basis))] for row in rows]

@@ -182,6 +182,8 @@ def partitions(n: int):
 
 def colored_partition_series(colors: int, max_n: int) -> list[int]:
     """Coefficients of prod_{k>=1} (1 - q^k)^(-colors) through q^max_n."""
+    if colors == 0:
+        return [1] + [0] * max_n  # the empty product
     series = [Fraction(1)] + [Fraction(0)] * max_n
     for k in range(1, max_n + 1):
         # multiply by (1 - q^k)^(-colors) = sum_j C(j+colors-1, colors-1) q^{kj}

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -78,6 +79,20 @@ def test_verma_singular(capsys, dual_algebra, dual_phi):
     assert payload["vectors"] == ["(d[-1]*t) v"]
 
 
+def test_verma_singular_text(capsys, dual_algebra, dual_phi):
+    # the count, then one vector per line
+    code, out, _ = run_cli(capsys, "verma", "--singular", "-n", "1",
+                           "-A", dual_algebra, "-phi", dual_phi)
+    assert code == 0
+    assert out == "1\n(d[-1]*t) v\n"
+
+
+def test_verma_dims_tsv_prints_text(capsys):
+    code, out, _ = run_cli(capsys, "verma", "--dims", "-n", "4", "--format", "tsv")
+    assert code == 0
+    assert out == "1 1 2 3 5\n"
+
+
 def test_check_reducible_example(capsys, dual_algebra, dual_phi):
     code, out, _ = run_cli(capsys, "check", "--reducible",
                            "-A", dual_algebra, "-phi", dual_phi)
@@ -128,6 +143,27 @@ def test_module_weights_tsv(capsys, tmp_path):
     lines = out.strip().splitlines()
     assert lines[0] == "offset\tweight\tmultiplicity"
     assert lines[1].split("\t") == ["-2", "-7/6", "1"]
+
+
+def test_module_weights_text_prints_json(capsys, tmp_path):
+    mod = tmp_path / "m.json"
+    mod.write_text(json.dumps({"variant": "int_series_eval", "a": "1/2",
+                               "b": "1/3", "window": [-20, 20]}))
+    code, out, _ = run_cli(capsys, "module", "-M", str(mod),
+                           "--weights", "--offsets=-2:2", "--format", "text")
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"weights", "metadata"}
+    assert payload["metadata"]["algebra"]["kind"] == "structure_constants"
+
+
+def test_check_reducible_text_prints_json(capsys, dual_algebra, dual_phi):
+    code, out, _ = run_cli(capsys, "check", "--reducible", "-A", dual_algebra,
+                           "-phi", dual_phi, "--format", "text")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "reducible_certified"
+    assert payload["metadata"]["algebra"]["kind"] == "product_local"
 
 
 def test_module_annihilator(capsys, tmp_path):
@@ -265,3 +301,21 @@ def test_console_script_installed():
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip() == "-4*d[0] + 1/2*c"
+
+
+def test_only_the_emitter_prints_json_and_metadata():
+    # one function renders every report; only module --weights reads the format
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    callers, readers = {}, set()
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", "<module>")
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in ("dumps", "_metadata"):
+                    callers.setdefault(name, set()).add(owner)
+            elif isinstance(node, ast.Attribute) and node.attr == "format" \
+                    and getattr(node.value, "id", None) == "args":
+                readers.add(owner)
+    assert callers == {"dumps": {"_emit"}, "_metadata": {"_emit"}}
+    assert readers == {"_emit", "_cmd_module"}

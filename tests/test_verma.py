@@ -180,7 +180,8 @@ def test_module_dims_match_partitions():
     (Algebra.polynomial((0, 4)), (1, 3), 3),
     (Algebra.laurent((-3, 3)), None, 7),
     (Algebra.laurent((-3, 3)), (-1, 0), 2),
-], ids=["polynomial", "polynomial_narrow", "laurent", "laurent_narrow"])
+    (Algebra.laurent((-3, 3)), (1, 0), 0),
+], ids=["polynomial", "polynomial_narrow", "laurent", "laurent_narrow", "laurent_empty"])
 def test_module_dims_on_windowed_kinds(alg, window, colors):
     dims = module_dims(alg, 6, window=window)
     assert dims == tuple(colored_partition_series(colors, 6))
@@ -517,12 +518,21 @@ def test_certificate_runs_only_where_no_theorem_applies(monkeypatch):
     calls = _counting(monkeypatch, linalg, "full_rank_mod_p")
     for _, phi, depth in PLANTED_LOCAL:
         quotient_dims(phi, depth)
+        for n in range(1, 5):
+            singular_vectors(phi, n)
     for name in MINIMAL_MODELS:
-        quotient_dims(_minimal_model_phi(name), 10)
+        phi = _minimal_model_phi(name)
+        quotient_dims(phi, 10)
+        for n in range(1, 5):
+            singular_vectors(phi, n)
     assert calls == []
-    # Q(i) is covered by no theorem, so its layers are certified mod p
+    # Q(i) is covered by no theorem, so its layers and stacks are certified mod p
     phi, depth = PARITY_CASES["gauss"]
     quotient_dims(phi, depth)
+    assert calls
+    calls.clear()
+    for n in range(1, 5):
+        singular_vectors(phi, n)
     assert calls
 
 
