@@ -787,12 +787,37 @@ class LocalFactor:
     idempotent: AlgebraElement
 
 
+def crt_idempotents(algebra: Algebra) -> tuple[polyutil.Poly, ...]:
+    """The orthogonal CRT idempotents of a product_local algebra, one per
+    factor in order, as polynomials reduced modulo the modulus:
+    e_i = v_i r_i, where r_i is the product of the other factors' moduli and
+    v_i r_i = 1 mod (t - point_i)^order_i by extended Euclid on the coprime
+    pair.  Cached on the algebra; nothing is checked here (see
+    local_decomposition)."""
+    if algebra.kind != "product_local":
+        raise UnsupportedKind("CRT idempotents need a product_local presentation")
+    cached = algebra._caches.get("crt_idempotents")
+    if cached is None and len(algebra.factors) == 1:
+        cached = algebra._caches["crt_idempotents"] = ((Fraction(1),),)  # a local algebra
+    if cached is None:
+        modulus, cached = algebra._modulus, []
+        for point, order in algebra.factors:
+            m_i = polyutil.ppow((-point, Fraction(1)), order)
+            r_i = polyutil.pdivmod(modulus, m_i)[0]
+            g, _, v = polyutil.pxgcd(m_i, r_i)
+            if polyutil.degree(g) != 0:
+                raise ValueError("factors are not coprime")  # unreachable: points distinct
+            cached.append(polyutil.pmod(polyutil.pmul(v, r_i), modulus))
+        cached = algebra._caches["crt_idempotents"] = tuple(cached)
+    return cached
+
+
 def local_decomposition(algebra: Algebra) -> list[LocalFactor]:
     """CRT data of a product_local algebra.
 
     For each factor, the maximal ideal (t - point) and the orthogonal
-    idempotent computed by extended Euclid on the coprime factor moduli.
-    The idempotents satisfy e_i^2 = e_i, e_i e_j = 0 and sum to 1, exactly.
+    idempotent from ``crt_idempotents``.  The idempotents are checked to
+    satisfy e_i^2 = e_i, e_i e_j = 0 and to sum to 1, exactly.
     """
     if algebra.kind != "product_local":
         raise UnsupportedKind("local_decomposition needs a product_local presentation")
@@ -800,17 +825,10 @@ def local_decomposition(algebra: Algebra) -> list[LocalFactor]:
     if cached is not None:
         return [LocalFactor(p, n, Ideal(algebra, rows), AlgebraElement(algebra, dict(idem)))
                 for p, n, rows, idem in cached]
-    modulus = algebra._modulus
-    out = []
-    for point, order in algebra.factors:
-        m_i = polyutil.ppow((-point, Fraction(1)), order)
-        r_i = polyutil.pdivmod(modulus, m_i)[0]
-        g, _, v = polyutil.pxgcd(m_i, r_i)
-        if polyutil.degree(g) != 0:
-            raise ValueError("factors are not coprime")  # unreachable: points distinct
-        idem = algebra.from_poly(polyutil.pmod(polyutil.pmul(v, r_i), modulus))
-        maxi = ideal_closure([algebra.from_poly((-point, Fraction(1)))])
-        out.append(LocalFactor(point, order, maxi, idem))
+    out = [LocalFactor(point, order,
+                       ideal_closure([algebra.from_poly((-point, Fraction(1)))]),
+                       algebra.from_poly(idem))
+           for (point, order), idem in zip(algebra.factors, crt_idempotents(algebra))]
     total = out[0].idempotent.algebra.zero()
     for f in out:
         if f.idempotent * f.idempotent != f.idempotent:

@@ -25,7 +25,7 @@ from .algebra import (
     AlgebraElement,
     Ideal,
     PrincipalIdeal,
-    local_decomposition,
+    crt_idempotents,
 )
 from .errors import AlgebraMismatch, UnsupportedKind, WindowOverflow
 from .liealg import LieElement, central_scalar, d_term
@@ -385,9 +385,10 @@ def singular_vectors(phi: Functional, depth: int, window=None) -> list[VermaVect
     w -> (d_2 (x) e_i) w over all basis directions i; d_1 and d_2 together
     generate the whole raising half, so members are annihilated by every
     positive mode.  A singular vector lies in Rad, so on finite kinds a depth
-    below ``_first_reducible_depth`` returns [] with no action built.  The
-    mod-p certificate serves only algebras no theorem covers (first = 0):
-    there, when one mod-p elimination shows that the stacked integer rows
+    below ``_first_reducible_depth`` returns [] with no action built.  At
+    that theorem's own depth the stack always has a kernel, so the exact
+    kernel runs at once.  At every other depth (every depth where no theorem
+    applies), when one mod-p elimination shows that the stacked integer rows
     have full column rank, the kernel is zero and no exact elimination runs.
     A color window multiplies up to depth + 1 of its colors, which must stay
     inside the algebra window.
@@ -405,7 +406,7 @@ def singular_vectors(phi: Functional, depth: int, window=None) -> list[VermaVect
         if depth - mode >= 0:
             for b in colors:
                 rows += _action_rows(phi, mode, b, basis).values()
-    if first == 0 and linalg.full_rank_mod_p(rows, len(basis)):
+    if depth != first and linalg.full_rank_mod_p(rows, len(basis)):
         return []
     out = []
     dense = [[row.get(col, 0) for col in range(len(basis))] for row in rows]
@@ -468,6 +469,17 @@ def quotient_dims(phi: Functional, max_depth: int, window=None) -> tuple[int, ..
     never exceeds rank over Q) or when ``row_basis`` finds it full.  At a
     generic weight over a product_local algebra or Q no layer is built at all.
 
+    Over a product_local algebra or Q the recursion runs on the reduced CRT
+    pieces of ``_local_pieces``, and their characters are convolved.  Both
+    steps are theorems.  Vir (x) (A_1 x A_2) = Vir (x) A_1 + Vir (x) A_2, so
+    L(phi) is the tensor product of its pieces' L(phi_i).  And if phi kills
+    Vir_0 (x) J for an ideal J, then Vir (x) J acts as zero on L(phi), which
+    is the irreducible quotient for Vir (x) (A / J).  In a factor Q[s]/s^N the
+    largest ideal phi kills is (s^k), k past the last nonzero value pair, so
+    the piece runs over Q[s]/s^k with its first k values; k = 0 is the
+    trivial module.  A piece equal to phi itself (Q, or one factor at 0 with
+    a nonzero top pair) runs on phi, and no algebra is rebuilt.
+
     Over the windowed polynomial and Laurent kinds the radical is tested
     against raising monomials whose colors stay in the window.  Products of
     windowed colors leave the window, so the generator recursion would
@@ -477,11 +489,29 @@ def quotient_dims(phi: Functional, max_depth: int, window=None) -> tuple[int, ..
     raises ValueError.
     """
     _check_depth(max_depth)
-    if phi.algebra.is_finite:
+    if not phi.algebra.is_finite:
+        phi.algebra.window_indices(window, factors=2 * max_depth)  # before any depth
+        return tuple(linalg.rank(pairing_matrix(phi, n, window=window))
+                     for n in range(max_depth + 1))
+    first = _first_reducible_depth(phi, max_depth)
+    if first > max_depth:  # Rad = 0 through max_depth by theorem
+        return tuple(colored_partition_counts(phi.algebra.dim, max_depth))
+    if not first:  # no theorem splits or reduces phi
         return _layered_quotient_dims(phi, max_depth)
-    phi.algebra.window_indices(window, factors=2 * max_depth)  # before any depth
-    return tuple(linalg.rank(pairing_matrix(phi, n, window=window))
-                 for n in range(max_depth + 1))
+    pieces = _local_pieces(phi)
+    dims = [1] + [0] * max_depth
+    for a, lam, kappa in pieces:
+        k = max((i + 1 for i, pair in enumerate(zip(lam, kappa)) if any(pair)), default=0)
+        if not k:
+            continue  # the trivial module has character 1
+        if len(pieces) == 1 and a == 0 and k == len(lam):
+            piece = phi
+        else:
+            piece = Functional(Algebra.product_local([(0, k)]),
+                               dict(enumerate(lam[:k])), dict(enumerate(kappa[:k])))
+        part = _layered_quotient_dims(piece, max_depth)
+        dims = [sum(dims[i] * part[n - i] for i in range(n + 1)) for n in range(max_depth + 1)]
+    return tuple(dims)
 
 
 def _check_depth(max_depth: int):
@@ -543,6 +573,39 @@ def _layered_quotient_dims(phi: Functional, max_depth: int) -> tuple[int, ...]:
     return tuple(dims)
 
 
+def _local_pieces(phi: Functional) -> list[tuple] | None:
+    """The CRT pieces of a functional over a product_local algebra or Q, and
+    None over every other kind.
+
+    For each local factor (a, N), in order, the triple (a, lam, kappa) of the
+    lists lam_k = phi(d_0 (x) e s^k) and kappa_k = phi(c (x) e s^k), k < N,
+    where s = t - a and e is the factor's CRT idempotent.  Q is the one
+    factor (0, 1) of Q[t]/(t).  The piece is the functional these values
+    define on Q[s]/s^N, and V(phi) is the tensor product of the pieces'
+    Verma modules.
+    """
+    alg = phi.algebra
+    if alg.kind == "product_local":
+        factors = zip(alg.factors, crt_idempotents(alg))
+    elif alg.kind == "structure_constants" and alg.dim == 1:
+        factors = [((Fraction(0), 1), alg.one().to_vector())]
+    else:
+        return None
+    pieces = []
+    for (a, order), f in factors:
+        lam, kappa = [], []
+        for k in range(order):
+            if k:  # f = e s^k: times t - a, then one step by the monic modulus
+                f = [x - a * y for x, y in zip([0, *f], [*f, 0])] if a else [0, *f]
+                if len(f) > alg.dim:
+                    top = f.pop()
+                    f = [x - top * m for x, m in zip(f, alg._modulus)]
+            lam.append(sum(x * phi.value_d0(j) for j, x in enumerate(f) if x))
+            kappa.append(sum(x * phi.value_c(j) for j, x in enumerate(f) if x))
+        pieces.append((a, lam, kappa))
+    return pieces
+
+
 def _first_reducible_depth(phi: Functional, max_depth: int) -> int:
     """The least depth n <= max_depth at which Rad_n can be nonzero;
     max_depth + 1 when the theorems below prove Rad = 0 through max_depth,
@@ -550,9 +613,10 @@ def _first_reducible_depth(phi: Functional, max_depth: int) -> int:
     one-dimensional algebra Q).
 
     V(phi) is the tensor product of the Verma modules of its CRT pieces, so
-    the answer is the least depth over the local factors (a, N).  With
-    s = t - a and e the factor's idempotent, a piece is reducible first at a
-    depth read off lambda = phi(d_0 (x) e s^{N-1}), kappa = phi(c (x) e s^{N-1}):
+    the answer is the least depth over the pieces of ``_local_pieces``, each
+    read off its top values lambda = lam_{N-1}, kappa = kappa_{N-1}.  The
+    pieces are not reduced: a zero top pair makes (d_{-1} (x) e s^{N-1}) v
+    singular, at depth 1.
 
     * N = 1 is the Virasoro algebra at h = -lambda, c = kappa.  Its Kac
       determinant at depth n vanishes iff h = h_{r,s}(c) for some rs <= n
@@ -560,29 +624,13 @@ def _first_reducible_depth(phi: Functional, max_depth: int) -> int:
     * N >= 2 vanishes first at the least n with
       -2 n lambda + (n^3 - n) kappa / 12 = 0 (B. J. Wilson, "Highest-weight
       theory for truncated current Lie algebras", J. Algebra 336, 2011).
-
-    e s^{N-1} = s^{N-1} r(t) / r(a), r the product of the other factors'
-    moduli: it is s^{N-1} modulo s^N, zero modulo every other factor and of
-    degree below dim, so no idempotent and no ideal is formed.
     """
-    alg = phi.algebra
-    if alg.kind == "product_local":
-        tops = []
-        for a, order in alg.factors:
-            top, r_a = polyutil.ppow((-a, Fraction(1)), order - 1), Fraction(1)
-            for b, m in alg.factors:
-                if b != a:
-                    top = polyutil.pmul(top, polyutil.ppow((-b, Fraction(1)), m))
-                    r_a *= (a - b) ** m
-            tops.append((order, polyutil.pscale(top, 1 / r_a)))
-    elif alg.kind == "structure_constants" and alg.dim == 1:
-        tops = [(1, alg.one().to_vector())]
-    else:
+    pieces = _local_pieces(phi)
+    if pieces is None:
         return 0
     first = max_depth + 1
-    for order, top in tops:
-        lam, kappa = (sum(x * value(k) for k, x in enumerate(top) if x)
-                      for value in (phi.value_d0, phi.value_c))
+    for _, lams, kappas in pieces:
+        order, lam, kappa = len(lams), lams[-1], kappas[-1]
         u = (13 - kappa) / 6
         for n in range(1, first):
             if (24 * n * lam == (n ** 3 - n) * kappa if order > 1 else
@@ -862,8 +910,8 @@ def split_phi(phi: Functional) -> list[Functional]:
     if alg.kind != "product_local":
         raise UnsupportedKind("split_phi needs a product_local algebra")
     out = []
-    for factor in local_decomposition(alg):
-        prods = [factor.idempotent * alg.basis_element(j) for j in range(alg.dim)]
+    for idem in crt_idempotents(alg):
+        prods = [alg.from_poly(idem) * alg.basis_element(j) for j in range(alg.dim)]
         out.append(Functional(alg, dict(enumerate(map(phi.eval_d0, prods))),
                               dict(enumerate(map(phi.eval_c, prods)))))
     return out

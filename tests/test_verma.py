@@ -1,6 +1,8 @@
+import ast
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from mapvir import (
     highest_weight_vector,
     in_maximal_submodule,
     largest_d0_ideal,
+    largest_v0_ideal,
     module_dims,
     pairing_matrix,
     pbw_basis,
@@ -516,16 +519,18 @@ def test_skip_runs_the_engine_from_the_first_reducible_depth(monkeypatch):
 
 def test_certificate_runs_only_where_no_theorem_applies(monkeypatch):
     calls = _counting(monkeypatch, linalg, "full_rank_mod_p")
-    for _, phi, depth in PLANTED_LOCAL:
+    cases = [(phi, depth) for _, phi, depth in PLANTED_LOCAL]
+    cases += [(_minimal_model_phi(name), 10) for name in MINIMAL_MODELS]
+    for phi, depth in cases:
         quotient_dims(phi, depth)
-        for n in range(1, 5):
-            singular_vectors(phi, n)
-    for name in MINIMAL_MODELS:
-        phi = _minimal_model_phi(name)
-        quotient_dims(phi, 10)
-        for n in range(1, 5):
+        # at the theorem's own depth the stack always has a kernel
+        for n in range(1, min(verma._first_reducible_depth(phi, 4), 4) + 1):
             singular_vectors(phi, n)
     assert calls == []
+    # past it the certificate may prove the kernel zero: Ising sigma at depth 8
+    assert singular_vectors(_minimal_model_phi("ising_sigma"), 8) == []
+    assert len(calls) == 1
+    calls.clear()
     # Q(i) is covered by no theorem, so its layers and stacks are certified mod p
     phi, depth = PARITY_CASES["gauss"]
     quotient_dims(phi, depth)
@@ -603,6 +608,62 @@ def test_skip_is_exact_on_planted_local_functionals(label, phi, depth, monkeypat
     # the predicted depth is the engine's first deficient one
     full = module_dims(phi.algebra, depth)
     assert first == next((n for n in range(depth + 1) if dims[n] < full[n]), depth + 1)
+
+
+@pytest.mark.parametrize(
+    "phi, depth", [PARITY_CASES[name] for name in PARITY_CASES]
+    + [(phi, depth) for _, phi, depth in PLANTED_LOCAL],
+    ids=list(PARITY_CASES) + [label for label, _, _ in PLANTED_LOCAL])
+def test_split_matches_the_unsplit_engine(phi, depth):
+    # the layered engine on phi itself, over all dim A colors, skips no CRT piece
+    assert quotient_dims(phi, depth) == verma._layered_quotient_dims(phi, depth)
+
+
+def _reduced_orders(phi):
+    """k per CRT piece: one past its last nonzero (lambda_k, kappa_k) pair."""
+    return [max((k + 1 for k, pair in enumerate(zip(lam, kappa)) if any(pair)), default=0)
+            for _, lam, kappa in verma._local_pieces(phi)]
+
+
+def _pullback(name, order):
+    """A minimal model pulled back to Q[t]/t^order: phi kills Vir_0 (x) (t)."""
+    h, c = minimal_model_weight(*MINIMAL_MODELS[name][0])
+    return Functional(Algebra.product_local([(0, order)]), {0: -h}, {0: c})
+
+
+def test_reduced_pieces_match_the_largest_killed_ideal():
+    # the pieces' reduced orders add up to the codimension of the largest
+    # ideal J with phi(Vir_0 (x) J) = 0, an independent kernel computation
+    cases = [phi for _, phi, _ in PLANTED_LOCAL] + [PARITY_CASES["cubic"][0]]
+    cases += [_pullback(name, order) for name in MINIMAL_MODELS for order in (2, 3)]
+    for phi in cases:
+        assert sum(_reduced_orders(phi)) == phi.algebra.dim - largest_v0_ideal(phi).dim
+    assert _reduced_orders(PARITY_CASES["cubic"][0]) == [2]
+    for name, ((p, pp, r, s), _) in MINIMAL_MODELS.items():
+        for order in (2, 3):
+            assert list(quotient_dims(_pullback(name, order), 10)) == rocha_caridi_dims(
+                p, pp, r, s, 10)
+
+
+def test_pullback_verma_module_stays_on_the_original_algebra():
+    # over Q[t]/t^2 the Ising sigma pullback has (d_{-1} (x) t) v singular at
+    # depth 1, although its irreducible quotient is the classical one
+    phi = _pullback("ising_sigma", 2)
+    assert verma._first_reducible_depth(phi, 4) == 1
+    vecs = singular_vectors(phi, 1)
+    assert vecs and all(verma._is_singular(v) for v in vecs)
+    assert quotient_dims(phi, 6) == (1, 1, 1, 2, 2, 3, 4)
+
+
+def test_only_local_pieces_reads_the_factor_layout():
+    tree = ast.parse(Path(verma.__file__).read_text(encoding="utf-8"))
+    readers = set()
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", "<module>")
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Attribute) and node.attr in ("factors", "_modulus"):
+                readers.add(owner)
+    assert readers == {"_local_pieces"}
 
 
 def test_order_one_criterion_matches_the_kac_oracle():
