@@ -726,15 +726,14 @@ def polynomial_quotient(algebra: Algebra, quotient: Algebra,
     keeps coefficients.
 
     Negative Laurent exponents reduce through the inverse of t modulo the
-    modulus, computed once here; it exists exactly when t and the modulus
-    are coprime.
+    modulus, computed once here; it exists exactly when the modulus
+    m_0 + t q(t) has m_0 != 0, and it is -q / m_0.
     """
     tinv = None
     if algebra.kind == "laurent":
-        g, u, _ = polyutil.pxgcd((Fraction(0), Fraction(1)), modulus)
-        if polyutil.degree(g) != 0:
+        if not modulus[0]:
             raise ImproperIdeal("t is not invertible modulo the generator")
-        tinv = polyutil.pmod(u, modulus)
+        tinv = polyutil.pscale(modulus[1:], -1 / modulus[0])
 
     def project(x: AlgebraElement) -> AlgebraElement:
         dense = [Fraction(0)] * (max(x.coeffs, default=-1) + 1)
@@ -790,24 +789,32 @@ class LocalFactor:
 def crt_idempotents(algebra: Algebra) -> tuple[polyutil.Poly, ...]:
     """The orthogonal CRT idempotents of a product_local algebra, one per
     factor in order, as polynomials reduced modulo the modulus:
-    e_i = v_i r_i, where r_i is the product of the other factors' moduli and
-    v_i r_i = 1 mod (t - point_i)^order_i by extended Euclid on the coprime
-    pair.  Cached on the algebra; nothing is checked here (see
-    local_decomposition)."""
+    e_i = r_i v_i, where r_i is the product of the other factors' moduli and
+    v_i is the power series inverse of r_i at point_i, in s = t - point_i,
+    taken below s^order_i, so r_i v_i = 1 mod (t - point_i)^order_i.  The
+    product has degree below dim and needs no reduction.  Cached on the
+    algebra; nothing is checked here (see local_decomposition)."""
     if algebra.kind != "product_local":
         raise UnsupportedKind("CRT idempotents need a product_local presentation")
     cached = algebra._caches.get("crt_idempotents")
     if cached is None and len(algebra.factors) == 1:
         cached = algebra._caches["crt_idempotents"] = ((Fraction(1),),)  # a local algebra
     if cached is None:
-        modulus, cached = algebra._modulus, []
+        cached = []
         for point, order in algebra.factors:
-            m_i = polyutil.ppow((-point, Fraction(1)), order)
-            r_i = polyutil.pdivmod(modulus, m_i)[0]
-            g, _, v = polyutil.pxgcd(m_i, r_i)
-            if polyutil.degree(g) != 0:
-                raise ValueError("factors are not coprime")  # unreachable: points distinct
-            cached.append(polyutil.pmod(polyutil.pmul(v, r_i), modulus))
+            r_t = polyutil.pdivmod(algebra._modulus, polyutil.ppow((-point, Fraction(1)), order))[0]
+            r_s: polyutil.Poly = (Fraction(1),)  # r_i in s, r_s[0] != 0 as points are distinct
+            for other, n in algebra.factors:
+                if other != point:
+                    r_s = polyutil.pmul(r_s, polyutil.ppow((point - other, Fraction(1)), n))
+            r_s += (Fraction(0),) * order
+            inv = [1 / r_s[0]]
+            for k in range(1, order):
+                inv.append(-sum(r_s[j] * inv[k - j] for j in range(1, k + 1)) / r_s[0])
+            v_t: polyutil.Poly = ()  # back to t by Horner in s = t - point
+            for x in reversed(inv):
+                v_t = polyutil.padd(polyutil.pmul(v_t, (-point, Fraction(1))), (x,))
+            cached.append(polyutil.pmul(r_t, v_t))
         cached = algebra._caches["crt_idempotents"] = tuple(cached)
     return cached
 

@@ -102,23 +102,6 @@ def plcm(p: Poly, q: Poly) -> Poly:
     return pmonic(pdivmod(pmul(p, q), pgcd(p, q))[0])
 
 
-def pxgcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
-    """Extended Euclid: returns (g, u, v) with u*p + v*q = g, g monic."""
-    r0, r1 = p, q
-    s0, s1 = (Fraction(1),), ()
-    t0, t1 = (), (Fraction(1),)
-    while r1:
-        quo, rem = pdivmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, padd(s0, pneg(pmul(quo, s1)))
-        t0, t1 = t1, padd(t0, pneg(pmul(quo, t1)))
-    if not r0:
-        return (), s0, t0
-    lead = r0[-1]
-    inv = 1 / lead
-    return pmonic(r0), pscale(s0, inv), pscale(t0, inv)
-
-
 def peval(p: Poly, x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(p):

@@ -26,6 +26,7 @@ from .algebra import (
     Ideal,
     PrincipalIdeal,
     crt_idempotents,
+    quotient_algebra,
 )
 from .errors import AlgebraMismatch, UnsupportedKind, WindowOverflow
 from .liealg import LieElement, central_scalar, d_term
@@ -37,6 +38,7 @@ from .pbw import (
     _single,
     colored_partition_counts,
     format_env,
+    genkey,
     monomial_weight,
     pbw_basis,
 )
@@ -55,7 +57,8 @@ class Functional:
     window is an error.
     """
 
-    __slots__ = ("algebra", "_d0", "_c", "exact_poly", "_extended", "_act_cache")
+    __slots__ = ("algebra", "_d0", "_c", "exact_poly", "_extended", "_act_cache",
+                 "_reduced")
 
     def __init__(self, algebra: Algebra, d0, c, exact_poly=None):
         if algebra.kind == "polynomial":
@@ -99,6 +102,7 @@ class Functional:
         self._extended = (None if exact_poly is None
                           else [tuple(d0.values()), tuple(c.values())])
         self._act_cache = {}
+        self._reduced = None  # see _reduction
         return self
 
     # -- constructors -------------------------------------------------------
@@ -660,13 +664,62 @@ def in_maximal_submodule(v: VermaVector, window=None) -> bool:
     weight (window-restricted for infinite algebras).  X carries up to depth
     colors, and their products with the vector's colors are bounded before
     any action.
+
+    A polynomial phi with exact recurrence p kills Vir_0 (x) J, J = (p), so
+    v -> v_bar extends to a module map pi: V(phi) -> V(phi_bar), phi_bar = phi
+    on A/J, with coeff_v(X w) = coeff_v_bar(X_bar pi(w)).  When the color
+    window holds 0..deg p - 1, its raising monomials map onto every PBW
+    monomial of A/J, so the window test on w is pi(w) in Rad(phi_bar), and
+    the walk runs over the deg p colors of A/J (``_reduction``).
     """
     if v.is_zero():
         return True
     phi = v.functional
     _check_products(v, window, single=False)
+    terms = v.env.terms
+    reduced = _reduction(phi, phi.algebra.window_indices(window))
+    if reduced is not None:
+        phi, terms, window = reduced[0], _project_terms(reduced, terms), None
     raising = pbw_basis(v.depth, phi.algebra, window=window)
-    return not any(_v_coefficients(phi, v.env.terms, raising))
+    return not any(_v_coefficients(phi, terms, raising))
+
+
+def _reduction(phi: Functional, colors: range) -> tuple | None:
+    """(phi_bar on A/(p), the projection, a cache of color images) for the
+    reduced test of ``in_maximal_submodule``, built once per functional; None
+    unless phi is polynomial with exact recurrence p, the color window holds
+    0..deg p - 1 and the algebra window holds p."""
+    alg, p = phi.algebra, phi.exact_poly
+    if alg.kind != "polynomial" or p is None:
+        return None
+    d = polyutil.degree(p)
+    if not (0 in colors and d - 1 in colors and d <= alg.window[1]):
+        return None
+    if phi._reduced is None:
+        quotient, project = quotient_algebra(alg, PrincipalIdeal(alg, alg.from_poly(p)))
+        phi_bar = Functional(quotient, {k: phi.value_d0(k) for k in range(d)},
+                             {k: phi.value_c(k) for k in range(d)})
+        phi._reduced = (phi_bar, project, {})
+    return phi._reduced
+
+
+def _project_terms(reduced: tuple, terms) -> dict:
+    """pi(w) for w = sum terms: each letter's color goes to its image, the
+    letters expand multilinearly, and each product is re-sorted into a PBW
+    monomial, which is exact because letters of one mode commute."""
+    _, project, images = reduced
+    out: dict = {}
+    for mono, c in terms.items():
+        partial = {(): c}
+        for m, b in mono:
+            image = images.get(b)
+            if image is None:
+                image = images[b] = tuple(project(project.source.basis_element(b)).coeffs.items())
+            partial = {(*w, (m, k)): x * y for w, x in partial.items() for k, y in image}
+        for w, x in partial.items():
+            w = tuple(sorted(w, key=genkey, reverse=True))
+            out[w] = out.get(w, 0) + x
+    return {mono: c for mono, c in out.items() if c}
 
 
 # -- decision procedures ----------------------------------------------------

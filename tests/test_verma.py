@@ -1306,6 +1306,154 @@ def test_annihilation_descends_geometric():
                     assert in_maximal_submodule(piece, window=small)
 
 
+# exact ideals for the membership test on A/J: a rational point, a double
+# point beside a simple one, a root at 0, and irrational roots (so A/J is
+# not a product of local factors)
+REDUCED_IDEALS = {
+    "t-2": (F(-2), F(1)),
+    "(t-1)^2(t+3)": polyutil.pmul(polyutil.ppow((F(-1), F(1)), 2), (F(3), F(1))),
+    "t(t-1)": (F(0), F(-1), F(1)),
+    "t^2-2": (F(-2), F(0), F(1)),
+}
+
+
+def _walk_answer(v, window):
+    """in_maximal_submodule as the walk over the original algebra answers it."""
+    phi = v.functional
+    raising = pbw_basis(v.depth, phi.algebra, window=window)
+    return not any(verma._v_coefficients(phi, v.env.terms, raising))
+
+
+# initial values (d0, c) planting (h, c) = (-1/4, 1), reducible at depth 2, on
+# a CRT piece of A/J: at 2; at -3, whose idempotent is (t - 1)^2 / 16; at 0,
+# whose idempotent is 1 - t; and on both conjugate pieces of Q(sqrt 2)
+PLANTED_REDUCIBLE = {
+    "t-2": ([F(-1, 4)], [F(1)]),
+    "(t-1)^2(t+3)": ([F(1), F(0), F(-5)], [F(0), F(1), F(18)]),
+    "t(t-1)": ([F(5, 12), F(2, 3)], [F(4, 5), F(-1, 5)]),
+    "t^2-2": ([F(-1, 2), F(0)], [F(2), F(0)]),
+}
+
+
+def _reduced_corpus(name, extra, planted):
+    """(phi, colors, vectors) over Q[t] with the exact ideal J = (p) and the
+    color window [0, deg p - 1 + extra], at random values or at
+    PLANTED_REDUCIBLE.  The vectors are pieces of (Vir (x) J) V and
+    (d_{-1} (x) f) v with f in J, which lie in Rad; random combinations of
+    PBW monomials, which mostly do not; and when planted, the kernel of the
+    depth-2 and depth-3 pairing, which lies in Rad only at the planted
+    values, with and without a random monomial added.  Depths 1-4."""
+    p = REDUCED_IDEALS[name]
+    d = polyutil.degree(p)
+    rng = random.Random(f"reduced-{name}-{extra}-{planted}")
+    P = Algebra.polynomial((0, 40))
+    d0, c = PLANTED_REDUCIBLE[name] if planted else (
+        [rand_scalar(rng) or F(1) for _ in range(d)], [rand_scalar(rng) for _ in range(d)])
+    phi = Functional.from_sequences(P, d0, c, exact_ideal=p)
+    colors = (0, d - 1 + extra)
+    gen = P.from_poly(p)
+    vectors = []
+    for depth in range(4):
+        basis = pbw_basis(depth, P, window=colors)
+        for mono in rng.sample(basis, min(3, depth + 1, len(basis))):
+            w = VermaVector(phi, EnvElement(P, {mono: F(1)}))
+            for mode in (-2, -1, 0, 1, 2):
+                f = gen * P.from_poly([rand_scalar(rng), rand_scalar(rng)])
+                vectors += [piece for piece in verma_act(d_term(P, mode, f), w)
+                            if 1 <= piece.depth <= 4]
+    for _ in range(3):
+        vectors.append(depth_one_vector(phi, gen * P.from_poly([rand_scalar(rng), F(1)])))
+    for depth in range(1, 5):
+        basis = pbw_basis(depth, P, window=colors)
+        for _ in range(3):
+            terms = {mono: rand_scalar(rng) for mono in rng.sample(basis, min(3, len(basis)))}
+            if any(terms.values()):
+                vectors.append(VermaVector(phi, EnvElement(P, terms)))
+    for depth in (2, 3) if planted else ():
+        basis = pbw_basis(depth, P, window=colors)
+        null = linalg.kernel(pairing_matrix(phi, depth, window=colors), len(basis))
+        assert null
+        for vec in null:
+            terms = dict(zip(basis, vec))
+            vectors.append(VermaVector(phi, EnvElement(P, terms)))
+            terms[rng.choice(basis)] += 1
+            vectors.append(VermaVector(phi, EnvElement(P, terms)))
+    return phi, colors, vectors
+
+
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("name", REDUCED_IDEALS)
+def test_reduced_membership_matches_the_walk(name, extra, planted):
+    phi, colors, vectors = _reduced_corpus(name, extra, planted)
+    answers = [in_maximal_submodule(v, window=colors) for v in vectors]
+    assert phi._reduced is not None  # the reduced path ran
+    assert answers == [_walk_answer(v, colors) for v in vectors]
+    for v in vectors:  # pi(w) comes back as PBW monomials
+        assert all(list(mono) == sorted(mono, key=pbw.genkey, reverse=True)
+                   for mono in verma._project_terms(phi._reduced, v.env.terms))
+    assert True in answers and False in answers
+    assert {v.depth for v in vectors} == {1, 2, 3, 4}
+
+
+def test_reduced_membership_never_walks_the_original_algebra(monkeypatch):
+    walks = _counting(monkeypatch, verma, "_v_coefficients")
+    P = Algebra.polynomial((0, 40))
+    phi = Functional.from_sequences(P, [F(2) ** k for k in range(11)],
+                                    [F(3) * F(2) ** k for k in range(11)],
+                                    exact_ideal=(F(-2), F(1)))
+    gen = P.from_poly((F(-2), F(1)))
+    for mono in pbw_basis(2, P, window=(0, 3)):
+        w = VermaVector(phi, EnvElement(P, {mono: F(1)}))
+        for piece in verma_act(d_term(P, -2, gen), w):
+            assert in_maximal_submodule(piece, window=(0, 3))
+    assert not in_maximal_submodule(depth_one_vector(phi, P.one()), window=(0, 3))
+    assert walks and all(args[0] is phi._reduced[0] for args in walks)
+    assert phi._reduced[0].algebra.dim == 1
+
+
+def _walked(walks, v, window=None):
+    """The functional whose module in_maximal_submodule(v, window) walked."""
+    walks.clear()
+    assert isinstance(in_maximal_submodule(v, window=window), bool)
+    (args,) = walks
+    return args[0]
+
+
+def test_membership_walks_where_no_reduction_applies(monkeypatch):
+    walks = _counting(monkeypatch, verma, "_v_coefficients")
+    P = Algebra.polynomial((0, 40))
+    lam, kap = [F(2) ** k for k in range(11)], [F(3) * F(2) ** k for k in range(11)]
+    sampled = Functional.from_sequences(P, lam, kap)
+    assert _walked(walks, depth_one_vector(sampled, P.one()), (0, 3)) is sampled
+    exact = Functional.from_sequences(P, lam, kap, exact_ideal=(F(-2), F(1)))
+    # a window missing exponent 0
+    assert _walked(walks, depth_one_vector(exact, P.basis_element(1)), (1, 3)) is exact
+    # a window missing exponent deg p - 1 = 1
+    irrational = Functional.from_sequences(P, [F(1), F(1)], [F(0), F(2)],
+                                           exact_ideal=REDUCED_IDEALS["t^2-2"])
+    assert _walked(walks, depth_one_vector(irrational, P.one()), (0, 0)) is irrational
+    # an algebra window that cannot hold p
+    tiny = Algebra.polynomial((0, 0))
+    short = Functional.from_sequences(tiny, [F(1)], [F(3)], exact_ideal=(F(-2), F(1)))
+    assert _walked(walks, depth_one_vector(short, tiny.one())) is short
+    assert not in_maximal_submodule(depth_one_vector(short, tiny.one()))
+    for phi in (sampled, exact, irrational, short):
+        assert phi._reduced is None
+    # the same exact functional on a window holding 0 takes the reduced path
+    assert _walked(walks, depth_one_vector(exact, P.one()), (0, 3)) is exact._reduced[0]
+
+
+def test_reduced_membership_keeps_the_product_bound(monkeypatch):
+    walks = _counting(monkeypatch, verma, "_v_coefficients")
+    # one raising color of [0, 1] meets t^4: t^5, past the window [0, 4]
+    with pytest.raises(WindowOverflow, match="reach \\[4, 5\\]"):
+        in_maximal_submodule(depth_one_vector(PHI4, POLY4.basis_element(4)), window=(0, 1))
+    assert walks == []
+    # t^3 stays inside, and that window holds exponent 0: the reduced path
+    assert _walked(walks, depth_one_vector(PHI4, POLY4.basis_element(3)), (0, 1)) is PHI4._reduced[0]
+
+
 # -- functional storage -------------------------------------------------------
 
 LAUR = Algebra.laurent((-4, 4))
