@@ -14,7 +14,6 @@ leave the window raises WindowOverflow.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -792,8 +791,8 @@ def crt_idempotents(algebra: Algebra) -> tuple[polyutil.Poly, ...]:
     e_i = r_i v_i, where r_i is the product of the other factors' moduli and
     v_i is the power series inverse of r_i at point_i, in s = t - point_i,
     taken below s^order_i, so r_i v_i = 1 mod (t - point_i)^order_i.  The
-    product has degree below dim and needs no reduction.  Cached on the
-    algebra; nothing is checked here (see local_decomposition)."""
+    product has degree below dim and needs no reduction.  Certified by
+    ``_certify_crt_idempotents`` and cached on the algebra."""
     if algebra.kind != "product_local":
         raise UnsupportedKind("CRT idempotents need a product_local presentation")
     cached = algebra._caches.get("crt_idempotents")
@@ -803,11 +802,7 @@ def crt_idempotents(algebra: Algebra) -> tuple[polyutil.Poly, ...]:
         cached = []
         for point, order in algebra.factors:
             r_t = polyutil.pdivmod(algebra._modulus, polyutil.ppow((-point, Fraction(1)), order))[0]
-            r_s: polyutil.Poly = (Fraction(1),)  # r_i in s, r_s[0] != 0 as points are distinct
-            for other, n in algebra.factors:
-                if other != point:
-                    r_s = polyutil.pmul(r_s, polyutil.ppow((point - other, Fraction(1)), n))
-            r_s += (Fraction(0),) * order
+            r_s = polyutil.taylor(r_t, point, order)  # r_s[0] != 0 as points are distinct
             inv = [1 / r_s[0]]
             for k in range(1, order):
                 inv.append(-sum(r_s[j] * inv[k - j] for j in range(1, k + 1)) / r_s[0])
@@ -815,42 +810,39 @@ def crt_idempotents(algebra: Algebra) -> tuple[polyutil.Poly, ...]:
             for x in reversed(inv):
                 v_t = polyutil.padd(polyutil.pmul(v_t, (-point, Fraction(1))), (x,))
             cached.append(polyutil.pmul(r_t, v_t))
+        _certify_crt_idempotents(algebra, cached)
         cached = algebra._caches["crt_idempotents"] = tuple(cached)
     return cached
+
+
+def _certify_crt_idempotents(algebra: Algebra, idempotents) -> None:
+    """Raise ValueError unless idempotents[i] is the i-th CRT idempotent,
+    with no product in A: the CRT map A -> prod_j Q[s]/s^{N_j}, taking Taylor
+    coefficients at point_j below order_j, is an isomorphism, so a reduced e_i
+    is the i-th idempotent exactly when its image is delta_ij (1, 0, ...)."""
+    for i, e in enumerate(idempotents):
+        if len(e) > algebra.dim:
+            raise ValueError(f"CRT idempotent {i} is not reduced")
+        for j, (point, order) in enumerate(algebra.factors):
+            if polyutil.taylor(e, point, order) != [int(i == j)] + [0] * (order - 1):
+                raise ValueError(f"CRT idempotent {i} has the wrong image at {format_scalar(point)}")
 
 
 def local_decomposition(algebra: Algebra) -> list[LocalFactor]:
     """CRT data of a product_local algebra.
 
     For each factor, the maximal ideal (t - point) and the orthogonal
-    idempotent from ``crt_idempotents``.  The idempotents are checked to
-    satisfy e_i^2 = e_i, e_i e_j = 0 and to sum to 1, exactly.
+    idempotent from ``crt_idempotents``, which certifies it exactly.
     """
     if algebra.kind != "product_local":
         raise UnsupportedKind("local_decomposition needs a product_local presentation")
-    cached = algebra._caches.get("local_decomposition")
-    if cached is not None:
-        return [LocalFactor(p, n, Ideal(algebra, rows), AlgebraElement(algebra, dict(idem)))
-                for p, n, rows, idem in cached]
-    out = [LocalFactor(point, order,
-                       ideal_closure([algebra.from_poly((-point, Fraction(1)))]),
-                       algebra.from_poly(idem))
-           for (point, order), idem in zip(algebra.factors, crt_idempotents(algebra))]
-    total = out[0].idempotent.algebra.zero()
-    for f in out:
-        if f.idempotent * f.idempotent != f.idempotent:
-            raise ValueError("idempotent check failed")
-        total = total + f.idempotent
-    if total != algebra.one():
-        raise ValueError("idempotents do not sum to 1")
-    for f, g in itertools.combinations(out, 2):
-        if not (f.idempotent * g.idempotent).is_zero():
-            raise ValueError("idempotents are not orthogonal")
-    # plain data: a cached ideal or element would point back at the algebra
-    algebra._caches["local_decomposition"] = tuple(
-        (f.point, f.order, f.maximal_ideal.rows, tuple(f.idempotent.coeffs.items()))
-        for f in out)
-    return out
+    rows = algebra._caches.get("local_decomposition")
+    if rows is None:  # plain data: a cached ideal would point back at the algebra
+        rows = algebra._caches["local_decomposition"] = tuple(
+            ideal_closure([algebra.from_poly((-point, Fraction(1)))]).rows
+            for point, _ in algebra.factors)
+    return [LocalFactor(point, order, Ideal(algebra, r), algebra.from_poly(e))
+            for (point, order), r, e in zip(algebra.factors, rows, crt_idempotents(algebra))]
 
 
 def point_ideal(algebra: Algebra, point):

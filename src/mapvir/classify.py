@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import polyutil
-from .algebra import (
-    Algebra,
-    Ideal,
-    PrincipalIdeal,
-    format_element,
-    local_decomposition,
-)
+from .algebra import Algebra, Ideal, PrincipalIdeal, crt_idempotents, format_element
 from .errors import UnsupportedKind
 from .evalmod import (
     IntSeriesSpec,
@@ -32,9 +26,11 @@ from .evalmod import (
 from .scalars import as_scalar, format_scalar
 from .verma import (
     Functional,
+    _local_pieces,
+    _piece_on,
+    _reduced_order,
     check_quasifinite,
     functional_to_spec,
-    split_phi,
 )
 
 CONVENTION_NOTE = ("bracket [d_m, d_n] = (n-m) d_{m+n} "
@@ -98,7 +94,9 @@ def classify_module(descriptor, *, point=None, lowest: bool = False,
     Functionals over product_local algebras always split; polynomial
     functionals split when the quasifiniteness witness is certified and its
     generator factors into rational points, and otherwise stay undetermined
-    (or are reported not quasifinite under caller-asserted exactness).
+    (or are reported not quasifinite under caller-asserted exactness).  The
+    split forms no product in A; its idempotents come certified from
+    ``crt_idempotents``.
     """
     if isinstance(descriptor, IntSeriesSpec):
         comp = Component(point=None if point is None else as_scalar(point),
@@ -171,48 +169,27 @@ def _classify_highest(phi: Functional, bound, assume_exact) -> ClassificationRec
 
 
 def _split_product_local(phi: Functional, notes: dict) -> ClassificationRecord:
+    """One component per nonzero CRT piece, of order its ``_reduced_order``
+    N, with its functional on Q[t]/(t - a)^N and over A by ``_piece_on``."""
     alg = phi.algebra
-    factors = local_decomposition(alg)
-    pieces = split_phi(phi)
     components = []
     dropped = 0
-    for factor, piece in zip(factors, pieces):
-        if piece.is_zero():
+    for a, lam, kappa in _local_pieces(phi):
+        order = _reduced_order(lam, kappa)
+        if not order:
             dropped += 1
             continue
-        order = _minimal_order(piece, factor)
-        quotient = Algebra.product_local([(factor.point, order)])
-        # the piece kills m^order, so evaluating it on monomial lifts gives a
-        # well-defined functional on the local quotient
-        local_phi = Functional(
-            quotient,
-            {k: piece.eval_d0(alg.basis_element(k)) for k in range(quotient.dim)},
-            {k: piece.eval_c(alg.basis_element(k)) for k in range(quotient.dim)})
-        components.append(Component(point=factor.point, order=order,
-                                    functional=local_phi, phi_piece=piece))
+        local = _piece_on(Algebra.product_local([(a, order)]), a, lam, kappa)
+        components.append(Component(point=a, order=order, functional=local,
+                                    phi_piece=_piece_on(alg, a, lam, kappa)))
     record = ClassificationRecord("hw_tensor_of_generalized_evals", components,
                                   notes=dict(notes),
-                                  idempotents=[f.idempotent for f in factors])
+                                  idempotents=[alg.from_poly(e) for e in crt_idempotents(alg)])
     if dropped:
         record.notes["dropped_zero_components"] = dropped
     if not components:
         record.notes["trivial"] = True
     return record
-
-
-def _minimal_order(piece: Functional, factor) -> int:
-    """Smallest N with the piece vanishing on Vir_0 (x) m^N, m = (t - point).
-
-    m^N is spanned by the powers (t - point)^k with k >= N, and the piece
-    kills those with k >= the factor's order (it is phi(e x) for the
-    factor's idempotent e), so N is one past the highest power below that
-    order on which the piece does not vanish.
-    """
-    alg = piece.algebra
-    m = (-factor.point, Fraction(1))
-    return 1 + max((k for k in range(factor.order)
-                    if any(ev(alg.from_poly(polyutil.ppow(m, k)))
-                           for ev in (piece.eval_d0, piece.eval_c))), default=0)
 
 
 # -- trichotomy profiling ----------------------------------------------------

@@ -33,10 +33,6 @@ def padd(p: Poly, q: Poly) -> Poly:
                  for i in range(n)])
 
 
-def pneg(p: Poly) -> Poly:
-    return tuple([-x for x in p])
-
-
 def pscale(p: Poly, c: Fraction) -> Poly:
     if c == 0:
         return ()
@@ -107,6 +103,20 @@ def peval(p: Poly, x: Fraction) -> Fraction:
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+def taylor(p: Poly, a: Fraction, n: int) -> list[Fraction]:
+    """The first n Taylor coefficients of p at a, i.e. p(a + s) mod s^n, by
+    repeated synthetic division by t - a."""
+    out, q = [], list(p)
+    for _ in range(n):
+        acc, quo = Fraction(0), []
+        for c in reversed(q):  # Horner: the remainder is q(a), the rest the quotient
+            acc = acc * a + c
+            quo.append(acc)
+        out.append(acc)
+        q = quo[-2::-1]
+    return out
 
 
 def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:

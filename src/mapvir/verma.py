@@ -58,7 +58,7 @@ class Functional:
     """
 
     __slots__ = ("algebra", "_d0", "_c", "exact_poly", "_extended", "_act_cache",
-                 "_reduced")
+                 "_reduced", "_pieces")
 
     def __init__(self, algebra: Algebra, d0, c, exact_poly=None):
         if algebra.kind == "polynomial":
@@ -103,6 +103,7 @@ class Functional:
                           else [tuple(d0.values()), tuple(c.values())])
         self._act_cache = {}
         self._reduced = None  # see _reduction
+        self._pieces = None  # see _local_pieces
         return self
 
     # -- constructors -------------------------------------------------------
@@ -505,7 +506,7 @@ def quotient_dims(phi: Functional, max_depth: int, window=None) -> tuple[int, ..
     pieces = _local_pieces(phi)
     dims = [1] + [0] * max_depth
     for a, lam, kappa in pieces:
-        k = max((i + 1 for i, pair in enumerate(zip(lam, kappa)) if any(pair)), default=0)
+        k = _reduced_order(lam, kappa)
         if not k:
             continue  # the trivial module has character 1
         if len(pieces) == 1 and a == 0 and k == len(lam):
@@ -577,17 +578,19 @@ def _layered_quotient_dims(phi: Functional, max_depth: int) -> tuple[int, ...]:
     return tuple(dims)
 
 
-def _local_pieces(phi: Functional) -> list[tuple] | None:
+def _local_pieces(phi: Functional) -> tuple[tuple, ...] | None:
     """The CRT pieces of a functional over a product_local algebra or Q, and
     None over every other kind.
 
     For each local factor (a, N), in order, the triple (a, lam, kappa) of the
-    lists lam_k = phi(d_0 (x) e s^k) and kappa_k = phi(c (x) e s^k), k < N,
+    tuples lam_k = phi(d_0 (x) e s^k) and kappa_k = phi(c (x) e s^k), k < N,
     where s = t - a and e is the factor's CRT idempotent.  Q is the one
     factor (0, 1) of Q[t]/(t).  The piece is the functional these values
     define on Q[s]/s^N, and V(phi) is the tensor product of the pieces'
-    Verma modules.
+    Verma modules.  Kept on the functional once computed.
     """
+    if phi._pieces is not None:
+        return phi._pieces
     alg = phi.algebra
     if alg.kind == "product_local":
         factors = zip(alg.factors, crt_idempotents(alg))
@@ -606,8 +609,28 @@ def _local_pieces(phi: Functional) -> list[tuple] | None:
                     f = [x - top * m for x, m in zip(f, alg._modulus)]
             lam.append(sum(x * phi.value_d0(j) for j, x in enumerate(f) if x))
             kappa.append(sum(x * phi.value_c(j) for j, x in enumerate(f) if x))
-        pieces.append((a, lam, kappa))
-    return pieces
+        pieces.append((a, tuple(lam), tuple(kappa)))
+    phi._pieces = tuple(pieces)
+    return phi._pieces
+
+
+def _reduced_order(lam, kappa) -> int:
+    """The least k with a piece killing Vir_0 (x) (s^k): one past its last nonzero pair."""
+    return max((k + 1 for k, pair in enumerate(zip(lam, kappa)) if any(pair)), default=0)
+
+
+def _piece_on(algebra: Algebra, a, lam, kappa) -> Functional:
+    """The functional with values phi(x e t^j), j < algebra.dim, from a piece's
+    phi(x e s^k): t = s + a and e s^k = 0 past the values, so t^j -> t^{j+1}
+    maps w_k = phi(x e s^k t^j) to w_{k+1} + a w_k.  On A or a local quotient."""
+    values = []
+    for w in (list(lam), list(kappa)):
+        out = {}
+        for j in range(algebra.dim):
+            out[j] = w[0]
+            w = [x * a + y for x, y in zip(w, w[1:] + [0])]
+        values.append(out)
+    return Functional(algebra, *values)
 
 
 def _first_reducible_depth(phi: Functional, max_depth: int) -> int:
@@ -957,17 +980,13 @@ def split_phi(phi: Functional) -> list[Functional]:
     """Split along the CRT idempotents of a product_local algebra.
 
     phi_i(x) = phi(e_i x); the pieces sum to phi exactly and each one kills
-    Vir_0 tensored with the other factors' ideals.
+    Vir_0 tensored with the other factors' ideals.  Each is read off a piece
+    of ``_local_pieces`` by ``_piece_on``, with no product in A.
     """
     alg = phi.algebra
     if alg.kind != "product_local":
         raise UnsupportedKind("split_phi needs a product_local algebra")
-    out = []
-    for idem in crt_idempotents(alg):
-        prods = [alg.from_poly(idem) * alg.basis_element(j) for j in range(alg.dim)]
-        out.append(Functional(alg, dict(enumerate(map(phi.eval_d0, prods))),
-                              dict(enumerate(map(phi.eval_c, prods)))))
-    return out
+    return [_piece_on(alg, a, lam, kappa) for a, lam, kappa in _local_pieces(phi)]
 
 
 # -- serialization ----------------------------------------------------------

@@ -7,7 +7,8 @@ on (mode, color) letters over a hand-written product table), the zeros of the
 Kac determinant come from the h_{r,s} formula, partition counts come from the
 generating function, minimal recurrences from a per-order Hankel search,
 ideal closures from a rank-driven worklist over the algebra's product, the
-order of a local piece from successive ideal powers, and the quotient
+order of a local piece from successive ideal powers, the CRT pieces of a
+functional from products with product-checked idempotents, and the quotient
 characters of Q[t]/t^N Verma modules with one top-degree zero from a
 closed form.
 """
@@ -138,6 +139,26 @@ def oracle_minimal_order(piece, factor) -> int:
                for b in mpow.basis_elements()):
             return n
     return factor.order
+
+
+def oracle_split_values(phi):
+    """Per CRT factor, the lists phi(d_0 (x) e_i t^j) and phi(c (x) e_i t^j),
+    j < dim A, formed by products in A with the idempotents of
+    ``local_decomposition``.  The idempotents are first checked by products:
+    e_i e_j = delta_ij e_i, and they sum to 1."""
+    from mapvir import local_decomposition
+
+    alg = phi.algebra
+    idems = [f.idempotent for f in local_decomposition(alg)]
+    assert sum(idems, alg.zero()) == alg.one()
+    for i, e in enumerate(idems):
+        for j, g in enumerate(idems):
+            assert e * g == (e if i == j else alg.zero())
+    out = []
+    for e in idems:
+        prods = [e * alg.basis_element(j) for j in range(alg.dim)]
+        out.append(([phi.eval_d0(x) for x in prods], [phi.eval_c(x) for x in prods]))
+    return out
 
 
 def poly_divmod_oracle(num, den):

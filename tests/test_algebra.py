@@ -27,6 +27,8 @@ from mapvir import (
     point_ideal,
     quotient_algebra,
 )
+from mapvir import algebra as algebra_module
+from mapvir.algebra import crt_idempotents
 from oracles import oracle_ideal_closure, oracle_rank, poly_divmod_oracle
 
 
@@ -434,6 +436,56 @@ def test_local_decomposition_unsupported():
     alg = Algebra.rationals()
     with pytest.raises(UnsupportedKind):
         local_decomposition(alg)
+
+
+def _random_layout(rng, least=1):
+    points = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3), F(2, 3), F(-5, 4)]
+    return [(p, rng.randint(1, 3)) for p in rng.sample(points, rng.randint(least, 4))]
+
+
+def test_crt_idempotents_are_certified_and_match_local_decomposition():
+    rng = random.Random(1517)
+    for _ in range(200):
+        factors = _random_layout(rng)
+        alg = Algebra.product_local(factors)
+        idems = [alg.from_poly(e) for e in crt_idempotents(alg)]
+        assert idems == [f.idempotent for f in local_decomposition(alg)]
+        # the product identities, by products in A, and e_i(a_i) = 1
+        assert sum(idems, alg.zero()) == alg.one()
+        for i, e in enumerate(idems):
+            assert sum(c * factors[i][0] ** k for k, c in e.coeffs.items()) == 1
+            for j, g in enumerate(idems):
+                assert e * g == (e if i == j else alg.zero())
+
+
+def test_crt_idempotents_run_the_certificate_once_per_algebra(monkeypatch):
+    calls = []
+    real = algebra_module._certify_crt_idempotents
+    monkeypatch.setattr(algebra_module, "_certify_crt_idempotents",
+                        lambda alg, idems: calls.append(alg) or real(alg, idems))
+    rng = random.Random(1518)
+    for _ in range(20):
+        alg = Algebra.product_local(_random_layout(rng, least=2))
+        crt_idempotents(alg)
+        local_decomposition(alg)
+        assert calls == [alg]
+        calls.clear()
+
+
+def test_a_wrong_crt_idempotent_raises():
+    rng = random.Random(1519)
+    for _ in range(100):
+        alg = Algebra.product_local(_random_layout(rng))
+        idems = [list(e) + [F(0)] * (alg.dim - len(e)) for e in crt_idempotents(alg)]
+        algebra_module._certify_crt_idempotents(alg, idems)
+        i, k = rng.randrange(len(idems)), rng.randrange(alg.dim)
+        idems[i][k] += rng.choice([F(1), F(-1, 3), F(2)])
+        with pytest.raises(ValueError, match="CRT idempotent"):
+            algebra_module._certify_crt_idempotents(alg, idems)
+    # t^2 = t in Q[t]/(t^2 - t): the right image, but not reduced
+    alg = Algebra.product_local([(0, 1), (1, 1)])
+    with pytest.raises(ValueError, match="not reduced"):
+        algebra_module._certify_crt_idempotents(alg, [(F(1), F(-1)), (F(0), F(0), F(1))])
 
 
 # -- serialization -----------------------------------------------------------

@@ -1,6 +1,8 @@
+import ast
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +23,7 @@ from mapvir import (
     split_phi,
     trichotomy_profile,
 )
-from mapvir.classify import _minimal_order
+from mapvir import classify as classify_source
 from oracles import convolve, oracle_minimal_order
 
 QQ = Algebra.rationals()
@@ -164,11 +166,39 @@ def test_minimal_order_matches_the_ideal_power_oracle():
         planted_c = [rng.randint(0, n) for _, n in factors]
         phi = Functional(alg, _planted_local_values(factors, planted_d0, alg.dim, rng),
                          _planted_local_values(factors, planted_c, alg.dim, rng))
-        for factor, piece, nd, nc in zip(local_decomposition(alg), split_phi(phi),
-                                         planted_d0, planted_c):
-            expected = max(nd, nc, 1)
-            assert _minimal_order(piece, factor) == expected
-            assert oracle_minimal_order(piece, factor) == expected
+        record = classify_module(phi)
+        expected = [(factor.point, oracle_minimal_order(piece, factor))
+                    for factor, piece in zip(local_decomposition(alg), split_phi(phi))
+                    if not piece.is_zero()]
+        assert [(c.point, c.order) for c in record.components] == expected
+        assert expected == [(p, max(nd, nc)) for (p, _), nd, nc
+                            in zip(factors, planted_d0, planted_c) if max(nd, nc)]
+
+
+def test_product_local_split_and_classify_form_no_algebra_product(monkeypatch):
+    calls = []
+    real = Algebra._mul_coeffs
+    monkeypatch.setattr(Algebra, "_mul_coeffs",
+                        lambda self, a, b: calls.append(self) or real(self, a, b))
+    rng = random.Random(43)
+    calls_under_test = [split_phi, lambda phi: classify_module(phi).to_json_dict(explain=True),
+                        lambda phi: classify_module(phi, lowest=True).to_json_dict(explain=True)]
+    for factors in ([(0, 2), (1, 2), (-1, 1)], [(F(1, 2), 3)], [(0, 1), (2, 1), (-1, 1)]):
+        for call in calls_under_test:
+            alg = Algebra.product_local(factors)  # fresh: no idempotents cached yet
+            call(Functional(alg, {i: F(rng.randint(-4, 4), rng.randint(1, 3)) for i in range(alg.dim)},
+                            {i: F(rng.randint(-4, 4)) for i in range(alg.dim)}))
+    assert calls == []
+
+
+def test_classify_reads_no_factor_layout():
+    # the CRT pieces come from verma._local_pieces, the one reader of the layout
+    tree = ast.parse(Path(classify_source.__file__).read_text(encoding="utf-8"))
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert not names & {"factors", "_modulus", "local_decomposition"}
 
 
 def test_json_record():

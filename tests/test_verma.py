@@ -17,12 +17,17 @@ from mapvir import (
     c_term,
     check_quasifinite,
     check_verma_reducible,
+    classify_module,
     d_term,
     depth_one_vector,
+    format_element,
+    format_scalar,
+    functional_to_spec,
     highest_weight_vector,
     in_maximal_submodule,
     largest_d0_ideal,
     largest_v0_ideal,
+    local_decomposition,
     module_dims,
     pairing_matrix,
     pbw_basis,
@@ -41,7 +46,9 @@ from oracles import (
     kac_vanishes,
     minimal_model_weight,
     oracle_det,
+    oracle_minimal_order,
     oracle_rank,
+    oracle_split_values,
     partitions,
     rocha_caridi_dims,
     top_zero_dims,
@@ -1285,6 +1292,108 @@ def test_character_factorization():
     c0 = quotient_dims(p0, 4)
     c1 = quotient_dims(p1, 4)
     assert list(total) == convolve(list(c0), list(c1))[:5]
+
+
+# the decide benchmark's dim5 functional
+DIM5 = Functional(Algebra.product_local([(0, 2), (1, 2), (-1, 1)]),
+                  {0: F(3), 1: F(1, 2)}, {0: F(1, 2), 1: F(2)})
+
+
+def _split_parity_cases():
+    """PLANTED_LOCAL, the product_local PARITY_CASES and the dim5 layout."""
+    cases = [(label, phi) for label, phi, _ in PLANTED_LOCAL]
+    cases += [(name, phi) for name, (phi, _) in PARITY_CASES.items()
+              if phi.algebra.kind == "product_local"]
+    return cases + [("dim5", DIM5)]
+
+
+def _exact_polynomial_cases():
+    """Q[t] functionals with an exact ideal prod (t - a)^m, in the style of
+    the benchmark's exact1..exact6: values sum_{a, k < m} c C(j, k) a^(j-k)
+    with every top coefficient nonzero, so the minimal recurrence is the
+    whole ideal.  Each case is (functional, sorted (a, m) pairs)."""
+    rng = random.Random(1523)
+    cases = []
+    for order in range(1, 7):
+        distinct = order - 1 if order >= 3 else order
+        mults = [1] * distinct
+        if order >= 3:
+            mults[rng.randrange(distinct)] = 2
+        pairs = sorted(zip(map(F, rng.sample((-3, -2, -1, 1, 2, 3, 4), distinct)), mults))
+        values = [[[rand_scalar(rng) or F(1) for _ in range(m)] for _, m in pairs]
+                  for _ in range(2)]
+        lam, kap = ([sum((c * math.comb(j, k) * a ** (j - k) for (a, _), cs in zip(pairs, v)
+                          for k, c in enumerate(cs) if k <= j), F(0)) for j in range(2 * order + 2)]
+                    for v in values)
+        modulus = (F(1),)
+        for a, m in pairs:
+            modulus = polyutil.pmul(modulus, polyutil.ppow((-a, F(1)), m))
+        phi = Functional.from_sequences(Algebra.polynomial((0, 2 * order + 8)), lam, kap,
+                                        exact_ideal=modulus)
+        cases.append((phi, pairs))
+    return cases
+
+
+def _expected_components(phi):
+    """(point, order, local functional, piece over A) per nonzero CRT piece,
+    all from oracle_split_values and the ideal-power oracle."""
+    alg = phi.algebra
+    out = []
+    for fac, (d0, c) in zip(local_decomposition(alg), oracle_split_values(phi)):
+        piece = Functional(alg, dict(enumerate(d0)), dict(enumerate(c)))
+        if piece.is_zero():
+            continue
+        order = oracle_minimal_order(piece, fac)
+        local = Functional(Algebra.product_local([(fac.point, order)]),
+                           dict(enumerate(d0[:order])), dict(enumerate(c[:order])))
+        out.append((fac.point, order, local, piece))
+    return out
+
+
+@pytest.mark.parametrize("label, phi", _split_parity_cases(),
+                         ids=[label for label, _ in _split_parity_cases()])
+def test_split_and_classify_match_the_product_oracle(label, phi):
+    alg = phi.algebra
+    assert [([p.value_d0(j) for j in range(alg.dim)], [p.value_c(j) for j in range(alg.dim)])
+            for p in split_phi(phi)] == oracle_split_values(phi)
+    expected = _expected_components(phi)
+    for lowest in (False, True):  # the involution is negation, applied twice
+        record = classify_module(phi, lowest=lowest)
+        assert [(c.point, c.order, c.functional, c.phi_piece)
+                for c in record.components] == expected
+        report = record.to_json_dict(explain=True)
+        assert report["components"] == [
+            {"point": format_scalar(a), "order": n, "functional": functional_to_spec(local)}
+            for a, n, local, _ in expected]
+        assert report["idempotents"] == [format_element(f.idempotent)
+                                         for f in local_decomposition(alg)]
+
+
+def test_classify_of_exact_polynomial_functionals_matches_the_product_oracle():
+    for phi, pairs in _exact_polynomial_cases():
+        record = classify_module(phi)
+        assert [(c.point, c.order) for c in record.components] == pairs
+        quotient = Algebra.product_local(pairs)
+        pulled = Functional(quotient, {j: phi.value_d0(j) for j in range(quotient.dim)},
+                            {j: phi.value_c(j) for j in range(quotient.dim)})
+        expected = _expected_components(pulled)
+        assert [(c.point, c.order, c.functional, c.phi_piece)
+                for c in record.components] == expected
+
+
+def test_quotient_dims_computes_the_pieces_once(monkeypatch):
+    calls = []
+    real = verma.crt_idempotents
+    monkeypatch.setattr(verma, "crt_idempotents", lambda alg: calls.append(alg) or real(alg))
+    # phi is its own piece, a reduced piece, and two pieces with a planted zero
+    cases = [Functional(DUAL, {0: F(1, 3), 1: F(2)}, {0: F(2), 1: F(1)}),
+             _pullback("ising_sigma", 2)]
+    cases += [phi for label, phi, _ in PLANTED_LOCAL if label == "0^2,1^1-0-at-2"]
+    for phi in cases:
+        phi = Functional(phi.algebra, dict(phi._d0), dict(phi._c))  # no pieces kept yet
+        calls.clear()
+        quotient_dims(phi, 5)
+        assert sum(alg is phi.algebra for alg in calls) == 1
 
 
 # -- annihilation descends ----------------------------------------------------
