@@ -677,7 +677,8 @@ class QuotientMap:
 
 
 def quotient_algebra(algebra: Algebra, ideal) -> tuple[Algebra, QuotientMap]:
-    """The quotient A/I as a structure-constants algebra, with its projection."""
+    """The quotient A/I with its projection: for I = (p), product_local when
+    p splits into rational points; otherwise a structure-constants algebra."""
     algebra.require_compatible(ideal.algebra)
     if ideal.is_whole():
         raise ImproperIdeal("cannot form the quotient by the whole algebra")
@@ -753,23 +754,29 @@ def polynomial_quotient(algebra: Algebra, quotient: Algebra,
 
 
 def _principal_quotient(algebra: Algebra, p: polyutil.Poly):
+    """A/(p), p monic: product_local when p splits into rational points, else
+    structure constants; either way t^k is basis element k, k < deg p."""
+    roots, rest = polyutil.rational_roots(p)
+    if polyutil.degree(rest) == 0:
+        return product_local_quotient(algebra, roots)
     deg = polyutil.degree(p)
-    labels = tuple(_exponent_label(k) for k in range(deg))
-    tensor = []
-    for a in range(deg):
-        row = []
-        for b in range(deg):
-            mono = [Fraction(0)] * (a + b + 1)
-            mono[a + b] = Fraction(1)
-            red = polyutil.pmod(polyutil.trim(mono), p)
-            row.append(tuple(red[k] if k < len(red) else Fraction(0)
-                             for k in range(deg)))
-        tensor.append(tuple(row))
-    unit = tuple(Fraction(1) if k == 0 else Fraction(0) for k in range(deg))
-    quotient = Algebra.structure_constants(tuple(tensor), unit, labels=labels,
-                                           validate=False)
+
+    def reduced(k):  # t^k mod p, on 1, t, ..., t^{deg - 1}
+        red = polyutil.pmod((Fraction(0),) * k + (Fraction(1),), p)
+        return tuple(red) + (Fraction(0),) * (deg - len(red))
+
+    quotient = Algebra.structure_constants(
+        tuple(tuple(reduced(a + b) for b in range(deg)) for a in range(deg)), reduced(0),
+        labels=tuple(_exponent_label(k) for k in range(deg)), validate=False)
     # t is invertible mod p exactly when p(0) != 0; normalization assures it.
     return quotient, polynomial_quotient(algebra, quotient, p)
+
+
+def product_local_quotient(algebra: Algebra, factors) -> tuple[Algebra, QuotientMap]:
+    """A/(m) as ``Algebra.product_local(factors)``, m its modulus, with the
+    projection; A is monomial-based, and m divides its modulus if it has one."""
+    quotient = Algebra.product_local(factors)
+    return quotient, polynomial_quotient(algebra, quotient, quotient._modulus)
 
 
 # -- local structure --------------------------------------------------------

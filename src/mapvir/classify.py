@@ -28,6 +28,7 @@ from .verma import (
     Functional,
     _local_pieces,
     _piece_on,
+    _pull_back,
     _reduced_order,
     check_quasifinite,
     functional_to_spec,
@@ -91,12 +92,13 @@ def classify_module(descriptor, *, point=None, lowest: bool = False,
     """Canonical form of a highest/lowest weight functional or an
     intermediate-series descriptor.
 
-    Functionals over product_local algebras always split; polynomial
-    functionals split when the quasifiniteness witness is certified and its
-    generator factors into rational points, and otherwise stay undetermined
-    (or are reported not quasifinite under caller-asserted exactness).  The
-    split forms no product in A; its idempotents come certified from
-    ``crt_idempotents``.
+    Functionals over product_local algebras always split.  A polynomial
+    functional with a certified quasifiniteness witness J is pulled back to
+    ``quotient_algebra(A, J)`` (``verma._pull_back``) and splits when that is
+    product_local, i.e. J's generator splits into rational points; otherwise
+    it stays undetermined (or is reported not quasifinite under
+    caller-asserted exactness).  The split forms no product in A; its
+    idempotents come certified from ``crt_idempotents``.
     """
     if isinstance(descriptor, IntSeriesSpec):
         comp = Component(point=None if point is None else as_scalar(point),
@@ -146,25 +148,20 @@ def _classify_highest(phi: Functional, bound, assume_exact) -> ClassificationRec
         return ClassificationRecord("undetermined_at_bound", notes={
             **notes, "reason": verdict.note})
     witness = verdict.witness
-    gen = witness.generator_poly()
-    if polyutil.degree(gen) == 0:
+    if witness.is_whole():
         # phi vanishes identically: the trivial module, an empty tensor product
         return ClassificationRecord("hw_tensor_of_generalized_evals", [],
                                     notes={**notes, "trivial": True},
                                     witness=witness)
-    roots, rest = polyutil.rational_roots(gen)
-    if polyutil.degree(rest) > 0:
+    gen = polyutil.pstr(witness.generator_poly())
+    pulled, _ = _pull_back(phi, witness)
+    if pulled.algebra.kind != "product_local":
         return ClassificationRecord("undetermined_at_bound", notes={
-            **notes,
-            "reason": "witness ideal does not split into rational points",
-            "witness": polyutil.pstr(gen)}, witness=witness)
-    quotient = Algebra.product_local(roots)
-    lam = [phi.value_d0(k) for k in range(quotient.dim)]
-    kap = [phi.value_c(k) for k in range(quotient.dim)]
-    pulled = Functional(quotient, dict(enumerate(lam)), dict(enumerate(kap)))
+            **notes, "reason": "witness ideal does not split into rational points",
+            "witness": gen}, witness=witness)
     record = _split_product_local(pulled, notes)
     record.witness = witness
-    record.notes["witness"] = polyutil.pstr(gen)
+    record.notes["witness"] = gen
     return record
 
 

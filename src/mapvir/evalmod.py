@@ -29,7 +29,7 @@ from .algebra import (
     ideal_intersection,
     ideal_power,
     point_ideal,
-    polynomial_quotient,
+    product_local_quotient,
 )
 from .errors import MissingWindow, UnsupportedKind, WindowOverflow
 from .liealg import LieElement
@@ -459,17 +459,9 @@ class TensorHandle(ModuleHandle):
             raise UnsupportedKind("tensor factor with weights unbounded above")
         for i, f in enumerate(self.factors):
             others_hi = sum(b[1] for j, b in enumerate(bounds) if j != i)
-            others_lo = [b[0] for j, b in enumerate(bounds) if j != i]
-            f_lo, f_hi = bounds[i]
-            range_lo = lo - others_hi
-            if f_lo is not None:
-                range_lo = max(range_lo, f_lo)
-            if any(b is None for b in others_lo):
-                range_hi = f_hi
-            else:
-                range_hi = hi - sum(others_lo)
-                if f_hi is not None:
-                    range_hi = min(range_hi, f_hi)
+            range_lo, range_hi = lo - others_hi, bounds[i][1]
+            if bounds[i][0] is not None:
+                range_lo = max(range_lo, bounds[i][0])
             if range_lo > range_hi:
                 tables.append(WeightTable(f.base_weight(), (0, 0), {}))
                 continue
@@ -528,9 +520,7 @@ def local_quotient(algebra: Algebra, point, order: int) -> tuple[Algebra, Quotie
         raise ValueError("t is not invertible at the point 0")
     elif algebra.kind not in ("polynomial", "laurent"):
         raise UnsupportedKind("local quotients need a monomial-based algebra")
-    target = Algebra.product_local([(point, order)])
-    return target, polynomial_quotient(
-        algebra, target, polyutil.ppow((-point, Fraction(1)), order))
+    return product_local_quotient(algebra, [(point, order)])
 
 
 def project_lie(projection: QuotientMap, x: LieElement) -> LieElement:

@@ -512,8 +512,7 @@ def quotient_dims(phi: Functional, max_depth: int, window=None) -> tuple[int, ..
         if len(pieces) == 1 and a == 0 and k == len(lam):
             piece = phi
         else:
-            piece = Functional(Algebra.product_local([(0, k)]),
-                               dict(enumerate(lam[:k])), dict(enumerate(kappa[:k])))
+            piece = _piece_on(Algebra.product_local([(0, k)]), 0, lam, kappa)
         part = _layered_quotient_dims(piece, max_depth)
         dims = [sum(dims[i] * part[n - i] for i in range(n + 1)) for n in range(max_depth + 1)]
     return tuple(dims)
@@ -693,7 +692,8 @@ def in_maximal_submodule(v: VermaVector, window=None) -> bool:
     on A/J, with coeff_v(X w) = coeff_v_bar(X_bar pi(w)).  When the color
     window holds 0..deg p - 1, its raising monomials map onto every PBW
     monomial of A/J, so the window test on w is pi(w) in Rad(phi_bar), and
-    the walk runs over the deg p colors of A/J (``_reduction``).
+    the walk runs over the deg p colors of A/J = ``quotient_algebra(A, J)``,
+    product_local when p splits into rational points (``_reduction``).
     """
     if v.is_zero():
         return True
@@ -719,11 +719,16 @@ def _reduction(phi: Functional, colors: range) -> tuple | None:
     if not (0 in colors and d - 1 in colors and d <= alg.window[1]):
         return None
     if phi._reduced is None:
-        quotient, project = quotient_algebra(alg, PrincipalIdeal(alg, alg.from_poly(p)))
-        phi_bar = Functional(quotient, {k: phi.value_d0(k) for k in range(d)},
-                             {k: phi.value_c(k) for k in range(d)})
-        phi._reduced = (phi_bar, project, {})
+        phi._reduced = (*_pull_back(phi, PrincipalIdeal(alg, alg.from_poly(p))), {})
     return phi._reduced
+
+
+def _pull_back(phi: Functional, ideal: PrincipalIdeal) -> tuple:
+    """(phi_bar on ``quotient_algebra(A, J)``, the projection) for a principal J
+    with phi(Vir_0 (x) J) = 0: t^k is basis k, so phi_bar reads phi(x (x) t^k)."""
+    quotient, project = quotient_algebra(phi.algebra, ideal)
+    return Functional(quotient, {k: phi.value_d0(k) for k in range(quotient.dim)},
+                      {k: phi.value_c(k) for k in range(quotient.dim)}), project
 
 
 def _project_terms(reduced: tuple, terms) -> dict:

@@ -8,9 +8,9 @@ Kac determinant come from the h_{r,s} formula, partition counts come from the
 generating function, minimal recurrences from a per-order Hankel search,
 ideal closures from a rank-driven worklist over the algebra's product, the
 order of a local piece from successive ideal powers, the CRT pieces of a
-functional from products with product-checked idempotents, and the quotient
-characters of Q[t]/t^N Verma modules with one top-degree zero from a
-closed form.
+functional from products with product-checked idempotents, the structure
+tensor of Q[t]/(p) from schoolbook division, and the quotient characters of
+Q[t]/t^N Verma modules with one top-degree zero from a closed form.
 """
 
 from __future__ import annotations
@@ -181,6 +181,20 @@ def poly_divmod_oracle(num, den):
     while rem and rem[0] == 0:
         rem = rem[1:]
     return quo, rem
+
+
+def principal_quotient_tensor(p):
+    """The structure tensor and unit of Q[t]/(p), p monic and low degree
+    first, on 1, t, ..., t^{deg p - 1}: t^a t^b = t^{a+b} mod p by schoolbook
+    division."""
+    deg = len(p) - 1
+
+    def reduced(k):
+        rem = poly_divmod_oracle([1] + [0] * k, list(reversed(p)))[1]
+        return tuple(reversed(rem)) + (Fraction(0),) * (deg - len(rem))
+
+    tensor = tuple(tuple(reduced(a + b) for b in range(deg)) for a in range(deg))
+    return tensor, reduced(0)
 
 
 def partitions(n: int):

@@ -28,8 +28,14 @@ from mapvir import (
     quotient_algebra,
 )
 from mapvir import algebra as algebra_module
+from mapvir import polyutil
 from mapvir.algebra import crt_idempotents
-from oracles import oracle_ideal_closure, oracle_rank, poly_divmod_oracle
+from oracles import (
+    oracle_ideal_closure,
+    oracle_rank,
+    poly_divmod_oracle,
+    principal_quotient_tensor,
+)
 
 
 def rand_elt(rng, alg):
@@ -389,6 +395,46 @@ def test_quotient_laurent_inverts_t():
         x = alg.element({k: F(rng.randint(-3, 3)) for k in range(-3, 4)})
         y = alg.element({k: F(rng.randint(-3, 3)) for k in range(-3, 4)})
         assert proj(x * y) == proj(x) * proj(y)
+
+
+# split generators, low degree first, with their rational_roots factors
+SPLIT_PRINCIPALS = {
+    "(t-1)(t+3)": (Algebra.polynomial((0, 12)), (-3, 2, 1), [(-3, 1), (1, 1)]),
+    "(t-2)^2(t+1)": (Algebra.polynomial((0, 12)), (4, 0, -3, 1), [(-1, 1), (2, 2)]),
+    "t(t-1)": (Algebra.polynomial((0, 12)), (0, -1, 1), [(0, 1), (1, 1)]),
+    "laurent (t-2)(t-3)": (Algebra.laurent((-6, 6)), (6, -5, 1), [(2, 1), (3, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", SPLIT_PRINCIPALS)
+def test_split_principal_quotient_is_product_local(name):
+    alg, gen, roots = SPLIT_PRINCIPALS[name]
+    p = tuple(map(F, gen))
+    quo, proj = quotient_algebra(alg, PrincipalIdeal(alg, alg.from_poly(p)))
+    assert polyutil.rational_roots(p) == (roots, (F(1),))
+    assert quo == Algebra.product_local(roots) and list(quo.factors) == roots
+    tensor, unit = principal_quotient_tensor(p)  # the same algebra on 1, t, ...
+    assert quo.one().to_vector() == list(unit)
+    for a in range(quo.dim):
+        for b in range(quo.dim):
+            assert quo.basis_product(a, b).to_vector() == list(tensor[a][b])
+    rng = random.Random(len(name))
+    for _ in range(20):
+        x = alg.element({k: F(rng.randint(-4, 4), rng.randint(1, 3)) for k in range(7)})
+        red = polyutil.pmod(x.as_poly(), p)
+        assert proj(x).to_vector() == list(red) + [F(0)] * (quo.dim - len(red))
+        assert proj.lift(proj(x)) == alg.element(dict(enumerate(red)))
+    if alg.kind == "laurent":
+        assert proj(alg.basis_element(-1)) * proj(alg.basis_element(1)) == quo.one()
+
+
+def test_irrational_principal_quotient_keeps_structure_constants():
+    P = Algebra.polynomial((0, 12))
+    p = (F(-2), F(0), F(1))  # t^2 - 2 has no rational root
+    quo, proj = quotient_algebra(P, PrincipalIdeal(P, P.from_poly(p)))
+    tensor, unit = principal_quotient_tensor(p)
+    assert quo == Algebra.structure_constants(tensor, unit, labels=("1", "t"))
+    assert proj(P.basis_element(3)) == quo.element({1: F(2)})
 
 
 # -- local decomposition -----------------------------------------------------

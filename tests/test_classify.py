@@ -9,6 +9,7 @@ import pytest
 from mapvir import (
     Algebra,
     Functional,
+    PrincipalIdeal,
     GeneralizedEvalHandle,
     IntSeriesEvalHandle,
     IntSeriesSpec,
@@ -16,9 +17,12 @@ from mapvir import (
     TensorHandle,
     UnsupportedKind,
     VermaHandle,
+    annihilator_support,
     classify_module,
+    ideal_closure,
     involute_functional,
     local_decomposition,
+    quotient_algebra,
     quotient_dims,
     split_phi,
     trichotomy_profile,
@@ -199,6 +203,48 @@ def test_classify_reads_no_factor_layout():
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
               for alias in node.names}
     assert not names & {"factors", "_modulus", "local_decomposition"}
+
+
+def test_only_algebra_presents_principal_quotients():
+    # classify reaches A/(p) through verma._pull_back, and only algebra.py
+    # decides its presentation
+    def names(path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        found |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        return found | {alias.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+    package = Path(classify_source.__file__).parent
+    assert not names(package / "classify.py") & {"rational_roots", "polynomial_quotient"}
+    readers = {path.name for path in package.glob("*.py") if "polynomial_quotient" in names(path)}
+    assert readers == {"algebra.py"}
+
+
+def test_functionals_over_split_quotients_classify():
+    # a split quotient is product_local, so classify_module, split_phi and
+    # annihilator_support reach it and agree with the exact Q[t] functional
+    P = Algebra.polynomial((0, 16))
+    p = (F(-3), F(2), F(1))
+    quo, proj = quotient_algebra(P, PrincipalIdeal(P, P.from_poly(p)))
+    assert quo.kind == "product_local"
+    for d0, c in (([5, 2], [1, 0]), ([F(1, 3), -4], [F(1, 2), 3]), ([1, 1], [2, 2]), ([0, 0], [0, 0])):
+        seed = Functional.from_sequences(P, d0, c, exact_ideal=p)
+        # ten declared values, so detection can find a smaller witness than p
+        exact = Functional.from_sequences(P, [seed.value_d0(k) for k in range(10)],
+                                          [seed.value_c(k) for k in range(10)], exact_ideal=p)
+        phi = Functional(quo, dict(enumerate(d0)), dict(enumerate(c)))
+        record, reference = classify_module(phi), classify_module(exact)
+        assert record.verdict == reference.verdict == "hw_tensor_of_generalized_evals"
+        assert ([comp.to_json_dict() for comp in record.components]
+                == [comp.to_json_dict() for comp in reference.components])
+        pieces = split_phi(phi)
+        assert len(pieces) == 2 and pieces[0] + pieces[1] == phi
+        ann = annihilator_support(IrreducibleQuotientHandle(phi))
+        ref = annihilator_support(IrreducibleQuotientHandle(exact))
+        assert ann.support == ref.support
+        # the image of the exact annihilator in A/(p) is phi's annihilator
+        assert ann.ideal == ideal_closure([proj(g) for g in ref.generators] or [quo.one()])
 
 
 def test_json_record():

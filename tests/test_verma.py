@@ -11,6 +11,7 @@ from mapvir import (
     EnvElement,
     Functional,
     LieElement,
+    PrincipalIdeal,
     VermaVector,
     WindowOverflow,
     bracket,
@@ -31,6 +32,7 @@ from mapvir import (
     module_dims,
     pairing_matrix,
     pbw_basis,
+    quotient_algebra,
     quotient_dims,
     singular_vectors,
     split_phi,
@@ -50,6 +52,7 @@ from oracles import (
     oracle_rank,
     oracle_split_values,
     partitions,
+    principal_quotient_tensor,
     rocha_caridi_dims,
     top_zero_dims,
 )
@@ -1561,6 +1564,46 @@ def test_reduced_membership_keeps_the_product_bound(monkeypatch):
     assert walks == []
     # t^3 stays inside, and that window holds exponent 0: the reduced path
     assert _walked(walks, depth_one_vector(PHI4, POLY4.basis_element(3)), (0, 1)) is PHI4._reduced[0]
+
+
+SPLIT_GENERATORS = {  # low degree first; each splits into rational points
+    "(t-1)(t+3)": (Algebra.polynomial((0, 12)), (-3, 2, 1)),
+    "(t-2)^2(t+1)": (Algebra.polynomial((0, 12)), (4, 0, -3, 1)),
+    "t(t-1)": (Algebra.polynomial((0, 12)), (0, -1, 1)),
+    "laurent (t-2)(t-3)": (Algebra.laurent((-6, 6)), (6, -5, 1)),
+}
+
+
+@pytest.mark.parametrize("name", SPLIT_GENERATORS)
+def test_split_quotient_matches_its_structure_constants_twin(name):
+    # quotient_algebra presents A/(p) as product_local; the same algebra as
+    # structure constants on 1, t, ... gives the same quotient and singular
+    # vectors, with no theorem to lean on
+    alg, gen = SPLIT_GENERATORS[name]
+    p = tuple(map(F, gen))
+    quo, _ = quotient_algebra(alg, PrincipalIdeal(alg, alg.from_poly(p)))
+    assert quo.kind == "product_local"
+    twin = Algebra.structure_constants(*principal_quotient_tensor(p))
+    rng = random.Random(len(name))
+    # planted pieces: top pairs at the Ising weight h = 1/16, c = 1/2 (order
+    # 1) or at the top-degree zero of depth 2 (order 2), both reducible at 2
+    planted = None
+    for a, order in quo.factors:
+        top = [(F(-1, 16), F(1, 2)), (F(3, 2), F(12))][order - 1]
+        lam = [rand_scalar(rng) for _ in range(order - 1)] + [top[0]]
+        kappa = [rand_scalar(rng) for _ in range(order - 1)] + [top[1]]
+        piece = verma._piece_on(quo, a, lam, kappa)
+        planted = piece if planted is None else planted + piece
+    singular = 0
+    for phi in (rand_functional(rng, quo), planted):
+        mirror = Functional(twin, dict(phi._d0), dict(phi._c))
+        assert quotient_dims(phi, 5) == quotient_dims(mirror, 5)
+        for n in range(1, 6):
+            vectors = singular_vectors(phi, n)
+            assert [v.env.terms for v in vectors] == [
+                v.env.terms for v in singular_vectors(mirror, n)]
+            singular += len(vectors)
+    assert singular
 
 
 # -- functional storage -------------------------------------------------------
