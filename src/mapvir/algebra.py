@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedKind,
     WindowOverflow,
 )
-from .scalars import as_scalar, format_scalar, join_signed
+from .scalars import as_scalar, format_scalar, join_signed, signed_term
 
 FINITE_KINDS = ("structure_constants", "product_local")
 MONOMIAL_KINDS = ("product_local", "polynomial", "laurent")
@@ -423,18 +423,7 @@ def format_element(x: AlgebraElement) -> str:
     """Render an element, e.g. "t^2 - 2*t + 1" or "3*e0 + 1/2*e1"."""
     monomial = x.algebra.kind in MONOMIAL_KINDS
     keys = sorted(x._coeffs, reverse=True) if monomial else sorted(x._coeffs)
-    terms = []
-    for i in keys:
-        c = x._coeffs[i]
-        lab = x.algebra.label(i)
-        if lab == "1":
-            body = format_scalar(abs(c))
-        elif abs(c) == 1:
-            body = lab
-        else:
-            body = f"{format_scalar(abs(c))}*{lab}"
-        terms.append((c < 0, body))
-    return join_signed(terms)
+    return join_signed(signed_term(x._coeffs[i], x.algebra.label(i)) for i in keys)
 
 
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:

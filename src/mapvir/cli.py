@@ -256,12 +256,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(fn=_cmd_verma)
 
+    bound_help = ("detect the recurrence of a sampled functional on its values "
+                  "up to t^BOUND; an exact one always reports its minimal recurrence")
     p = sub.add_parser("check", help="quasifiniteness / reducibility checks")
     p.add_argument("--quasifinite", action="store_true")
     p.add_argument("--reducible", action="store_true")
     p.add_argument("-phi", "--functional", dest="phi", metavar="FILE",
                    required=True)
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=int, default=None, help=bound_help)
     p.add_argument("--assume-exact", action="store_true")
     add_common(p, fmt_default="json")
     p.set_defaults(fn=_cmd_check)
@@ -286,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-phi", "--functional", dest="phi", metavar="FILE")
     p.add_argument("-M", "--module", metavar="FILE")
     p.add_argument("--lowest", action="store_true")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=int, default=None, help=bound_help)
     p.add_argument("--assume-exact", action="store_true")
     p.add_argument("--explain", action="store_true")
     add_common(p, fmt_default="json")

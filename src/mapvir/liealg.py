@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .algebra import Algebra, AlgebraElement, format_element
 from .errors import ModeRangeError
-from .scalars import as_scalar, format_scalar, join_signed
+from .scalars import as_scalar, join_signed, signed_term
 
 MODE_MAX_DEFAULT = 64
 
@@ -204,10 +204,7 @@ def format_lie_element(x: LieElement) -> str:
     def push(coeff: AlgebraElement, symbol: str):
         scalar = _as_plain_scalar(coeff)
         if scalar is not None:
-            neg = scalar < 0
-            mag = abs(scalar)
-            body = symbol if mag == 1 else f"{format_scalar(mag)}*{symbol}"
-            parts.append((neg, body))
+            parts.append(signed_term(scalar, symbol))
         else:
             parts.append((False, f"{symbol}*({format_element(coeff)})"))
 

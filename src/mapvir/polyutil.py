@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .scalars import format_scalar, join_signed
+from .scalars import join_signed, signed_term
 
 Poly = tuple[Fraction, ...]
 
@@ -183,15 +183,5 @@ def _divisors(n: int) -> list[int]:
 
 def pstr(p: Poly, var: str = "t") -> str:
     """Human form, highest degree first: "t^2 - 2*t + 1"."""
-    terms = []
-    for k in range(len(p) - 1, -1, -1):
-        c = p[k]
-        if c == 0:
-            continue
-        if k == 0:
-            body = format_scalar(abs(c))
-        else:
-            mono = var if k == 1 else f"{var}^{k}"
-            body = mono if abs(c) == 1 else f"{format_scalar(abs(c))}*{mono}"
-        terms.append((c < 0, body))
-    return join_signed(terms)
+    return join_signed(signed_term(p[k], "1" if k == 0 else var if k == 1 else f"{var}^{k}")
+                       for k in range(len(p) - 1, -1, -1) if p[k])

@@ -40,6 +40,16 @@ def format_scalar(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def signed_term(c: Fraction, symbol: str) -> tuple[bool, str]:
+    """The (negative, unsigned body) term of c*symbol for ``join_signed``:
+    the bare scalar for the symbol "1", the bare symbol when |c| = 1, and
+    "|c|*symbol" otherwise."""
+    mag = abs(c)
+    if symbol == "1":
+        return c < 0, format_scalar(mag)
+    return c < 0, symbol if mag == 1 else f"{format_scalar(mag)}*{symbol}"
+
+
 def join_signed(terms: Iterable[tuple[bool, str]]) -> str:
     """Join (negative, unsigned body) terms as "a - b + c": the first term
     takes a bare "-", later ones "+ " or "- "; no terms give "0"."""

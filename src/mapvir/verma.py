@@ -151,13 +151,14 @@ class Functional:
                                                 max(k + 1, 2 * len(known))))
                 self._extended[which] = known
             return known[k]
-        if self.algebra.is_finite:
-            return Fraction(0)
+        if self.algebra.kind == "polynomial":
+            raise ValueError(
+                f"sampled functional undefined at exponent {k} "
+                f"(declared through {self.declared_max})")
         if self.algebra.kind == "laurent":
             raise ValueError(f"functional undefined at exponent {k}")
-        raise ValueError(
-            f"sampled functional undefined at exponent {k} "
-            f"(declared through {self.declared_max})")
+        self.algebra.check_index(k)  # finite kinds store every basis index
+        raise AssertionError(f"basis index {k} has no stored value")
 
     def value_d0(self, k: int) -> Fraction:
         return self._value(0, k)
@@ -783,41 +784,40 @@ def _certify_recurrence(phi: Functional, values, bound: int | None,
     """Joint minimal-recurrence detection over the ``values`` sequences
     (callables k -> value), then certification; sampled data never certifies.
 
-    Returns (rung, ideal, candidate, cap): the detected ideal, the certified
-    one (None unless certified), the largest order searched, and where the
-    ladder stopped: "verified" (the candidate holds on the exact sequences),
-    "fallback" (it fails past the window, so the declared recurrence is
-    certified instead), "over_cap" (nothing detected; the declared one
-    certifies), "asserted" (the caller asserted the window is exact),
-    "sampled", or "absent" (nothing detected, nothing declared).
-
-    Sampled functionals are detected on their declared window capped by the
-    bound; exact ones extend on demand, so a larger bound is honored.  A
-    negative bound leaves no window to detect on and is rejected.
+    Returns (ideal, candidate, note): the certified ideal, the detected one
+    when it is not certified, and the verdict note.  An exact functional with
+    declared recurrence r is detected on its first 2 deg(r) + 1 values,
+    extended on demand: each sequence has linear complexity at most deg(r),
+    so Berlekamp-Massey finds the joint minimal recurrence p whatever
+    ``bound`` says, and p certifies after a residual re-check against r.  A
+    sampled functional is detected on its declared window capped by
+    ``bound`` and certifies only when the caller asserts that window exact.
+    A negative bound leaves no window to detect on and is rejected.
     """
     if bound is not None and bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
     alg = phi.algebra
     exact = phi.exact_poly
-    d = phi.declared_max
-    if bound is not None:
-        d = bound if exact is not None else min(d, bound)
-    declared = None if exact is None else PrincipalIdeal(alg, alg.from_poly(exact))
+    if exact is not None:
+        d = 2 * polyutil.degree(exact)
+    else:
+        d = phi.declared_max if bound is None else min(phi.declared_max, bound)
     p = recurrence.minimal_annihilator([[f(k) for k in range(d + 1)] for f in values])
     if p is None:
-        return ("absent" if declared is None else "over_cap"), declared, None, d // 2
-    candidate = PrincipalIdeal(alg, alg.from_poly(p))
-    if declared is not None:
+        common = "common " if len(values) > 1 else ""
+        return None, None, f"no {common}recurrence of order <= {d // 2}"
+    ideal = PrincipalIdeal(alg, alg.from_poly(p))
+    if exact is not None:
         # Every sequence satisfies the declared recurrence r, so the residual
         # k -> sum_i p_i s_{k+i} is r-recurrent; if it vanishes at deg(r)
         # consecutive positions it vanishes identically.
         need = polyutil.degree(exact) + polyutil.degree(p) + 1
-        if all(recurrence.satisfies([f(k) for k in range(need)], p) for f in values):
-            return "verified", candidate, candidate, d // 2
-        return "fallback", declared, candidate, d // 2
+        if not all(recurrence.satisfies([f(k) for k in range(need)], p) for f in values):
+            raise AssertionError("detected recurrence failed the exact re-check")
+        return ideal, None, ""
     if assume_exact:
-        return "asserted", candidate, candidate, d // 2
-    return "sampled", None, candidate, d // 2
+        return ideal, None, "caller asserted the window is exact"
+    return None, ideal, "recurrence found but values are sampled"
 
 
 def check_quasifinite(phi: Functional, bound: int | None = None,
@@ -826,9 +826,11 @@ def check_quasifinite(phi: Functional, bound: int | None = None,
 
     Finite-dimensional algebras are always quasifinite (zero ideal witness).
     Polynomial algebras run joint minimal-recurrence detection on the d_0 and
-    c value sequences; a detected recurrence is certified only when the
-    functional carries an exact recurrence (re-verified against it) or the
-    caller asserts exactness.  Sampled data never certifies silently.
+    c value sequences (``_certify_recurrence``): a functional carrying an
+    exact recurrence always reports the minimal one, re-verified against it,
+    and ``bound`` limits detection on sampled data only.  Sampled data
+    certifies only when the caller asserts exactness; otherwise the detected
+    recurrence comes back as the candidate.
     """
     alg = phi.algebra
     if alg.is_finite:
@@ -837,21 +839,10 @@ def check_quasifinite(phi: Functional, bound: int | None = None,
     if alg.kind != "polynomial":
         return QuasifiniteVerdict("no_witness_up_to_bound", None,
                                   note=f"no recurrence detection for {alg.kind} kind")
-    rung, ideal, candidate, cap = _certify_recurrence(
+    ideal, candidate, note = _certify_recurrence(
         phi, (phi.value_d0, phi.value_c), bound, assume_exact)
-    note = {
-        "verified": "",
-        "fallback": "windowed recurrence not exact; fell back to the declared one",
-        "over_cap": "declared recurrence exceeds the detection cap; using it directly",
-        "asserted": "caller asserted the window is exact",
-        "sampled": "recurrence found but values are sampled",
-        "absent": f"no common recurrence of order <= {cap}",
-    }[rung]
-    if ideal is None:
-        return QuasifiniteVerdict("no_witness_up_to_bound", None,
-                                  candidate=candidate, note=note)
-    return QuasifiniteVerdict("quasifinite_certified", ideal, note=note,
-                              candidate=candidate if rung == "fallback" else None)
+    status = "no_witness_up_to_bound" if ideal is None else "quasifinite_certified"
+    return QuasifiniteVerdict(status, ideal, candidate=candidate, note=note)
 
 
 def _largest_killed_ideal(phi: Functional, evals, name: str) -> Ideal:
@@ -931,7 +922,10 @@ def check_verma_reducible(phi: Functional, bound: int | None = None,
     decides nothing (the classical Virasoro Verma modules can be reducible
     with J = 0), so the verdict stays open.
 
-    The c values play no role here, unlike in the quasifiniteness check.
+    Polynomial witnesses come from ``_certify_recurrence`` on the d_0 values
+    alone (the c values play no role here, unlike in the quasifiniteness
+    check): an exact functional always yields its minimal recurrence, and
+    ``bound`` limits detection on sampled data only.
     """
     alg = phi.algebra
 
@@ -961,16 +955,7 @@ def check_verma_reducible(phi: Functional, bound: int | None = None,
     if alg.kind != "polynomial":
         return ReducibilityVerdict("no_witness_up_to_bound",
                                    note=f"no detection for {alg.kind} kind")
-    rung, ideal, candidate, cap = _certify_recurrence(
-        phi, (phi.value_d0,), bound, assume_exact)
-    note = {
-        "verified": "",
-        "fallback": "windowed recurrence not exact; used the declared one",
-        "over_cap": "declared recurrence exceeds the detection cap",
-        "asserted": "caller asserted the window is exact",
-        "sampled": "recurrence found but values are sampled",
-        "absent": f"no recurrence of order <= {cap}",
-    }[rung]
+    ideal, candidate, note = _certify_recurrence(phi, (phi.value_d0,), bound, assume_exact)
     if ideal is not None:
         return certify(ideal, ideal.generator, note=note)
     if assume_exact:

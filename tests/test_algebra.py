@@ -561,3 +561,12 @@ def test_spec_examples_parse():
 def test_distinct_points_required():
     with pytest.raises(ValueError):
         Algebra.product_local([(0, 1), (0, 2)])
+
+
+def test_pstr_matches_format_element_on_polynomials():
+    P = Algebra.polynomial((0, 8))
+    rng = random.Random(1718)
+    scalars = [F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-5, 3)]
+    for _ in range(200):
+        p = polyutil.trim([rng.choice(scalars) for _ in range(rng.randint(0, 7))])
+        assert polyutil.pstr(p) == format_element(P.from_poly(p))

@@ -18,6 +18,7 @@ from mapvir import (
     UnsupportedKind,
     VermaHandle,
     annihilator_support,
+    check_quasifinite,
     classify_module,
     ideal_closure,
     involute_functional,
@@ -245,6 +246,20 @@ def test_functionals_over_split_quotients_classify():
         assert ann.support == ref.support
         # the image of the exact annihilator in A/(p) is phi's annihilator
         assert ann.ideal == ideal_closure([proj(g) for g in ref.generators] or [quo.one()])
+
+
+def test_exact_functional_on_a_short_window_reports_its_minimal_recurrence():
+    # evaluation at 1, declared with (t - 1)(t + 3) on two values: detection
+    # reads the extended sequences, so the witness is t - 1, not the declared p
+    P = Algebra.polynomial((0, 16))
+    phi = Functional.from_sequences(P, [1, 1], [2, 2], exact_ideal=(F(-3), F(2), F(1)))
+    ann = annihilator_support(IrreducibleQuotientHandle(phi)).to_json_dict()
+    assert (ann["annihilator_generators"], ann["support"]) == (["t - 1"], ["1"])
+    record = classify_module(phi)
+    assert record.notes["witness"] == "t - 1"
+    assert "dropped_zero_components" not in record.notes
+    verdict = check_quasifinite(phi)
+    assert (str(verdict.witness), verdict.note) == ("(t - 1)", "")
 
 
 def test_json_record():

@@ -48,6 +48,7 @@ from oracles import (
     kac_vanishes,
     minimal_model_weight,
     oracle_det,
+    oracle_min_recurrence,
     oracle_minimal_order,
     oracle_rank,
     oracle_split_values,
@@ -1620,6 +1621,14 @@ def test_functional_add_finite():
     assert total == Functional(DUAL, {0: F(2), 1: F(1, 2)}, {0: F(1), 1: F(2)})
 
 
+def test_finite_functional_rejects_indices_outside_the_basis():
+    phi = Functional(Algebra.product_local([(0, 2)]), {0: 1}, {0: 2})
+    assert (phi.value_d0(1), phi.value_c(1)) == (0, 0)
+    for read, k in ((phi.value_d0, 5), (phi.value_c, -1), (phi.value_d0, 2)):
+        with pytest.raises(ValueError, match="out of range"):
+            read(k)
+
+
 def test_functional_add_polynomial_truncates_and_drops_recurrence():
     P = Algebra.polynomial((0, 32))
     phi = Functional.from_sequences(P, [F(2) ** k for k in range(6)], [F(0)] * 6,
@@ -1741,10 +1750,11 @@ def _ladder_cases():
     return {
         # detected recurrence re-verified against the declared exact one
         "verified": (_poly_phi(geometric, [0] * 9, (F(-2), F(1))), False),
-        # the window fits t - 2, the declared degree-5 recurrence disagrees
+        # the window fits t - 2, but the extended values need the declared
+        # degree-5 recurrence
         "fallback": (_poly_phi([1, 2, 4, 8, 16], [0] * 5, _roots_poly(1, 3, 4, 5, 6)),
                      False),
-        # three values cap detection at order 1; the declared order is 3
+        # three declared values; detection reads the extension to order 3
         "over_cap": (_poly_phi([1 + 2 ** k + 3 ** k for k in range(3)],
                                [2 ** k for k in range(3)], _roots_poly(1, 2, 3)),
                      False),
@@ -1763,10 +1773,8 @@ def test_quasifinite_ladder_notes():
     exact5 = "t^5 - 19*t^4 + 137*t^3 - 461*t^2 + 702*t - 360"
     expected = {
         "verified": ("quasifinite_certified", "t - 2", None, ""),
-        "fallback": ("quasifinite_certified", exact5, "t - 2",
-                     "windowed recurrence not exact; fell back to the declared one"),
-        "over_cap": ("quasifinite_certified", "t^3 - 6*t^2 + 11*t - 6", None,
-                     "declared recurrence exceeds the detection cap; using it directly"),
+        "fallback": ("quasifinite_certified", exact5, None, ""),
+        "over_cap": ("quasifinite_certified", "t^3 - 6*t^2 + 11*t - 6", None, ""),
         "asserted": ("quasifinite_certified", "t - 2", None,
                      "caller asserted the window is exact"),
         "sampled": ("no_witness_up_to_bound", None, "t - 2",
@@ -1786,10 +1794,8 @@ def test_reducible_ladder_notes():
     exact5 = "t^5 - 19*t^4 + 137*t^3 - 461*t^2 + 702*t - 360"
     expected = {
         "verified": ("reducible_certified", "t - 2", None, ""),
-        "fallback": ("reducible_certified", exact5, None,
-                     "windowed recurrence not exact; used the declared one"),
-        "over_cap": ("reducible_certified", "t^3 - 6*t^2 + 11*t - 6", None,
-                     "declared recurrence exceeds the detection cap"),
+        "fallback": ("reducible_certified", exact5, None, ""),
+        "over_cap": ("reducible_certified", "t^3 - 6*t^2 + 11*t - 6", None, ""),
         "asserted": ("reducible_certified", "t - 2", None,
                      "caller asserted the window is exact"),
         "sampled": ("no_witness_up_to_bound", None, "t - 2",
@@ -1808,3 +1814,69 @@ def test_reducible_ladder_notes():
             gen = v.witness_ideal.generator
             assert v.singular_vector.env.terms == {((1, b),): c
                                                    for b, c in gen.coeffs.items()}
+
+
+def test_exact_witnesses_match_the_recurrence_oracle():
+    # exact functionals declared on deg r .. 2 deg r values: every witness is
+    # the oracle's minimal recurrence of the extended sequences (both for
+    # quasifiniteness, d_0 alone for reducibility), whatever the bound
+    P = Algebra.polynomial((0, 16))
+    rng = random.Random(1717)
+    for _ in range(30):
+        factors = [tuple(F(rng.randint(-3, 3)) for _ in range(rng.randint(1, 2))) + (F(1),)
+                   for _ in range(rng.randint(1, 3))]
+        r = (F(1),)
+        for f in factors:
+            r = polyutil.pmul(r, f)
+        deg = polyutil.degree(r)
+        seqs = []
+        for _ in range(2):  # each sequence obeys a random divisor of r
+            q = (F(1),)
+            for f in rng.sample(factors, rng.randint(0, len(factors))):
+                q = polyutil.pmul(q, f)
+            start = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(polyutil.degree(q))]
+            seqs.append(recurrence.extend(start, q, 4 * deg + 2) if start else [F(0)] * (4 * deg + 2))
+        n = rng.randint(deg, 2 * deg)
+        phi = Functional.from_sequences(P, seqs[0][:n], seqs[1][:n], exact_ideal=r)
+        joint, alone = oracle_min_recurrence(seqs), oracle_min_recurrence(seqs[:1])
+        for bound in (None, *range(2 * deg + 4)):
+            v = check_quasifinite(phi, bound=bound)
+            assert (v.status, v.witness.generator_poly(), v.candidate, v.note) == (
+                "quasifinite_certified", joint, None, "")
+            w = check_verma_reducible(phi, bound=bound)
+            assert (w.status, w.witness_ideal.generator_poly(), w.candidate, w.note) == (
+                "reducible_certified", alone, None, "")
+
+
+def test_failed_exact_recheck_raises(monkeypatch):
+    phi = _poly_phi([2 ** k for k in range(3)], [0] * 3, (F(-2), F(1)))
+    monkeypatch.setattr(recurrence, "minimal_annihilator",
+                        lambda seqs, max_order=None: (F(-3), F(1)))
+    for check in (check_quasifinite, check_verma_reducible):
+        with pytest.raises(AssertionError, match="re-check"):
+            check(phi)
+
+
+def _ladder_note_holders(source):
+    """(functions holding a dict literal, functions holding the sampled note)."""
+    tree = ast.parse(source)
+    dicts, sampled = set(), set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Dict):
+                dicts.add(fn.name)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "recurrence found but values are sampled" in node.value):
+                sampled.add(fn.name)
+    return dicts, sampled
+
+
+def test_only_the_ladder_builds_certification_notes():
+    dicts, sampled = _ladder_note_holders(Path(verma.__file__).read_text(encoding="utf-8"))
+    assert not dicts & {"check_quasifinite", "check_verma_reducible"}
+    assert sampled == {"_certify_recurrence"}
+    planted = ("def check_quasifinite():\n    return {'sampled': "
+               "'recurrence found but values are sampled'}[0]\n")
+    assert _ladder_note_holders(planted) == ({"check_quasifinite"}, {"check_quasifinite"})
