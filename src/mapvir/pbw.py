@@ -23,7 +23,7 @@ from typing import Sequence
 from .algebra import Algebra
 from .errors import NotLowering
 from .liealg import LieElement
-from .scalars import as_scalar, format_scalar, join_signed
+from .scalars import as_scalar, join_signed, signed_term
 
 Generator = tuple[int, int]
 Monomial = tuple[Generator, ...]
@@ -276,9 +276,7 @@ def format_env(x: EnvElement) -> str:
     for mono in sorted(x._terms, key=monomial_key, reverse=True):
         coeff = x._terms[mono]
         body = format_monomial(mono, x.algebra)
-        if not mono:
-            body = format_scalar(abs(coeff))
-        elif abs(coeff) != 1:
-            body = f"{format_scalar(abs(coeff))}*({body})"
-        terms.append((coeff < 0, body))
+        if mono and abs(coeff) != 1:
+            body = f"({body})"
+        terms.append(signed_term(coeff, body))
     return join_signed(terms)

@@ -38,7 +38,6 @@ from .pbw import (
     _single,
     colored_partition_counts,
     format_env,
-    genkey,
     monomial_weight,
     pbw_basis,
 )
@@ -57,8 +56,7 @@ class Functional:
     window is an error.
     """
 
-    __slots__ = ("algebra", "_d0", "_c", "exact_poly", "_extended", "_act_cache",
-                 "_reduced", "_pieces")
+    __slots__ = ("algebra", "_d0", "_c", "exact_poly", "_extended", "_act_cache", "_pieces")
 
     def __init__(self, algebra: Algebra, d0, c, exact_poly=None):
         if algebra.kind == "polynomial":
@@ -102,7 +100,6 @@ class Functional:
         self._extended = (None if exact_poly is None
                           else [tuple(d0.values()), tuple(c.values())])
         self._act_cache = {}
-        self._reduced = None  # see _reduction
         self._pieces = None  # see _local_pieces
         return self
 
@@ -685,43 +682,30 @@ def in_maximal_submodule(v: VermaVector, window=None) -> bool:
 
     Tests the v-coefficient of X * v for every raising monomial X of matching
     weight (window-restricted for infinite algebras).  X carries up to depth
-    colors, and their products with the vector's colors are bounded before
-    any action.
-
-    A polynomial phi with exact recurrence p kills Vir_0 (x) J, J = (p), so
-    v -> v_bar extends to a module map pi: V(phi) -> V(phi_bar), phi_bar = phi
-    on A/J, with coeff_v(X w) = coeff_v_bar(X_bar pi(w)).  When the color
-    window holds 0..deg p - 1, its raising monomials map onto every PBW
-    monomial of A/J, so the window test on w is pi(w) in Rad(phi_bar), and
-    the walk runs over the deg p colors of A/J = ``quotient_algebra(A, J)``,
-    product_local when p splits into rational points (``_reduction``).
+    colors, and their products with the vector's colors are bounded on the
+    caller's window before any action; an exact polynomial phi then raises by
+    the colors of ``_exact_colors`` alone when the window holds them.
     """
     if v.is_zero():
         return True
     phi = v.functional
     _check_products(v, window, single=False)
-    terms = v.env.terms
-    reduced = _reduction(phi, phi.algebra.window_indices(window))
-    if reduced is not None:
-        phi, terms, window = reduced[0], _project_terms(reduced, terms), None
+    colors = phi.algebra.window_indices(window)
+    narrow = _exact_colors(phi)
+    if narrow is not None and 0 in colors and narrow[1] in colors:
+        window = narrow
     raising = pbw_basis(v.depth, phi.algebra, window=window)
-    return not any(_v_coefficients(phi, terms, raising))
+    return not any(_v_coefficients(phi, v.env.terms, raising))
 
 
-def _reduction(phi: Functional, colors: range) -> tuple | None:
-    """(phi_bar on A/(p), the projection, a cache of color images) for the
-    reduced test of ``in_maximal_submodule``, built once per functional; None
-    unless phi is polynomial with exact recurrence p, the color window holds
-    0..deg p - 1 and the algebra window holds p."""
-    alg, p = phi.algebra, phi.exact_poly
-    if alg.kind != "polynomial" or p is None:
+def _exact_colors(phi: Functional) -> tuple[int, int] | None:
+    """(0, deg r - 1) for a polynomial phi with exact recurrence r, else None.
+    phi kills Vir_0 (x) (r), so coeff_v(X w) = coeff_v_bar(X_bar pi(w)) over
+    A/(r) reads raising colors only mod (r): a v-coefficient test on a window
+    holding these colors gives the same answer on them alone."""
+    if phi.exact_poly is None:
         return None
-    d = polyutil.degree(p)
-    if not (0 in colors and d - 1 in colors and d <= alg.window[1]):
-        return None
-    if phi._reduced is None:
-        phi._reduced = (*_pull_back(phi, PrincipalIdeal(alg, alg.from_poly(p))), {})
-    return phi._reduced
+    return 0, polyutil.degree(phi.exact_poly) - 1
 
 
 def _pull_back(phi: Functional, ideal: PrincipalIdeal) -> tuple:
@@ -730,25 +714,6 @@ def _pull_back(phi: Functional, ideal: PrincipalIdeal) -> tuple:
     quotient, project = quotient_algebra(phi.algebra, ideal)
     return Functional(quotient, {k: phi.value_d0(k) for k in range(quotient.dim)},
                       {k: phi.value_c(k) for k in range(quotient.dim)}), project
-
-
-def _project_terms(reduced: tuple, terms) -> dict:
-    """pi(w) for w = sum terms: each letter's color goes to its image, the
-    letters expand multilinearly, and each product is re-sorted into a PBW
-    monomial, which is exact because letters of one mode commute."""
-    _, project, images = reduced
-    out: dict = {}
-    for mono, c in terms.items():
-        partial = {(): c}
-        for m, b in mono:
-            image = images.get(b)
-            if image is None:
-                image = images[b] = tuple(project(project.source.basis_element(b)).coeffs.items())
-            partial = {(*w, (m, k)): x * y for w, x in partial.items() for k, y in image}
-        for w, x in partial.items():
-            w = tuple(sorted(w, key=genkey, reverse=True))
-            out[w] = out.get(w, 0) + x
-    return {mono: c for mono, c in out.items() if c}
 
 
 # -- decision procedures ----------------------------------------------------
@@ -905,6 +870,7 @@ def _check_products(v: VermaVector, window, single: bool):
 
 
 def _is_singular(v: VermaVector, window=None) -> bool:
+    """Do d_1 (x) e_b and d_2 (x) e_b kill v for every color b of the window?"""
     alg = v.functional.algebra
     _check_products(v, window, single=True)
     return not any(verma_act(d_term(alg, mode, alg.basis_element(b)), v)
@@ -926,6 +892,10 @@ def check_verma_reducible(phi: Functional, bound: int | None = None,
     alone (the c values play no role here, unlike in the quasifiniteness
     check): an exact functional always yields its minimal recurrence, and
     ``bound`` limits detection on sampled data only.
+
+    The witness w = (d_{-1} (x) f) v is verified at run time: (d_1 (x) g) w =
+    -2 phi(d_0 (x) g f) v and (d_2 (x) g) w = 0, so for exact phi the 2 deg r
+    actions on the colors of ``_exact_colors`` prove w singular for every g.
     """
     alg = phi.algebra
 
@@ -933,12 +903,12 @@ def check_verma_reducible(phi: Functional, bound: int | None = None,
         vec = depth_one_vector(phi, gen_elt)
         verify_window = None
         if alg.kind == "polynomial":
-            # restrict raising colors so products and phi evaluations stay
-            # inside the window / the declared value range
+            # colors keep products inside the window and sampled evaluations
+            # inside the declared values; exact phi needs ``_exact_colors`` only
             deg_gen = max(gen_elt.support())
-            hi = alg.window[1] - deg_gen
-            if phi.exact_poly is None:
-                hi = min(hi, phi.declared_max - deg_gen)
+            narrow = _exact_colors(phi)
+            hi = min(alg.window[1] - deg_gen,
+                     phi.declared_max - deg_gen if narrow is None else narrow[1])
             verify_window = (0, max(0, hi))
         if not _is_singular(vec, window=verify_window):
             raise AssertionError("witness failed singular-vector verification")

@@ -253,3 +253,19 @@ def test_format_monomial():
     assert format_monomial(mono, A2) == "d[-2]*t . d[-1]*1"
     env = EnvElement(A2, {mono: F(1)})
     assert format_env(env) == "d[-2]*t . d[-1]*1"
+
+
+@pytest.mark.parametrize("terms, shown", [
+    # the empty word prints as its bare scalar
+    ({(): F(1)}, "1"),
+    ({(): F(-3, 4)}, "-3/4"),
+    # a coefficient of +-1 leaves the bare monomial
+    ({((1, 0),): F(1)}, "d[-1]*1"),
+    ({((1, 1),): F(-1)}, "-d[-1]*t"),
+    # any other coefficient multiplies the bracketed monomial
+    ({((2, 1), (1, 0)): F(-5, 2), ((3, 0),): F(2), (): F(-1)},
+     "-5/2*(d[-2]*t . d[-1]*1) + 2*(d[-3]*1) - 1"),
+    ({((1, 1),): F(-1), ((1, 0),): F(7), (): F(1, 3)}, "7*(d[-1]*1) - d[-1]*t + 1/3"),
+])
+def test_format_env_signed_terms(terms, shown):
+    assert format_env(EnvElement(A2, terms)) == shown

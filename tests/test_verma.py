@@ -1500,16 +1500,16 @@ def _reduced_corpus(name, extra, planted):
 def test_reduced_membership_matches_the_walk(name, extra, planted):
     phi, colors, vectors = _reduced_corpus(name, extra, planted)
     answers = [in_maximal_submodule(v, window=colors) for v in vectors]
-    assert phi._reduced is not None  # the reduced path ran
     assert answers == [_walk_answer(v, colors) for v in vectors]
-    for v in vectors:  # pi(w) comes back as PBW monomials
-        assert all(list(mono) == sorted(mono, key=pbw.genkey, reverse=True)
-                   for mono in verma._project_terms(phi._reduced, v.env.terms))
     assert True in answers and False in answers
     assert {v.depth for v in vectors} == {1, 2, 3, 4}
 
 
-def test_reduced_membership_never_walks_the_original_algebra(monkeypatch):
+def _raising_colors(raising) -> set:
+    return {b for mono in raising for _, b in mono}
+
+
+def test_reduced_membership_raises_by_colors_below_deg_r(monkeypatch):
     walks = _counting(monkeypatch, verma, "_v_coefficients")
     P = Algebra.polynomial((0, 40))
     phi = Functional.from_sequences(P, [F(2) ** k for k in range(11)],
@@ -1521,16 +1521,27 @@ def test_reduced_membership_never_walks_the_original_algebra(monkeypatch):
         for piece in verma_act(d_term(P, -2, gen), w):
             assert in_maximal_submodule(piece, window=(0, 3))
     assert not in_maximal_submodule(depth_one_vector(phi, P.one()), window=(0, 3))
-    assert walks and all(args[0] is phi._reduced[0] for args in walks)
-    assert phi._reduced[0].algebra.dim == 1
+    # every walk runs over V(phi) itself and raises by the one color below deg r
+    assert walks and all(args[0] is phi for args in walks)
+    assert all(_raising_colors(args[2]) == {0} for args in walks)
+    # deg r = 3: the colors 0, 1, 2 of a window [0, 4]
+    cubic = Functional.from_sequences(P, [F(1), F(0), F(-5)], [F(0), F(1), F(18)],
+                                      exact_ideal=REDUCED_IDEALS["(t-1)^2(t+3)"])
+    walks.clear()
+    for depth in (1, 2):
+        for mono in pbw_basis(depth, P, window=(0, 4)):
+            in_maximal_submodule(VermaVector(cubic, EnvElement(P, {mono: F(1)})), window=(0, 4))
+    assert walks and all(_raising_colors(args[2]) == {0, 1, 2} for args in walks)
 
 
 def _walked(walks, v, window=None):
-    """The functional whose module in_maximal_submodule(v, window) walked."""
+    """The raising colors of the one walk in_maximal_submodule(v, window)
+    made, which runs over v's own module."""
     walks.clear()
     assert isinstance(in_maximal_submodule(v, window=window), bool)
     (args,) = walks
-    return args[0]
+    assert args[0] is v.functional
+    return _raising_colors(args[2])
 
 
 def test_membership_walks_where_no_reduction_applies(monkeypatch):
@@ -1538,23 +1549,22 @@ def test_membership_walks_where_no_reduction_applies(monkeypatch):
     P = Algebra.polynomial((0, 40))
     lam, kap = [F(2) ** k for k in range(11)], [F(3) * F(2) ** k for k in range(11)]
     sampled = Functional.from_sequences(P, lam, kap)
-    assert _walked(walks, depth_one_vector(sampled, P.one()), (0, 3)) is sampled
+    assert _walked(walks, depth_one_vector(sampled, P.one()), (0, 3)) == {0, 1, 2, 3}
     exact = Functional.from_sequences(P, lam, kap, exact_ideal=(F(-2), F(1)))
     # a window missing exponent 0
-    assert _walked(walks, depth_one_vector(exact, P.basis_element(1)), (1, 3)) is exact
-    # a window missing exponent deg p - 1 = 1
+    assert _walked(walks, depth_one_vector(exact, P.basis_element(1)), (1, 3)) == {1, 2, 3}
+    # a window missing exponent deg r - 1 = 1
     irrational = Functional.from_sequences(P, [F(1), F(1)], [F(0), F(2)],
                                            exact_ideal=REDUCED_IDEALS["t^2-2"])
-    assert _walked(walks, depth_one_vector(irrational, P.one()), (0, 0)) is irrational
-    # an algebra window that cannot hold p
+    assert _walked(walks, depth_one_vector(irrational, P.one()), (0, 0)) == {0}
+    # the same exact functional on a window holding 0 raises by color 0 alone
+    assert _walked(walks, depth_one_vector(exact, P.one()), (0, 3)) == {0}
+    # no product by r is formed, so an algebra window too short to hold r
+    # still takes the rule
     tiny = Algebra.polynomial((0, 0))
     short = Functional.from_sequences(tiny, [F(1)], [F(3)], exact_ideal=(F(-2), F(1)))
-    assert _walked(walks, depth_one_vector(short, tiny.one())) is short
+    assert _walked(walks, depth_one_vector(short, tiny.one())) == {0}
     assert not in_maximal_submodule(depth_one_vector(short, tiny.one()))
-    for phi in (sampled, exact, irrational, short):
-        assert phi._reduced is None
-    # the same exact functional on a window holding 0 takes the reduced path
-    assert _walked(walks, depth_one_vector(exact, P.one()), (0, 3)) is exact._reduced[0]
 
 
 def test_reduced_membership_keeps_the_product_bound(monkeypatch):
@@ -1563,8 +1573,56 @@ def test_reduced_membership_keeps_the_product_bound(monkeypatch):
     with pytest.raises(WindowOverflow, match="reach \\[4, 5\\]"):
         in_maximal_submodule(depth_one_vector(PHI4, POLY4.basis_element(4)), window=(0, 1))
     assert walks == []
-    # t^3 stays inside, and that window holds exponent 0: the reduced path
-    assert _walked(walks, depth_one_vector(PHI4, POLY4.basis_element(3)), (0, 1)) is PHI4._reduced[0]
+    # t^3 stays inside, and that window holds exponent 0: the narrow colors
+    assert _walked(walks, depth_one_vector(PHI4, POLY4.basis_element(3)), (0, 1)) == {0}
+
+
+def _decide_exact(order, rng):
+    """(phi, r): an exact Q[t] functional built as the decide benchmark builds
+    one, with declared recurrence r of degree ``order`` (distinct integer
+    roots, one doubled from order 3 on), 2 order + 2 values per sequence and
+    the window [0, 2 order + 8]."""
+    distinct = order - 1 if order >= 3 else order
+    r = (F(1),)
+    for i, a in enumerate(rng.sample(range(-4, 5), distinct)):
+        r = polyutil.pmul(r, polyutil.ppow((F(-a), F(1)), 2 if order >= 3 and not i else 1))
+    length = 2 * order + 2
+    lam = recurrence.extend([rand_scalar(rng) or F(1) for _ in range(order)], r, length)
+    kap = recurrence.extend([rand_scalar(rng) for _ in range(order)], r, length)
+    P = Algebra.polynomial((0, 2 * order + 8))
+    return Functional.from_sequences(P, lam, kap, exact_ideal=r), r
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_exact_certify_checks_the_colors_below_deg_r(monkeypatch, order):
+    rng = random.Random(f"certify-{order}")
+    phi, r = _decide_exact(order, rng)
+    acts = _counting(monkeypatch, verma, "verma_act")
+    verdict = check_verma_reducible(phi)
+    assert verdict.status == "reducible_certified"
+    assert len(acts) == 2 * order  # d_1 and d_2 at each color below deg r
+    # on (d_{-1} (x) f) v the colors below deg r answer as the whole window does
+    P, deg = phi.algebra, polyutil.degree(r)
+    p, t = verdict.witness_ideal.generator, P.basis_element(1)
+    seeded = P.from_poly([rand_scalar(rng) for _ in range(order + 1)] + [F(1)])
+    answers = []
+    for f in (p, P.one(), t, t * p + P.one(), seeded, seeded * p):
+        v = depth_one_vector(phi, f)
+        answers.append(verma._is_singular(v, window=(0, deg - 1)))
+        assert answers[-1] == verma._is_singular(v, window=(0, P.window[1] - max(f.support())))
+    assert answers[0] and answers[-1] and False in answers
+
+
+def test_exact_functionals_never_build_a_quotient(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quotient_algebra called")
+
+    monkeypatch.setattr(verma, "quotient_algebra", refuse)
+    phi, r = _decide_exact(3, random.Random("no-quotient"))
+    P = phi.algebra
+    assert check_verma_reducible(phi).status == "reducible_certified"
+    assert in_maximal_submodule(depth_one_vector(phi, P.from_poly(r)), window=(0, 3))
+    assert not in_maximal_submodule(depth_one_vector(phi, P.one()), window=(0, 3))
 
 
 SPLIT_GENERATORS = {  # low degree first; each splits into rational points
