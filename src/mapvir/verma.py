@@ -483,6 +483,14 @@ def quotient_dims(phi: Functional, max_depth: int, window=None) -> tuple[int, ..
     trivial module.  A piece equal to phi itself (Q, or one factor at 0 with
     a nonzero top pair) runs on phi, and no algebra is rebuilt.
 
+    A reduced piece of order 1 is the Virasoro L(h, c), h = -lam_0,
+    c = kappa_0, and ``_order_one_dims`` reads its character off the
+    embedding diagram of V(h, c) where it is one of three types: no Kac zero,
+    one zero at irrational or complex t, or the braid at rational t > 0.  The
+    chains (c = 1 among them), rational t < 0 (c >= 25) and every piece of
+    order 2 or more run the recursion.  When every reduced piece has order 1,
+    no layer and no PBW basis is built.
+
     Over the windowed polynomial and Laurent kinds the radical is tested
     against raising monomials whose colors stay in the window.  Products of
     windowed colors leave the window, so the generator recursion would
@@ -507,13 +515,20 @@ def quotient_dims(phi: Functional, max_depth: int, window=None) -> tuple[int, ..
         k = _reduced_order(lam, kappa)
         if not k:
             continue  # the trivial module has character 1
-        if len(pieces) == 1 and a == 0 and k == len(lam):
-            piece = phi
-        else:
-            piece = _piece_on(Algebra.product_local([(0, k)]), 0, lam, kappa)
-        part = _layered_quotient_dims(piece, max_depth)
-        dims = [sum(dims[i] * part[n - i] for i in range(n + 1)) for n in range(max_depth + 1)]
+        part = _order_one_dims(-lam[0], kappa[0], max_depth) if k == 1 else None
+        if part is None:
+            if len(pieces) == 1 and a == 0 and k == len(lam):
+                piece = phi
+            else:
+                piece = _piece_on(Algebra.product_local([(0, k)]), 0, lam, kappa)
+            part = _layered_quotient_dims(piece, max_depth)
+        dims = _convolve(dims, part)
     return tuple(dims)
+
+
+def _convolve(a, b) -> list[int]:
+    """The product of two truncated q-series of the same length."""
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
 
 
 def _check_depth(max_depth: int):
@@ -644,7 +659,7 @@ def _first_reducible_depth(phi: Functional, max_depth: int) -> int:
 
     * N = 1 is the Virasoro algebra at h = -lambda, c = kappa.  Its Kac
       determinant at depth n vanishes iff h = h_{r,s}(c) for some rs <= n
-      (Kac 1978; Feigin-Fuchs 1984).
+      (Kac 1978; Feigin-Fuchs 1984); ``_kac_depth`` finds the least rs.
     * N >= 2 vanishes first at the least n with
       -2 n lambda + (n^3 - n) kappa / 12 = 0 (B. J. Wilson, "Highest-weight
       theory for truncated current Lie algebras", J. Algebra 336, 2011).
@@ -654,27 +669,105 @@ def _first_reducible_depth(phi: Functional, max_depth: int) -> int:
         return 0
     first = max_depth + 1
     for _, lams, kappas in pieces:
-        order, lam, kappa = len(lams), lams[-1], kappas[-1]
-        u = (13 - kappa) / 6
-        for n in range(1, first):
-            if (24 * n * lam == (n ** 3 - n) * kappa if order > 1 else
-                    any(_kac_pair_vanishes(-lam, u, r, n // r)
-                        for r in range(1, math.isqrt(n) + 1) if n % r == 0)):
-                first = n
-                break
+        lam, kappa = lams[-1], kappas[-1]
+        if len(lams) == 1:
+            first = _kac_depth(*_kac_zero(-lam, kappa), first - 1)
+        else:
+            first = next((n for n in range(1, first) if 24 * n * lam == (n ** 3 - n) * kappa),
+                         first)
     return first
 
 
-def _kac_pair_vanishes(h: Fraction, u: Fraction, r: int, s: int) -> bool:
-    """Is h one of h_{r,s}(c), h_{s,r}(c), where u = t + 1/t = (13 - c) / 6?
-    h_{r,s} = ((rt - s)^2 - (t - 1)^2) / 4t = (a t + b/t - d) / 4 with the
-    integers a, b, d below, so the pair are the roots of
-    16 h^2 - 4 ((a + b) u - 2d) h + ab (u^2 - 2) + a^2 + b^2 - d (a + b) u + d^2,
-    tested here times the denominators of h and u: no square root is taken."""
-    hn, hd, un, ud = h.numerator, h.denominator, u.numerator, u.denominator
-    a, b, d = r * r - 1, s * s - 1, 2 * (r * s - 1)
-    return 16 * hn * hn * ud * ud == 4 * hn * hd * ud * ((a + b) * un - 2 * d * ud) - hd * hd * (
-        a * b * (un * un - 2 * ud * ud) + (a * a + b * b + d * d) * ud * ud - d * (a + b) * un * ud)
+def _rational_sqrt(x: Fraction) -> Fraction | None:
+    """The y >= 0 with y^2 = x, when it is rational."""
+    if x < 0:
+        return None
+    y = Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
+    return y if y * y == x else None
+
+
+def _kac_zero(h: Fraction, c: Fraction) -> tuple:
+    """Where h stands in the Kac table at central charge c, as (t, m).
+
+    Write c = 13 - 6 (t + 1/t) and h_{r,s} = ((rt - s)^2 - (t - 1)^2) / 4t; t and
+    1/t swap r and s.  V(h, c) has a singular vector at depth rs for each
+    r, s >= 1 with h = h_{r,s} (Kac 1978; Feigin-Fuchs 1984).  With
+    u = t + 1/t = (13 - c) / 6, t is rational iff u^2 - 4 is a rational square.
+
+    * t irrational or complex: t = None.  In the basis 1, t of Q(t),
+      h_{r,s} = ((r^2 - s^2) t + (s^2 - 1) u) / 4 - (rs - 1) / 2, so only
+      h_{r,r} = (r^2 - 1)(u - 2) / 4 is rational; m is the r >= 1 with
+      h = h_{r,r}, or None.
+    * t = p/p' in lowest terms, p' > 0: t = (p, p').  Then h_{r,s} = h_mu with
+      mu = rp - sp' and h_mu = (mu^2 - (p - p')^2) / 4pp'; m is the integer
+      |mu| with h = h_mu, or None.
+    """
+    u = Fraction(13 - c, 6)
+    root = _rational_sqrt(u * u - 4)
+    if root is None:  # u != 2 here, since u = 2 is t = 1
+        r = _rational_sqrt(1 + 4 * h / (u - 2))
+        return None, int(r) if r and r.denominator == 1 else None
+    t = (u + root) / 2
+    p, pp = t.numerator, t.denominator
+    m = _rational_sqrt(4 * p * pp * h + (p - pp) ** 2)
+    return (p, pp), int(m) if m is not None and m.denominator == 1 else None
+
+
+def _kac_depth(t, m, limit: int) -> int:
+    """The least rs <= limit with h = h_{r,s}, from ``_kac_zero``'s (t, m);
+    limit + 1 when there is none."""
+    if m is None:
+        return limit + 1
+    if t is None:
+        return min(m * m, limit + 1)
+    p, pp = t  # s = (rp - mu) / p' for mu = +-m, a positive integer
+    return min([r * ((r * p - mu) // pp) for r in range(1, limit + 1) for mu in (m, -m)
+                if r * p - mu > 0 and (r * p - mu) % pp == 0] + [limit + 1])
+
+
+def _order_one_dims(h: Fraction, c: Fraction, max_depth: int) -> tuple[int, ...] | None:
+    """dim L(h, c)_n for n <= max_depth, read off the embedding diagram of the
+    Virasoro Verma module V(h, c), or None where the layered engine decides.
+
+    In the terms of ``_kac_zero``, three diagrams are covered:
+
+    * No Kac zero with rs <= max_depth: L = V through max_depth, by the Kac
+      determinant (Kac 1978).
+    * t irrational or complex, h = h_{r,r}: V(h + r^2) is irreducible, so
+      ch L = ch V (1 - q^{r^2}) (Feigin-Fuchs 1984, case II).
+    * The braid, t = p/p' > 0 with p, p' dividing neither m: the vertices are
+      the h_mu, mu in +-m + 2pp'Z or +-m* + 2pp'Z, m* = rp + sp' for any
+      rp - sp' = m.  Sorted by |mu| the least is level 0, then two per level,
+      and each vertex embeds both of the next level.  ch L is the sum of
+      (-1)^(level - own level) ch V(h_mu) over h's own vertex and every deeper
+      level (Feigin-Fuchs 1984, case III_+; the minimal models are
+      Rocha-Caridi 1985).
+
+    The chains (p or p' divides m, c = 1 among them) and t < 0 (c >= 25)
+    return None.
+    """
+    t, m = _kac_zero(h, c)
+    partitions = colored_partition_counts(1, max_depth)
+    if _kac_depth(t, m, max_depth) > max_depth:
+        return tuple(partitions)
+    numerator = [0] * (max_depth + 1)
+    if t is None:
+        numerator[0], numerator[m * m] = 1, -1
+    else:
+        p, pp = t
+        if p < 0 or not m % p or not m % pp:
+            return None
+        period = 2 * p * pp
+        star = 2 * p * (m * pow(p, -1, pp) % pp) - m  # m* = 2rp - m for rp = m mod p'
+        top = math.isqrt(m * m + 2 * period * max_depth)  # |mu| of the deepest vertex read
+        vertices = sorted(x for base in (m, -m, star, -star)
+                          for x in range(base % period, top + 1, period))
+        own = (vertices.index(m) + 1) // 2
+        for i, mu in enumerate(vertices):
+            level = (i + 1) // 2
+            if level > own or mu == m:
+                numerator[(mu * mu - m * m) // (2 * period)] += (-1) ** (level - own)
+    return tuple(_convolve(numerator, partitions))
 
 
 def in_maximal_submodule(v: VermaVector, window=None) -> bool:

@@ -448,6 +448,11 @@ def _without_certificate(monkeypatch):
     monkeypatch.setattr(linalg, "full_rank_mod_p", lambda rows, ncols: False)
 
 
+def _without_character(monkeypatch):
+    """Send every order-1 piece to the layered engine."""
+    monkeypatch.setattr(verma, "_order_one_dims", lambda h, c, max_depth: None)
+
+
 @pytest.mark.parametrize("name", PARITY_CASES)
 def test_results_do_not_depend_on_the_certificate(name, monkeypatch):
     _assert_parity_without(_without_certificate, name, monkeypatch)
@@ -467,9 +472,88 @@ def _assert_parity_without(disable, name, monkeypatch):
 
 @pytest.mark.parametrize("name", MINIMAL_MODELS)
 def test_rocha_caridi_without_the_certificate(name, monkeypatch):
+    _without_character(monkeypatch)
     _without_certificate(monkeypatch)
     (p, pp, r, s), _ = MINIMAL_MODELS[name]
     assert list(quotient_dims(_minimal_model_phi(name), 14)) == rocha_caridi_dims(p, pp, r, s, 14)
+
+
+# -- order-1 pieces by their embedding diagram, against the engine -------------
+
+@pytest.mark.parametrize("name", PARITY_CASES)
+def test_results_do_not_depend_on_the_character(name, monkeypatch):
+    _assert_parity_without(_without_character, name, monkeypatch)
+
+
+def _braid_vertices():
+    """(h, c) = (h_{r,s}, c(t)), t = p/p', r, s <= 4, wherever neither p nor
+    p' divides rp - sp': Kac-table weights and braid vertices outside it."""
+    points = []
+    for p, pp in ((3, 4), (4, 5), (2, 5), (5, 7)):
+        t = F(p, pp)
+        for r in range(1, 5):
+            for s in range(1, 5):
+                if (r * p - s * pp) % p and (r * p - s * pp) % pp:
+                    points.append((((r * t - s) ** 2 - (t - 1) ** 2) / (4 * t),
+                                   13 - 6 * (t + 1 / t)))
+    return points
+
+
+@pytest.mark.parametrize("h, c", _braid_vertices())
+def test_braid_character_matches_the_engine(h, c):
+    dims = verma._order_one_dims(h, c, 9)
+    assert dims is not None
+    assert dims == quotient_dims(Functional.classical(-h, c), 9)
+    assert dims == verma._layered_quotient_dims(Functional.classical(-h, c), 9)
+
+
+@pytest.mark.parametrize("c", [F(2), F(3), F(-7, 5), F(30)])
+@pytest.mark.parametrize("r", [2, 3])
+def test_single_zero_at_irrational_t(r, c, monkeypatch):
+    # t + 1/t = u is rational and t is not, so h_{r,r} is the one rational h_{r,s}
+    u = (13 - c) / 6
+    h = (r * r - 1) * (u - 2) / 4
+    assert [kac_vanishes(h, c, n) for n in range(1, 15)] == [n >= r * r for n in range(1, 15)]
+    expected = convolve([1] + [0] * (r * r - 1) + [-1], colored_partition_series(1, 14))[:15]
+    phi = Functional.classical(-h, c)
+    assert list(quotient_dims(phi, 14)) == expected
+    _without_character(monkeypatch)
+    assert list(quotient_dims(phi, 9)) == expected[:10]
+
+
+FALLBACK_POINTS = {
+    "c_1": (F(1, 4), F(1)),            # t = 1: h_{1,2} = h_{2,1}, a chain
+    "c_25": (F(-5, 4), F(25)),         # t = -1: h_{1,2} = h_{2,1}
+    "t_negative": (F(-4), F(26)),      # t = -2/3: h_{1,3} = h_{4,1}, zeros at depths 3, 4
+    "boundary": (F(5, 3), F(1, 2)),    # t = 3/4: h_{1,3}, rp - sp' = -9 and p = 3 divides it
+}
+
+
+@pytest.mark.parametrize("name", FALLBACK_POINTS)
+def test_chains_and_negative_t_go_to_the_engine(name, monkeypatch):
+    h, c = FALLBACK_POINTS[name]
+    assert kac_vanishes(h, c, 4)
+    phi = Functional.classical(-h, c)
+    assert verma._order_one_dims(h, c, 8) is None
+    calls = _counting(monkeypatch, verma, "_layered_quotient_dims")
+    dims = quotient_dims(phi, 8)
+    assert calls
+    assert dims == tuple(linalg.rank(pairing_matrix(phi, n)) for n in range(9))
+
+
+def test_order_one_pieces_build_no_layer(monkeypatch):
+    layered = _counting(monkeypatch, verma, "_layered_quotient_dims")
+    bases = _counting(monkeypatch, verma, "pbw_basis")
+    direct = _counting(monkeypatch, pbw, "pbw_basis")
+    # Ising sigma at t = 0 times a weight with no Kac zero at t = 1
+    phi, depth = PARITY_CASES["q_times_q"]
+    sigma = rocha_caridi_dims(3, 4, 1, 2, depth)
+    assert list(quotient_dims(phi, depth)) == convolve(
+        sigma, colored_partition_series(1, depth))[:depth + 1]
+    # Ising sigma pulled back to Q[t]/t^2 reduces to one order-1 piece
+    assert list(quotient_dims(_pullback("ising_sigma", 2), 10)) == rocha_caridi_dims(
+        3, 4, 1, 2, 10)
+    assert layered == [] and bases == [] and direct == []
 
 
 def _counting(monkeypatch, module, name):
@@ -513,6 +597,7 @@ def test_certificate_stops_at_the_first_deficient_depth(monkeypatch):
 
 
 def test_skip_runs_the_engine_from_the_first_reducible_depth(monkeypatch):
+    _without_character(monkeypatch)  # else Ising sigma never reaches the engine
     calls = _counting(monkeypatch, linalg, "full_rank_mod_p")
     actions = _counting(monkeypatch, verma, "_action_rows")
     # h_{1,2} = 1/16 at c = 1/2: depths 0 and 1 are full by the Kac determinant
@@ -780,7 +865,8 @@ def _frozen_result(result) -> bool:
 @pytest.mark.parametrize("phi", [
     _minimal_model_phi("ising_sigma"), PARITY_CASES["dual"][0], PARITY_CASES["gauss"][0]],
     ids=["ising_sigma", "dual", "gauss"])
-def test_action_caches_hold_frozen_integer_results(phi):
+def test_action_caches_hold_frozen_integer_results(phi, monkeypatch):
+    _without_character(monkeypatch)  # the caches fill only in the engine
     quotient_dims(phi, 6)
     caches = (phi._act_cache, phi.algebra._caches["pbw_left_mult"])
     assert all(caches)
