@@ -867,6 +867,12 @@ def algebra_to_spec(algebra: Algebra) -> dict:
     return {"kind": algebra.kind, "window": list(algebra.window)}
 
 
+def basis_order_note(algebra: Algebra) -> str:
+    if algebra.kind == "structure_constants":
+        return "input basis order"
+    return "monomial degree order"
+
+
 def algebra_from_spec(spec: dict) -> Algebra:
     kind = spec.get("kind")
     if kind == "product_local":

@@ -23,6 +23,7 @@ from .evalmod import (
     WeightTable,
     weight_multiplicities,
 )
+from .liealg import CONVENTION_NOTE
 from .scalars import as_scalar, format_scalar
 from .verma import (
     Functional,
@@ -33,10 +34,6 @@ from .verma import (
     check_quasifinite,
     functional_to_spec,
 )
-
-CONVENTION_NOTE = ("bracket [d_m, d_n] = (n-m) d_{m+n} "
-                   "+ delta_{m,-n} (m^3-m)/12 c")
-
 
 def involute_functional(phi: Functional) -> Functional:
     """Pull back along d_n -> -d_{-n}, c -> -c (restricted to V_0: negation).

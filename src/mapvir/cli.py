@@ -9,6 +9,8 @@ bracket, pbw and verma default to text; module --weights renders TSV for
 --format tsv; check, split, module and classify are JSON in every format.
 Exit status 0 on success, 1 on validation errors (bad files, bad
 expressions), 2 on computational errors (window overflow, mode range).
+Each handler imports the modules it uses, so one process compiles only
+what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -17,29 +19,9 @@ import argparse
 import json
 import sys
 
-from .algebra import Algebra, algebra_from_spec, algebra_to_spec
-from .classify import CONVENTION_NOTE, classify_module, trichotomy_profile
+from .algebra import Algebra, algebra_from_spec, algebra_to_spec, basis_order_note
 from .errors import AlgebraMismatch, MapVirError, MissingWindow, UnsupportedKind
-from .evalmod import (
-    annihilator_support,
-    module_from_spec,
-    weight_multiplicities,
-)
-from .exprs import parse_lie_element, parse_word
-from .liealg import bracket, format_lie_element, mode_max
-from .pbw import basis_order_note, format_env, format_monomial, height_hm, pbw_basis, straighten
-from .scalars import format_scalar
-from .selftest import run_selftest
-from .verma import (
-    check_quasifinite,
-    check_verma_reducible,
-    functional_from_spec,
-    functional_to_spec,
-    module_dims,
-    quotient_dims,
-    singular_vectors,
-    split_phi,
-)
+from .liealg import CONVENTION_NOTE, bracket, format_lie_element, mode_max
 
 VALIDATION_ERRORS = (ValueError, TypeError, KeyError, OSError,
                      json.JSONDecodeError, UnsupportedKind, MissingWindow,
@@ -86,6 +68,8 @@ def _parse_offsets(text: str) -> tuple[int, int]:
 
 
 def _cmd_bracket(args) -> int:
+    from .exprs import parse_lie_element
+
     alg = _load_algebra(args.algebra)
     result = format_lie_element(bracket(parse_lie_element(args.x, alg),
                                         parse_lie_element(args.y, alg)))
@@ -94,6 +78,8 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_pbw(args) -> int:
+    from .pbw import format_env, format_monomial, height_hm, pbw_basis, straighten
+
     alg = _load_algebra(args.algebra)
     if args.basis:
         if args.n is None:
@@ -103,6 +89,8 @@ def _cmd_pbw(args) -> int:
               "\n".join([str(len(monomials)), *monomials]))
         return 0
     if args.straighten is not None:
+        from .exprs import parse_word
+
         env = straighten(parse_word(args.straighten, alg))
         height, hm = height_hm(env)
         normal_form, highest = format_env(env), format_env(hm)
@@ -113,6 +101,10 @@ def _cmd_pbw(args) -> int:
 
 
 def _cmd_verma(args) -> int:
+    from .pbw import format_env
+    from .verma import (functional_from_spec, functional_to_spec, module_dims, quotient_dims,
+                        singular_vectors)
+
     alg = _load_algebra(args.algebra)
     if args.n is None:
         raise ValueError("verma queries need a depth: -n N")
@@ -137,6 +129,9 @@ def _cmd_verma(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .pbw import format_env
+    from .verma import check_quasifinite, check_verma_reducible, functional_from_spec
+
     alg = _load_algebra(args.algebra)
     phi = functional_from_spec(alg, _load_json(args.phi))
     if not (args.reducible or args.quasifinite):
@@ -157,6 +152,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    from .scalars import format_scalar
+    from .verma import functional_from_spec, functional_to_spec, split_phi
+
     alg = _load_algebra(args.algebra)
     pieces = split_phi(functional_from_spec(alg, _load_json(args.phi)))
     _emit(args, alg, {"components": [{"point": format_scalar(p),
@@ -166,6 +164,9 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_module(args) -> int:
+    from .classify import trichotomy_profile
+    from .evalmod import annihilator_support, module_from_spec, weight_multiplicities
+
     alg = _load_algebra(args.algebra)
     handle = module_from_spec(alg, _load_json(args.module))
     if args.weights:
@@ -186,6 +187,10 @@ def _cmd_module(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import classify_module
+    from .evalmod import module_from_spec
+    from .verma import functional_from_spec
+
     alg = _load_algebra(args.algebra)
     if args.phi is not None:
         phi = functional_from_spec(alg, _load_json(args.phi))
@@ -204,6 +209,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     results = run_selftest(args.seed)
     all_ok = True
     for name, ok, detail in results:

@@ -150,6 +150,10 @@ def central_scalar(m: int) -> Fraction:
     return Fraction(m ** 3 - m, 12)
 
 
+CONVENTION_NOTE = ("bracket [d_m, d_n] = (n-m) d_{m+n} "
+                   "+ delta_{m,-n} (m^3-m)/12 c")
+
+
 def bracket(x: LieElement, y: LieElement) -> LieElement:
     """Lie bracket; bilinear, antisymmetric, with c (x) A central."""
     x.algebra.require_compatible(y.algebra)

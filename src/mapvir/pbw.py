@@ -44,12 +44,6 @@ def monomial_weight(mono: Monomial) -> int:
     return -sum(m for m, _ in mono)
 
 
-def basis_order_note(algebra: Algebra) -> str:
-    if algebra.kind == "structure_constants":
-        return "input basis order"
-    return "monomial degree order"
-
-
 class EnvElement:
     """A finite rational combination of PBW monomials in U(V_-)."""
 
