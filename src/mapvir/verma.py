@@ -387,18 +387,25 @@ def singular_vectors(phi: Functional, depth: int, window=None) -> list[VermaVect
     Exact kernel of the stacked maps w -> (d_1 (x) e_i) w and
     w -> (d_2 (x) e_i) w over all basis directions i; d_1 and d_2 together
     generate the whole raising half, so members are annihilated by every
-    positive mode.  A singular vector lies in Rad, so on finite kinds a depth
-    below ``_first_reducible_depth`` returns [] with no action built.  At
-    that theorem's own depth the stack always has a kernel, so the exact
-    kernel runs at once.  At every other depth (every depth where no theorem
-    applies), when one mod-p elimination shows that the stacked integer rows
-    have full column rank, the kernel is zero and no exact elimination runs.
-    A color window multiplies up to depth + 1 of its colors, which must stay
-    inside the algebra window.
+    positive mode.  Over a one-dimensional algebra (one unreduced piece, of
+    order 1) they are the highest weight vectors of the sub-Vermas, one per
+    vertex of ``_embedding_diagram`` (Feigin-Fuchs 1984): off the vertices
+    the answer is [], and at one the exact kernel runs at once and must hold
+    exactly one vector.  On other finite kinds a singular vector lies in Rad,
+    so a depth below ``_first_reducible_depth`` returns [], and at that
+    theorem's own depth the kernel runs at once.  At every other depth, when
+    one mod-p elimination shows that the stacked integer rows have full
+    column rank, the kernel is zero and no exact elimination runs.  No basis
+    or action is built for a [] by theorem.  A color window multiplies up to
+    depth + 1 of its colors, which must stay inside the algebra window.
     """
     if depth < 1:
         raise ValueError("singular vectors live at positive depth")
-    first = _first_reducible_depth(phi, depth)
+    (_, lam, kappa), *more = _local_pieces(phi) or [(None, (), ())]
+    order_one = len(lam) == 1 and not more  # dim A = 1, read off the unreduced piece
+    if order_one and depth not in _embedding_diagram(-lam[0], kappa[0], depth):
+        return []  # no sub-Verma at this depth
+    first = depth if order_one else _first_reducible_depth(phi, depth)
     if depth < first:
         return []  # a singular vector at positive depth lies in Rad
     alg = phi.algebra
@@ -411,12 +418,13 @@ def singular_vectors(phi: Functional, depth: int, window=None) -> list[VermaVect
                 rows += _action_rows(phi, mode, b, basis).values()
     if depth != first and linalg.full_rank_mod_p(rows, len(basis)):
         return []
-    out = []
     dense = [[row.get(col, 0) for col in range(len(basis))] for row in rows]
-    for vec in linalg.kernel(dense, len(basis)):
-        terms = {mono: c for mono, c in zip(basis, vec) if c != 0}
-        out.append(VermaVector(phi, EnvElement(alg, terms)))
-    return out
+    vecs = linalg.kernel(dense, len(basis))
+    if order_one and len(vecs) != 1:
+        raise AssertionError(f"{len(vecs)} singular vectors at vertex depth {depth}, "
+                             "against multiplicity one")
+    return [VermaVector(phi, EnvElement(alg, {mono: c for mono, c in zip(basis, vec) if c}))
+            for vec in vecs]
 
 
 def module_dims(algebra: Algebra, max_depth: int, window=None) -> tuple[int, ...]:
@@ -485,11 +493,9 @@ def quotient_dims(phi: Functional, max_depth: int, window=None) -> tuple[int, ..
 
     A reduced piece of order 1 is the Virasoro L(h, c), h = -lam_0,
     c = kappa_0, and ``_order_one_dims`` reads its character off the
-    embedding diagram of V(h, c) where it is one of three types: no Kac zero,
-    one zero at irrational or complex t, or the braid at rational t > 0.  The
-    chains (c = 1 among them), rational t < 0 (c >= 25) and every piece of
-    order 2 or more run the recursion.  When every reduced piece has order 1,
-    no layer and no PBW basis is built.
+    embedding diagram of V(h, c), whatever its type (braid, chain, t < 0 or
+    irrational t); only pieces of order 2 or more run the recursion.  When
+    every reduced piece has order 1, no layer and no PBW basis is built.
 
     Over the windowed polynomial and Laurent kinds the radical is tested
     against raising monomials whose colors stay in the window.  Products of
@@ -515,13 +521,13 @@ def quotient_dims(phi: Functional, max_depth: int, window=None) -> tuple[int, ..
         k = _reduced_order(lam, kappa)
         if not k:
             continue  # the trivial module has character 1
-        part = _order_one_dims(-lam[0], kappa[0], max_depth) if k == 1 else None
-        if part is None:
-            if len(pieces) == 1 and a == 0 and k == len(lam):
-                piece = phi
-            else:
-                piece = _piece_on(Algebra.product_local([(0, k)]), 0, lam, kappa)
-            part = _layered_quotient_dims(piece, max_depth)
+        if k == 1:
+            part = _order_one_dims(-lam[0], kappa[0], max_depth)
+        elif len(pieces) == 1 and a == 0 and k == len(lam):
+            part = _layered_quotient_dims(phi, max_depth)
+        else:
+            part = _layered_quotient_dims(
+                _piece_on(Algebra.product_local([(0, k)]), 0, lam, kappa), max_depth)
         dims = _convolve(dims, part)
     return tuple(dims)
 
@@ -659,7 +665,7 @@ def _first_reducible_depth(phi: Functional, max_depth: int) -> int:
 
     * N = 1 is the Virasoro algebra at h = -lambda, c = kappa.  Its Kac
       determinant at depth n vanishes iff h = h_{r,s}(c) for some rs <= n
-      (Kac 1978; Feigin-Fuchs 1984); ``_kac_depth`` finds the least rs.
+      (Kac 1978; Feigin-Fuchs 1984): the least positive embedding vertex.
     * N >= 2 vanishes first at the least n with
       -2 n lambda + (n^3 - n) kappa / 12 = 0 (B. J. Wilson, "Highest-weight
       theory for truncated current Lie algebras", J. Algebra 336, 2011).
@@ -671,18 +677,18 @@ def _first_reducible_depth(phi: Functional, max_depth: int) -> int:
     for _, lams, kappas in pieces:
         lam, kappa = lams[-1], kappas[-1]
         if len(lams) == 1:
-            first = _kac_depth(*_kac_zero(-lam, kappa), first - 1)
+            first = min(filter(None, _embedding_diagram(-lam, kappa, first - 1)), default=first)
         else:
             first = next((n for n in range(1, first) if 24 * n * lam == (n ** 3 - n) * kappa),
                          first)
     return first
 
 
-def _rational_sqrt(x: Fraction) -> Fraction | None:
-    """The y >= 0 with y^2 = x, when it is rational."""
-    if x < 0:
+def _integer_sqrt(x) -> int | None:
+    """The integer y >= 0 with y^2 = x, when there is one."""
+    if x < 0 or x.denominator != 1:
         return None
-    y = Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
+    y = math.isqrt(x.numerator)
     return y if y * y == x else None
 
 
@@ -691,8 +697,8 @@ def _kac_zero(h: Fraction, c: Fraction) -> tuple:
 
     Write c = 13 - 6 (t + 1/t) and h_{r,s} = ((rt - s)^2 - (t - 1)^2) / 4t; t and
     1/t swap r and s.  V(h, c) has a singular vector at depth rs for each
-    r, s >= 1 with h = h_{r,s} (Kac 1978; Feigin-Fuchs 1984).  With
-    u = t + 1/t = (13 - c) / 6, t is rational iff u^2 - 4 is a rational square.
+    r, s >= 1 with h = h_{r,s} (Kac 1978; Feigin-Fuchs 1984).  With c = a/b and
+    u = t + 1/t = (13 - c) / 6, t is rational iff (6b)^2 (u^2 - 4) is a square.
 
     * t irrational or complex: t = None.  In the basis 1, t of Q(t),
       h_{r,s} = ((r^2 - s^2) t + (s^2 - 1) u) / 4 - (rs - 1) / 2, so only
@@ -702,72 +708,66 @@ def _kac_zero(h: Fraction, c: Fraction) -> tuple:
       mu = rp - sp' and h_mu = (mu^2 - (p - p')^2) / 4pp'; m is the integer
       |mu| with h = h_mu, or None.
     """
-    u = Fraction(13 - c, 6)
-    root = _rational_sqrt(u * u - 4)
-    if root is None:  # u != 2 here, since u = 2 is t = 1
-        r = _rational_sqrt(1 + 4 * h / (u - 2))
-        return None, int(r) if r and r.denominator == 1 else None
-    t = (u + root) / 2
+    a, b = c.numerator, c.denominator
+    root = _integer_sqrt((b - a) * (25 * b - a))  # (6b)^2 (u^2 - 4)
+    if root is None:  # a != b here, since c = 1 is t = 1
+        return None, _integer_sqrt(1 + Fraction(24 * b * h, b - a)) or None  # u - 2 = (b - a)/6b
+    t = Fraction(13 * b - a + root, 12 * b)
     p, pp = t.numerator, t.denominator
-    m = _rational_sqrt(4 * p * pp * h + (p - pp) ** 2)
-    return (p, pp), int(m) if m is not None and m.denominator == 1 else None
+    return (p, pp), _integer_sqrt(4 * p * pp * h + (p - pp) ** 2)
 
 
-def _kac_depth(t, m, limit: int) -> int:
-    """The least rs <= limit with h = h_{r,s}, from ``_kac_zero``'s (t, m);
-    limit + 1 when there is none."""
-    if m is None:
-        return limit + 1
-    if t is None:
-        return min(m * m, limit + 1)
-    p, pp = t  # s = (rp - mu) / p' for mu = +-m, a positive integer
-    return min([r * ((r * p - mu) // pp) for r in range(1, limit + 1) for mu in (m, -m)
-                if r * p - mu > 0 and (r * p - mu) % pp == 0] + [limit + 1])
+def _embedding_diagram(h: Fraction, c: Fraction, limit: int) -> dict[int, set]:
+    """The embedding diagram of the Virasoro Verma module V(h, c) through
+    depth ``limit``: each vertex d <= limit, V(h + d) in V(h), mapped to the
+    deeper vertices e with V(h + e) in V(h + d).
 
-
-def _order_one_dims(h: Fraction, c: Fraction, max_depth: int) -> tuple[int, ...] | None:
-    """dim L(h, c)_n for n <= max_depth, read off the embedding diagram of the
-    Virasoro Verma module V(h, c), or None where the layered engine decides.
-
-    In the terms of ``_kac_zero``, three diagrams are covered:
-
-    * No Kac zero with rs <= max_depth: L = V through max_depth, by the Kac
-      determinant (Kac 1978).
-    * t irrational or complex, h = h_{r,r}: V(h + r^2) is irreducible, so
-      ch L = ch V (1 - q^{r^2}) (Feigin-Fuchs 1984, case II).
-    * The braid, t = p/p' > 0 with p, p' dividing neither m: the vertices are
-      the h_mu, mu in +-m + 2pp'Z or +-m* + 2pp'Z, m* = rp + sp' for any
-      rp - sp' = m.  Sorted by |mu| the least is level 0, then two per level,
-      and each vertex embeds both of the next level.  ch L is the sum of
-      (-1)^(level - own level) ch V(h_mu) over h's own vertex and every deeper
-      level (Feigin-Fuchs 1984, case III_+; the minimal models are
-      Rocha-Caridi 1985).
-
-    The chains (p or p' divides m, c = 1 among them) and t < 0 (c >= 25)
-    return None.
+    A Kac zero h = h_{r,s} gives a singular vector at depth rs generating
+    V(h + rs), and every submodule is a sum of such sub-Vermas, so the
+    vertices are the closure of these steps (Feigin-Fuchs 1984; Iohara-Koga
+    2011, ch. 5-6).  After one ``_kac_zero`` the work is integer: at
+    irrational t the vertices are 0 and m^2, V(h + m^2) being irreducible;
+    at t = p/p' the vertex h + d = h_mu, mu^2 = m^2 + 4pp'd, has the zeros
+    r >= 1, s = (rp -+ |mu|) / p' a positive integer, each a step of rs to
+    h_{r,-s} (finitely many per vertex at t < 0).
     """
     t, m = _kac_zero(h, c)
+    if m is None or t is None:
+        return {0: {m * m}, m * m: set()} if m and m * m <= limit else {0: set()}
+    p, pp = t
+    steps: dict[int, set] = {}
+    todo = [0]
+    while todo:
+        d = todo.pop()
+        mu = math.isqrt(m * m + 4 * p * pp * d)  # h + d = h_mu
+        steps[d] = {d + r * (x // pp) for r in range(1, limit - d + 1)
+                    for x in (r * p - mu, r * p + mu)
+                    if x > 0 and not x % pp and d + r * (x // pp) <= limit}
+        todo += steps[d] - steps.keys()
+    below: dict[int, set] = {}
+    for d in sorted(steps, reverse=True):  # steps lead deeper
+        below[d] = steps[d].union(*(below[e] for e in steps[d]))
+    return below
+
+
+def _order_one_dims(h: Fraction, c: Fraction, max_depth: int) -> tuple[int, ...]:
+    """dim L(h, c)_n for n <= max_depth, off the embedding diagram of V(h, c).
+
+    Verma modules are multiplicity-free: [V(h + d) : L(h + e)] = 1 exactly
+    when V(h + e) is in V(h + d) (Feigin-Fuchs 1984).  So, deepest vertex
+    first, ch L(h + d) = ch V(h + d) - sum of ch L(h + e) over the e below d,
+    each kept as its sparse integer numerator over prod (1 - q^n).
+    """
+    diagram = _embedding_diagram(h, c, max_depth)
+    numerators: dict[int, dict] = {}
+    for d in sorted(diagram, reverse=True):
+        num = numerators[d] = {d: 1}
+        for e in diagram[d]:
+            for k, x in numerators[e].items():
+                num[k] = num.get(k, 0) - x
     partitions = colored_partition_counts(1, max_depth)
-    if _kac_depth(t, m, max_depth) > max_depth:
-        return tuple(partitions)
-    numerator = [0] * (max_depth + 1)
-    if t is None:
-        numerator[0], numerator[m * m] = 1, -1
-    else:
-        p, pp = t
-        if p < 0 or not m % p or not m % pp:
-            return None
-        period = 2 * p * pp
-        star = 2 * p * (m * pow(p, -1, pp) % pp) - m  # m* = 2rp - m for rp = m mod p'
-        top = math.isqrt(m * m + 2 * period * max_depth)  # |mu| of the deepest vertex read
-        vertices = sorted(x for base in (m, -m, star, -star)
-                          for x in range(base % period, top + 1, period))
-        own = (vertices.index(m) + 1) // 2
-        for i, mu in enumerate(vertices):
-            level = (i + 1) // 2
-            if level > own or mu == m:
-                numerator[(mu * mu - m * m) // (2 * period)] += (-1) ** (level - own)
-    return tuple(_convolve(numerator, partitions))
+    return tuple(sum(x * partitions[n - k] for k, x in numerators[0].items() if k <= n)
+                 for n in range(max_depth + 1))
 
 
 def in_maximal_submodule(v: VermaVector, window=None) -> bool:

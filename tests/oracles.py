@@ -10,7 +10,8 @@ ideal closures from a rank-driven worklist over the algebra's product, the
 order of a local piece from successive ideal powers, the CRT pieces of a
 functional from products with product-checked idempotents, the structure
 tensor of Q[t]/(p) from schoolbook division, and the quotient characters of
-Q[t]/t^N Verma modules with one top-degree zero from a closed form.
+Q[t]/t^N Verma modules with one top-degree zero and of the classical Verma
+modules at c = 1 from closed forms.
 """
 
 from __future__ import annotations
@@ -231,6 +232,19 @@ def colored_partition_series(colors: int, max_n: int) -> list[int]:
                 j += 1
         series = nxt
     return [int(x) for x in series]
+
+
+def c_one_dims(m: int, n: int) -> int:
+    """dim L(m^2/4, 1)_n = p(n) - p(n - m - 1), in the L_0 convention.
+
+    At c = 1 (t = 1) the weight h = m^2/4 is h_{r,s} exactly when |r - s| = m,
+    so its least Kac zero is at depth m + 1, and the embedding diagram is the
+    chain m^2/4 -> (m + 2)^2/4 -> ...; the character of the irreducible
+    quotient is (1 - q^{m+1}) / prod_{k>=1} (1 - q^k) (Kac 1978;
+    Feigin-Fuchs 1984).
+    """
+    p = colored_partition_series(1, n)
+    return p[n] - (p[n - m - 1] if n > m else 0)
 
 
 def top_zero_dims(order: int, n0: int, max_n: int) -> list[int]:

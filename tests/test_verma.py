@@ -40,6 +40,7 @@ from mapvir import (
 )
 from mapvir import linalg, pbw, polyutil, recurrence, verma
 from oracles import (
+    c_one_dims,
     classical_pairing_matrix,
     classical_singular_dim,
     colored_partition_series,
@@ -450,7 +451,8 @@ def _without_certificate(monkeypatch):
 
 def _without_character(monkeypatch):
     """Send every order-1 piece to the layered engine."""
-    monkeypatch.setattr(verma, "_order_one_dims", lambda h, c, max_depth: None)
+    monkeypatch.setattr(verma, "_order_one_dims", lambda h, c, max_depth: (
+        verma._layered_quotient_dims(Functional.classical(-h, c), max_depth)))
 
 
 @pytest.mark.parametrize("name", PARITY_CASES)
@@ -502,7 +504,6 @@ def _braid_vertices():
 @pytest.mark.parametrize("h, c", _braid_vertices())
 def test_braid_character_matches_the_engine(h, c):
     dims = verma._order_one_dims(h, c, 9)
-    assert dims is not None
     assert dims == quotient_dims(Functional.classical(-h, c), 9)
     assert dims == verma._layered_quotient_dims(Functional.classical(-h, c), 9)
 
@@ -521,7 +522,7 @@ def test_single_zero_at_irrational_t(r, c, monkeypatch):
     assert list(quotient_dims(phi, 9)) == expected[:10]
 
 
-FALLBACK_POINTS = {
+CHAIN_AND_NEGATIVE_T_POINTS = {
     "c_1": (F(1, 4), F(1)),            # t = 1: h_{1,2} = h_{2,1}, a chain
     "c_25": (F(-5, 4), F(25)),         # t = -1: h_{1,2} = h_{2,1}
     "t_negative": (F(-4), F(26)),      # t = -2/3: h_{1,3} = h_{4,1}, zeros at depths 3, 4
@@ -529,16 +530,89 @@ FALLBACK_POINTS = {
 }
 
 
-@pytest.mark.parametrize("name", FALLBACK_POINTS)
+@pytest.mark.parametrize("name", CHAIN_AND_NEGATIVE_T_POINTS)
 def test_chains_and_negative_t_go_to_the_engine(name, monkeypatch):
-    h, c = FALLBACK_POINTS[name]
+    # the diagram covers them too: no layer is built, and the pairing rank agrees
+    h, c = CHAIN_AND_NEGATIVE_T_POINTS[name]
     assert kac_vanishes(h, c, 4)
     phi = Functional.classical(-h, c)
-    assert verma._order_one_dims(h, c, 8) is None
     calls = _counting(monkeypatch, verma, "_layered_quotient_dims")
     dims = quotient_dims(phi, 8)
-    assert calls
+    assert calls == []
+    assert dims == verma._order_one_dims(h, c, 8)
     assert dims == tuple(linalg.rank(pairing_matrix(phi, n)) for n in range(9))
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_c_one_characters_match_the_closed_form(m, monkeypatch):
+    layered = _counting(monkeypatch, verma, "_layered_quotient_dims")
+    dims = quotient_dims(Functional.classical(F(-m * m, 4), 1), 16)
+    assert list(dims) == [c_one_dims(m, n) for n in range(17)]
+    assert layered == []
+
+
+def _kac_grid():
+    """(h, c) by diagram type: h_{r,s}, r, s <= 3, at rational t = p/p' (the
+    braid where neither p nor p' divides rp - sp', else the chain, and t < 0),
+    and h_{r,r}, r <= 2, at irrational or complex t."""
+    grid = {"braid": [], "chain": [], "t_negative": [], "irrational": []}
+    for t in (F(3, 4), F(2, 5), F(5, 3), F(1), F(2), F(-1), F(-2, 3), F(-3, 2)):
+        p, pp = t.numerator, t.denominator
+        for r in range(1, 4):
+            for s in range(1, 4):
+                mu = r * p - s * pp
+                kind = "t_negative" if t < 0 else "braid" if mu % p and mu % pp else "chain"
+                grid[kind].append((((r * t - s) ** 2 - (t - 1) ** 2) / (4 * t),
+                                   13 - 6 * (t + 1 / t)))
+    for c in (F(2), F(30), F(-7, 5)):
+        u = (13 - c) / 6
+        grid["irrational"] += [((r * r - 1) * (u - 2) / 4, c) for r in (1, 2)]
+    return grid
+
+
+KAC_GRID = _kac_grid()
+
+
+@pytest.mark.parametrize("kind", KAC_GRID)
+def test_order_one_character_matches_the_engine_on_the_kac_grid(kind):
+    for h, c in KAC_GRID[kind]:
+        assert verma._order_one_dims(h, c, 8) == verma._layered_quotient_dims(
+            Functional.classical(-h, c), 8), (h, c)
+
+
+@pytest.mark.parametrize("kind", KAC_GRID)
+def test_singular_vector_counts_match_the_oracle_on_the_kac_grid(kind, monkeypatch):
+    certificates = _counting(monkeypatch, linalg, "full_rank_mod_p")
+    for h, c in KAC_GRID[kind]:
+        phi = Functional.classical(-h, c)
+        for n in range(1, 7):
+            assert len(singular_vectors(phi, n)) == classical_singular_dim(n, -h, c), (h, c, n)
+    assert certificates == []  # a vertex depth runs the exact kernel at once
+
+
+def test_off_vertex_depths_build_no_basis_or_action(monkeypatch):
+    actions = _counting(monkeypatch, verma, "_action_rows")
+    bases = _counting(monkeypatch, verma, "pbw_basis")
+    direct = _counting(monkeypatch, pbw, "pbw_basis")
+    past_first = 0
+    for points in KAC_GRID.values():
+        for h, c in points:
+            vertices = verma._embedding_diagram(h, c, 8)
+            phi = Functional.classical(-h, c)
+            for n in range(1, 9):
+                if n not in vertices:
+                    assert singular_vectors(phi, n) == []
+                    past_first += n > min(vertices.keys() - {0}, default=9)
+    assert past_first > 0
+    assert actions == [] and bases == [] and direct == []
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_vertex_kernel_must_hold_one_vector(count, monkeypatch):
+    real = linalg.kernel
+    monkeypatch.setattr(linalg, "kernel", lambda rows, ncols: (real(rows, ncols) * 2)[:count])
+    with pytest.raises(AssertionError, match="multiplicity one"):
+        singular_vectors(_minimal_model_phi("ising_sigma"), 2)
 
 
 def test_order_one_pieces_build_no_layer(monkeypatch):
@@ -622,9 +696,13 @@ def test_certificate_runs_only_where_no_theorem_applies(monkeypatch):
         # at the theorem's own depth the stack always has a kernel
         for n in range(1, min(verma._first_reducible_depth(phi, 4), 4) + 1):
             singular_vectors(phi, n)
-    assert calls == []
-    # past it the certificate may prove the kernel zero: Ising sigma at depth 8
+    # off the embedding diagram the theorem answers: Ising sigma at depth 8
     assert singular_vectors(_minimal_model_phi("ising_sigma"), 8) == []
+    assert calls == []
+    # past the first reducible depth of an order-2 piece the certificate runs
+    phi, _ = PARITY_CASES["dual"]
+    assert verma._first_reducible_depth(phi, 4) == 1
+    singular_vectors(phi, 3)
     assert len(calls) == 1
     calls.clear()
     # Q(i) is covered by no theorem, so its layers and stacks are certified mod p
@@ -865,9 +943,8 @@ def _frozen_result(result) -> bool:
 @pytest.mark.parametrize("phi", [
     _minimal_model_phi("ising_sigma"), PARITY_CASES["dual"][0], PARITY_CASES["gauss"][0]],
     ids=["ising_sigma", "dual", "gauss"])
-def test_action_caches_hold_frozen_integer_results(phi, monkeypatch):
-    _without_character(monkeypatch)  # the caches fill only in the engine
-    quotient_dims(phi, 6)
+def test_action_caches_hold_frozen_integer_results(phi):
+    verma._layered_quotient_dims(phi, 6)  # the caches fill only in the engine
     caches = (phi._act_cache, phi.algebra._caches["pbw_left_mult"])
     assert all(caches)
     for cache in caches:
