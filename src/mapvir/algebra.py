@@ -288,14 +288,19 @@ class Algebra:
 
     def product_terms(self, i: int, j: int) -> tuple:
         """e_i e_j as cached (index, numerator, denominator) triples of ints:
-        plain data, so the cache holds no reference back to the algebra."""
+        plain data, so the cache holds no reference back to the algebra.  A
+        structure-constants product is read straight off the tensor."""
         cache = self._caches.setdefault("basis_product", {})
         key = (i, j) if i <= j else (j, i)
         hit = cache.get(key)
         if hit is None:
-            prod = (self.basis_element(i) * self.basis_element(j))._coeffs
-            hit = cache[key] = tuple((k, c.numerator, c.denominator)
-                                     for k, c in prod.items())
+            if self.kind == "structure_constants":
+                self.check_index(i)
+                self.check_index(j)
+                prod = enumerate(self._tensor[key[0]][key[1]])
+            else:
+                prod = (self.basis_element(i) * self.basis_element(j))._coeffs.items()
+            hit = cache[key] = tuple((k, c.numerator, c.denominator) for k, c in prod if c)
         return hit
 
     def basis_product(self, i: int, j: int) -> "AlgebraElement":

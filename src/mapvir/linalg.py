@@ -2,8 +2,9 @@
 
 Matrices are lists of rows of Fractions (ints are accepted too).  There is
 one exact elimination loop, ``row_basis``: it is fraction-free on integer
-rows, so ``rref`` and ``rank`` first scale each row to integers and Fractions
-appear only when ``rref`` normalizes pivots and back-substitutes.
+rows, so ``rref``, ``rank`` and ``kernel`` first scale each row to integers.
+Fractions appear only in what ``kernel`` returns and when ``rref`` normalizes
+pivots and back-substitutes.
 
 ``full_rank_mod_p`` eliminates sparse integer rows over F_p for the fixed
 prime ``PRIME``.  It can only certify: an integer matrix's rank mod p never
@@ -136,18 +137,27 @@ def in_row_span(rref_rows: Sequence[Row], pivots: Sequence[int],
 
 
 def kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Row]:
-    """Basis of the right null space {x : M x = 0}."""
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, p in zip(red, pivots):
-            v[p] = -row[fc]
-        basis.append(v)
-    return basis
+    """Basis of the right null space {x : M x = 0}: for each non-pivot column
+    f, the solution with x_f = 1 and 0 at the other non-pivot columns.  It is
+    back-substituted in integers over ``_echelon``'s fraction-free rows, with
+    one common denominator; Fractions are built only for the returned vectors."""
+    basis = _echelon(rows)
+    pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
+    out = []
+    for fc in sorted(set(range(ncols)).difference(pivots)):
+        v = [0] * ncols
+        v[fc] = den = 1
+        for b, p in zip(reversed(basis), reversed(pivots)):
+            s = sum([x * y for x, y in zip(b[p + 1:], v[p + 1:]) if y])
+            if s:  # b_p v_p + s = 0
+                g = math.gcd(s, b[p])
+                f = b[p] // g
+                if f > 1:
+                    v = [x * f for x in v]
+                    den *= f
+                v[p] = -s // g
+        out.append([Fraction(x, den) for x in v])
+    return out
 
 
 def row_space_intersection(rows_a: Sequence[Sequence[Fraction]],

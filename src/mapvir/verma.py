@@ -29,7 +29,7 @@ from .algebra import (
     quotient_algebra,
 )
 from .errors import AlgebraMismatch, UnsupportedKind, WindowOverflow
-from .liealg import LieElement, central_scalar, d_term
+from .liealg import LieElement, d_term
 from .pbw import (
     EnvElement,
     Monomial,
@@ -291,9 +291,10 @@ def _act_basis(phi: Functional, j: int, b: int, mono: Monomial) -> tuple:
 
     and central pieces evaluate immediately through phi.  The result is a
     frozen (den, monomials, numerators) triple of integers over one
-    denominator, like ``pbw._left_mult``; Fractions enter only through the
-    values of phi.  Results are cached per functional, since distinct raising
-    words share long suffixes, and are immutable tuples.
+    denominator, like ``pbw._left_mult``; the values of phi and the cocycle
+    (j^3 - j)/12 enter as integer pairs, and no Fraction is built.  Results
+    are cached per functional, since distinct raising words share long
+    suffixes, and are immutable tuples.
     """
     alg = phi.algebra
     if j < 0:
@@ -311,13 +312,14 @@ def _act_basis(phi: Functional, j: int, b: int, mono: Monomial) -> tuple:
         den, monos, nums = _act_basis(phi, j, b, rest)
         parts = [(c2, den, _left_mult(alg, head, m2)) for m2, c2 in zip(monos, nums)]
         k = -mh - j
-        cs = central_scalar(j) if j == mh else 0
+        cocycle = j ** 3 - j if j == mh else 0  # 12 times the central scalar
         for bk, nk, dk in alg.product_terms(b, bh):
             if k != 0:
                 parts.append((k * nk, dk, _act_basis(phi, j - mh, bk, rest)))
-            val = cs * phi.value_c(bk) if cs else 0
-            if val:
-                parts.append((val.numerator * nk, val.denominator * dk, _single(rest)))
+            kappa = phi.value_c(bk) if cocycle else 0
+            if kappa:
+                parts.append((cocycle * kappa.numerator * nk, 12 * kappa.denominator * dk,
+                              _single(rest)))
     out = phi._act_cache[key] = _lincomb(parts)
     return out
 
@@ -602,22 +604,23 @@ def _local_pieces(phi: Functional) -> tuple[tuple, ...] | None:
 
     For each local factor (a, N), in order, the triple (a, lam, kappa) of the
     tuples lam_k = phi(d_0 (x) e s^k) and kappa_k = phi(c (x) e s^k), k < N,
-    where s = t - a and e is the factor's CRT idempotent.  Q is the one
-    factor (0, 1) of Q[t]/(t).  The piece is the functional these values
+    where s = t - a and e is the factor's CRT idempotent.  A one-dimensional
+    algebra is the one factor (0, 1) of Q[t]/(t) with e its unit u e_0, read
+    off u and two values of phi.  The piece is the functional these values
     define on Q[s]/s^N, and V(phi) is the tensor product of the pieces'
     Verma modules.  Kept on the functional once computed.
     """
     if phi._pieces is not None:
         return phi._pieces
     alg = phi.algebra
-    if alg.kind == "product_local":
-        factors = zip(alg.factors, crt_idempotents(alg))
-    elif alg.kind == "structure_constants" and alg.dim == 1:
-        factors = [((Fraction(0), 1), alg.one().to_vector())]
-    else:
+    if alg.kind == "structure_constants" and alg.dim == 1:  # 1 = u e_0
+        u = alg._unit[0]
+        phi._pieces = ((Fraction(0), (u * phi.value_d0(0),), (u * phi.value_c(0),)),)
+        return phi._pieces
+    if alg.kind != "product_local":
         return None
     pieces = []
-    for (a, order), f in factors:
+    for (a, order), f in zip(alg.factors, crt_idempotents(alg)):
         lam, kappa = [], []
         for k in range(order):
             if k:  # f = e s^k: times t - a, then one step by the monic modulus
@@ -665,7 +668,7 @@ def _first_reducible_depth(phi: Functional, max_depth: int) -> int:
 
     * N = 1 is the Virasoro algebra at h = -lambda, c = kappa.  Its Kac
       determinant at depth n vanishes iff h = h_{r,s}(c) for some rs <= n
-      (Kac 1978; Feigin-Fuchs 1984): the least positive embedding vertex.
+      (Kac 1978; Feigin-Fuchs 1984): the least ``_kac_steps`` from 0.
     * N >= 2 vanishes first at the least n with
       -2 n lambda + (n^3 - n) kappa / 12 = 0 (B. J. Wilson, "Highest-weight
       theory for truncated current Lie algebras", J. Algebra 336, 2011).
@@ -677,19 +680,20 @@ def _first_reducible_depth(phi: Functional, max_depth: int) -> int:
     for _, lams, kappas in pieces:
         lam, kappa = lams[-1], kappas[-1]
         if len(lams) == 1:
-            first = min(filter(None, _embedding_diagram(-lam, kappa, first - 1)), default=first)
+            first = min(_kac_steps(*_kac_zero(-lam, kappa), 0, first - 1), default=first)
         else:
             first = next((n for n in range(1, first) if 24 * n * lam == (n ** 3 - n) * kappa),
                          first)
     return first
 
 
-def _integer_sqrt(x) -> int | None:
-    """The integer y >= 0 with y^2 = x, when there is one."""
-    if x < 0 or x.denominator != 1:
+def _exact_sqrt(num: int, den: int) -> int | None:
+    """The integer y >= 0 with y^2 = num / den (den != 0), when there is one."""
+    q, r = divmod(num, den)
+    if r or q < 0:
         return None
-    y = math.isqrt(x.numerator)
-    return y if y * y == x else None
+    y = math.isqrt(q)
+    return y if y * y == q else None
 
 
 def _kac_zero(h: Fraction, c: Fraction) -> tuple:
@@ -709,12 +713,15 @@ def _kac_zero(h: Fraction, c: Fraction) -> tuple:
       |mu| with h = h_mu, or None.
     """
     a, b = c.numerator, c.denominator
-    root = _integer_sqrt((b - a) * (25 * b - a))  # (6b)^2 (u^2 - 4)
+    hn, hd = h.numerator, h.denominator
+    root = _exact_sqrt((b - a) * (25 * b - a), 1)  # (6b)^2 (u^2 - 4)
     if root is None:  # a != b here, since c = 1 is t = 1
-        return None, _integer_sqrt(1 + Fraction(24 * b * h, b - a)) or None  # u - 2 = (b - a)/6b
-    t = Fraction(13 * b - a + root, 12 * b)
-    p, pp = t.numerator, t.denominator
-    return (p, pp), _integer_sqrt(4 * p * pp * h + (p - pp) ** 2)
+        den = (b - a) * hd  # r^2 = 1 + 24bh / (b - a), as u - 2 = (b - a)/6b
+        return None, _exact_sqrt(den + 24 * b * hn, den) or None
+    num, den = 13 * b - a + root, 12 * b  # t
+    g = math.gcd(num, den)
+    p, pp = num // g, den // g
+    return (p, pp), _exact_sqrt(4 * p * pp * hn + (p - pp) ** 2 * hd, hd)
 
 
 def _embedding_diagram(h: Fraction, c: Fraction, limit: int) -> dict[int, set]:
@@ -724,30 +731,34 @@ def _embedding_diagram(h: Fraction, c: Fraction, limit: int) -> dict[int, set]:
 
     A Kac zero h = h_{r,s} gives a singular vector at depth rs generating
     V(h + rs), and every submodule is a sum of such sub-Vermas, so the
-    vertices are the closure of these steps (Feigin-Fuchs 1984; Iohara-Koga
-    2011, ch. 5-6).  After one ``_kac_zero`` the work is integer: at
-    irrational t the vertices are 0 and m^2, V(h + m^2) being irreducible;
-    at t = p/p' the vertex h + d = h_mu, mu^2 = m^2 + 4pp'd, has the zeros
-    r >= 1, s = (rp -+ |mu|) / p' a positive integer, each a step of rs to
-    h_{r,-s} (finitely many per vertex at t < 0).
+    vertices are the closure of the ``_kac_steps`` from 0 (Feigin-Fuchs 1984;
+    Iohara-Koga 2011, ch. 5-6).  After one ``_kac_zero`` the work is integer.
     """
     t, m = _kac_zero(h, c)
-    if m is None or t is None:
-        return {0: {m * m}, m * m: set()} if m and m * m <= limit else {0: set()}
-    p, pp = t
     steps: dict[int, set] = {}
     todo = [0]
     while todo:
         d = todo.pop()
-        mu = math.isqrt(m * m + 4 * p * pp * d)  # h + d = h_mu
-        steps[d] = {d + r * (x // pp) for r in range(1, limit - d + 1)
-                    for x in (r * p - mu, r * p + mu)
-                    if x > 0 and not x % pp and d + r * (x // pp) <= limit}
+        steps[d] = _kac_steps(t, m, d, limit)
         todo += steps[d] - steps.keys()
     below: dict[int, set] = {}
     for d in sorted(steps, reverse=True):  # steps lead deeper
         below[d] = steps[d].union(*(below[e] for e in steps[d]))
     return below
+
+
+def _kac_steps(t, m, d: int, limit: int) -> set:
+    """The vertices e <= limit one step below the vertex d at the Kac zero
+    (t, m).  At irrational t the one step is 0 -> m^2.  At t = p/p' the vertex
+    h + d = h_mu, mu^2 = m^2 + 4pp'd, has the zeros r >= 1, s = (rp -+ |mu|)/p'
+    a positive integer, each a step of rs to h_{r,-s} (finitely many at t < 0)."""
+    if m is None or t is None:
+        return {m * m} if m and not d and m * m <= limit else set()
+    p, pp = t
+    mu = math.isqrt(m * m + 4 * p * pp * d)  # h + d = h_mu
+    return {d + r * (x // pp) for r in range(1, limit - d + 1)
+            for x in (r * p - mu, r * p + mu)
+            if x > 0 and not x % pp and d + r * (x // pp) <= limit}
 
 
 def _order_one_dims(h: Fraction, c: Fraction, max_depth: int) -> tuple[int, ...]:

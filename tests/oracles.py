@@ -4,8 +4,10 @@ Nothing here reuses the library's linear algebra or PBW action paths: ranks
 come from plain Fraction Gauss elimination, the classical Virasoro action is a
 worklist rewriter on bare mode tuples (and the action of Vir (x) A another,
 on (mode, color) letters over a hand-written product table), the zeros of the
-Kac determinant come from the h_{r,s} formula, partition counts come from the
-generating function, minimal recurrences from a per-order Hankel search,
+Kac determinant come from the h_{r,s} formula (and their (t, m) position
+from Fraction arithmetic), null spaces from Gauss-Jordan elimination,
+partition counts come from the generating function, minimal recurrences
+from a per-order Hankel search,
 ideal closures from a rank-driven worklist over the algebra's product, the
 order of a local piece from successive ideal powers, the CRT pieces of a
 functional from products with product-checked idempotents, the structure
@@ -65,6 +67,35 @@ def oracle_det(rows) -> Fraction:
                 f = m[r][col] / inv
                 m[r] = [a - f * b for a, b in zip(m[r], m[col])]
     return det
+
+
+def oracle_kernel(rows, ncols: int) -> list[list[Fraction]]:
+    """Null-space basis by plain Fraction Gauss-Jordan elimination: for each
+    non-pivot column f, the vector with 1 at f, 0 at the other non-pivot
+    columns and minus column f of the reduced rows at the pivots."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for row, p in zip(m, pivots):
+                v[p] = -row[f]
+            basis.append(v)
+    return basis
 
 
 def oracle_min_recurrence(seqs, max_order=None):
@@ -378,6 +409,30 @@ def kac_vanishes(h, c, n: int) -> bool:
             if h * h - ((a + b) * u - 2 * d) * h + p == 0:
                 return True
     return False
+
+
+def _fraction_sqrt(x) -> int | None:
+    """The integer y >= 0 with y^2 = x, for a rational x, when there is one."""
+    x = Fraction(x)
+    if x < 0 or x.denominator != 1:
+        return None
+    y = math.isqrt(x.numerator)
+    return y if y * y == x else None
+
+
+def oracle_kac_zero(h, c) -> tuple:
+    """The (t, m) of ``verma._kac_zero`` by Fraction arithmetic: with c = a/b,
+    t is rational iff (b - a)(25b - a) is a square, and then t = p/p' is the
+    root (13b - a + sqrt)/12b and m = sqrt(4pp'h + (p - p')^2); at irrational
+    t, t = None and m = sqrt(1 + 24bh/(b - a)), None when 0 or irrational."""
+    h, c = Fraction(h), Fraction(c)
+    a, b = c.numerator, c.denominator
+    root = _fraction_sqrt((b - a) * (25 * b - a))
+    if root is None:
+        return None, _fraction_sqrt(1 + Fraction(24 * b * h, b - a)) or None
+    t = Fraction(13 * b - a + root, 12 * b)
+    p, pp = t.numerator, t.denominator
+    return (p, pp), _fraction_sqrt(4 * p * pp * h + (p - pp) ** 2)
 
 
 def classical_pairing_matrix(depth: int, h, cprime):

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction as F
@@ -195,6 +196,38 @@ def _three_points():
     return Algebra.structure_constants(
         [[[int(i == j == k) for k in range(3)] for j in range(3)] for i in range(3)],
         (1, 1, 1))
+
+
+def _structure_constant_algebras():
+    """Fresh copies, so every product_terms call below starts cold."""
+    tensor, unit = principal_quotient_tensor((F(-2), F(0), F(1)))  # Q[t]/(t^2 - 2)
+    poly = Algebra.polynomial((0, 12))
+    return {
+        "Q": Algebra.rationals(),
+        "e0^2=2e0": Algebra.structure_constants([[[2]]], [F(1, 2)]),
+        "Q[t]/(t^2-t)": Algebra.structure_constants(
+            [[[1, 0], [0, 1]], [[0, 1], [0, 1]]], (1, 0), labels=("1", "t")),
+        "Q(i)": _gaussian_rationals(),
+        "QxQ": Algebra.structure_constants([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], (1, 1)),
+        "QxQxQ": _three_points(),
+        "Q[t]/(t^2-2)": Algebra.structure_constants(tensor, unit, labels=("1", "t")),
+        "quotient(t^2-2)": quotient_algebra(
+            poly, PrincipalIdeal(poly, poly.from_poly((F(-2), F(0), F(1)))))[0],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_structure_constant_algebras()))
+def test_product_terms_read_off_the_tensor_equal_the_basis_products(name):
+    alg = _structure_constant_algebras()[name]
+    assert alg.kind == "structure_constants"
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            terms = alg.product_terms(i, j)
+            assert all(n and d > 0 and math.gcd(n, d) == 1 for _, n, d in terms)
+            assert alg.element({k: F(n, d) for k, n, d in terms}) == (
+                alg.basis_element(i) * alg.basis_element(j))
+    with pytest.raises(ValueError, match="out of range"):
+        _structure_constant_algebras()[name].product_terms(0, alg.dim)
 
 
 @pytest.mark.parametrize("alg", [

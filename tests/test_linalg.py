@@ -6,7 +6,7 @@ import pytest
 
 from mapvir import linalg
 from mapvir.recurrence import minimal_annihilator
-from oracles import oracle_rank
+from oracles import oracle_kernel, oracle_rank
 
 
 def _low_rank(rng, nrows, ncols, rank, ints=False):
@@ -82,6 +82,53 @@ def test_kernel_is_a_null_space_basis(name):
     assert oracle_rank(ker) == len(ker)
     for x in ker:
         assert not any(_apply(rows, x))
+
+
+def _kernel_parity_cases():
+    rng = random.Random(4403)
+    big = 2**64
+    cases = {
+        "empty_rows": ([], 4),
+        "zero_rows": ([[0] * 5 for _ in range(3)], 5),
+        "zero_rows_mixed": ([[F(0)] * 4, [F(1), F(2), F(0), F(-1)], [F(0)] * 4], 4),
+        "full_column_rank": ([[F(1, 2), 3, 0], [0, F(-2, 7), 1], [5, 0, F(4, 3)], [1, 1, 1]], 3),
+        "rank_deficient": ([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1]], 4),
+        "above_2_64": ([[big + 1, 3 * big, -7, 0], [F(big, 3), big - 1, F(1, big), 2],
+                        [2 * big + 2, 6 * big, -14, 0]], 4),
+    }
+    for i in range(10):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
+        rank = rng.randint(0, min(nrows, ncols))
+        cases[f"fractions_{i}"] = (_low_rank(rng, nrows, ncols, rank), ncols)
+        cases[f"ints_{i}"] = (_low_rank(rng, nrows, ncols, rank, ints=True), ncols)
+        # scaling columns by large factors keeps the rank and moves the kernel
+        scales = [rng.choice([1, big + 1, 3**45, F(1, 10**30)]) for _ in range(ncols)]
+        rows = _low_rank(rng, nrows, ncols, rank, ints=True)
+        cases[f"huge_{i}"] = ([[x * f for x, f in zip(row, scales)] for row in rows], ncols)
+    return cases
+
+
+KERNEL_PARITY = _kernel_parity_cases()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_PARITY))
+def test_kernel_equals_the_gauss_jordan_oracle(name):
+    # the integer back-substitution returns the same vectors, all Fractions
+    rows, ncols = KERNEL_PARITY[name]
+    ker = linalg.kernel(rows, ncols)
+    assert ker == oracle_kernel(rows, ncols)
+    assert all(type(x) is F for v in ker for x in v)
+    for x in ker:
+        assert not any(_apply(rows, x))
+
+
+def test_kernel_parity_cases_cover_every_shape():
+    rank = {name: oracle_rank(rows) for name, (rows, _) in KERNEL_PARITY.items()}
+    assert rank["full_column_rank"] == 3 and rank["rank_deficient"] == 2
+    huge = [n for n in KERNEL_PARITY if n.startswith(("huge", "above"))]
+    assert any(0 < rank[n] < KERNEL_PARITY[n][1] for n in huge)
+    entries = [x for n in huge for v in linalg.kernel(*KERNEL_PARITY[n]) for x in v]
+    assert any(max(abs(x.numerator), x.denominator) > 2**64 for x in entries)
 
 
 def test_hankel_solves_find_the_recurrence_order():

@@ -49,6 +49,7 @@ from oracles import (
     kac_vanishes,
     minimal_model_weight,
     oracle_det,
+    oracle_kac_zero,
     oracle_min_recurrence,
     oracle_minimal_order,
     oracle_rank,
@@ -853,6 +854,86 @@ def test_order_one_criterion_matches_the_kac_oracle():
             first = verma._first_reducible_depth(Functional.classical(-h, c), 8)
             assert [n >= first for n in range(1, 9)] == [
                 kac_vanishes(h, c, n) for n in range(1, 9)], (h, c)
+
+
+def _kac_zero_grid():
+    """(h, c) covering every branch of ``_kac_zero``: Kac-table and off-table
+    weights at t = +-p/p', p, p' <= 7 (c = 1, c = 25 and t < 0 among them),
+    at irrational t, and weights with large denominators."""
+    off_table = [F(0), F(1, 3), F(-2, 7), F(1, 2**80 + 3), F(-(3**60), 7**41)]
+    ts = [F(p, pp) for p in range(1, 8) for pp in range(1, 8) if math.gcd(p, pp) == 1]
+    ts += [F(2**40 + 1, 2**41 + 3)]  # Kac-table weights with denominators past 2^64
+    points = []
+    for t in ts + [-t for t in ts]:
+        table = [((r * t - s) ** 2 - (t - 1) ** 2) / (4 * t)
+                 for r in range(1, 5) for s in range(1, 5)]
+        table += [h + F(1, 10**40) for h in table[:3]]
+        points += [(h, 13 - 6 * (t + 1 / t)) for h in table + off_table]
+    for c in (F(2), F(3), F(-7, 5), F(1, 3), F(30), F(1, 2**70 + 1)):  # t irrational
+        u = (13 - c) / 6
+        hs = [(r * r - 1) * (u - 2) / 4 for r in range(1, 5)]
+        hs += [-(k * k + 1) * (u - 2) / 4 for k in (1, 2)]  # r^2 = -k^2: no zero
+        points += [(h, c) for h in hs + [hs[1] + F(1, 7**30)] + off_table]
+    return points
+
+
+def test_kac_zero_matches_the_fraction_oracle():
+    grid = _kac_zero_grid()
+    zeros = [verma._kac_zero(h, c) for h, c in grid]
+    assert zeros == [oracle_kac_zero(h, c) for h, c in grid]
+    assert {F(1), F(25)} <= {c for _, c in grid}
+    assert any(t is None and c > 1 for (_, c), (t, _) in zip(grid, zeros))  # b - a < 0
+    # every branch: irrational t with and without a zero, rational t > 0 and
+    # t < 0 with and without one, and a large-denominator weight on a zero
+    kinds = {(t is None, t is not None and t[0] < 0, m is None) for t, m in zeros}
+    assert kinds == {(True, False, False), (True, False, True), (False, False, False),
+                     (False, False, True), (False, True, False), (False, True, True)}
+    assert any(m is not None and h.denominator > 2**64 for (h, _), (_, m) in zip(grid, zeros))
+
+
+def test_one_kac_zero_per_order_one_piece(monkeypatch):
+    zeros = _counting(monkeypatch, verma, "_kac_zero")
+    diagrams = _counting(monkeypatch, verma, "_embedding_diagram")
+    sigma, epsilon = (minimal_model_weight(*MINIMAL_MODELS[name][0])
+                      for name in ("ising_sigma", "ising_epsilon"))
+    cases = [(_minimal_model_phi(name), 1) for name in MINIMAL_MODELS]
+    cases += [(Functional.classical(F(2, 7), F(5, 3)), 1),
+              (Functional(SPLIT, {0: -sigma[0], 1: -epsilon[0]}, {0: sigma[1], 1: F(1, 2)}), 2),
+              (Functional(SPLIT, {0: F(2, 7), 1: F(1, 3)}, {0: F(5, 3), 1: F(2, 5)}), 2)]
+    for phi, pieces in cases:
+        for n in range(1, 6):
+            zeros.clear()
+            singular_vectors(phi, n)
+            assert len(zeros) == pieces, (phi, n)
+        # quotient_dims reads each piece's least vertex, then builds the
+        # diagram of each order-1 piece once, and only below max_depth
+        for depth in (1, 8):
+            zeros.clear()
+            diagrams.clear()
+            dims = quotient_dims(phi, depth)
+            reducible = dims != tuple(colored_partition_series(pieces, depth))
+            assert len(diagrams) == (pieces if reducible else 0), (phi, depth)
+            assert len(zeros) == pieces + len(diagrams)
+
+
+def test_one_dimensional_pieces_match_the_crt_path():
+    half = Algebra.structure_constants([[[2]]], [F(1, 2)])  # e_0^2 = 2 e_0, 1 = e_0 / 2
+    for alg in (QQ, half):
+        for d0, c in ((F(3, 7), F(1, 2)), (F(-5), F(0)), (F(0), F(0))):
+            phi = Functional(alg, {0: d0}, {0: c})
+            one = alg.one().to_vector()  # the general path: weights of the idempotent 1
+            lam = sum(x * phi.value_d0(j) for j, x in enumerate(one) if x)
+            kappa = sum(x * phi.value_c(j) for j, x in enumerate(one) if x)
+            pieces = verma._local_pieces(phi)
+            assert pieces == ((0, (lam,), (kappa,)),)
+            assert all(type(x) is F for x in (*pieces[0][1], *pieces[0][2]))
+    # phi(x (x) 1) = phi(x (x) e_0) / 2, so V(phi) over ``half`` is classical
+    for name in MINIMAL_MODELS:
+        h, c = minimal_model_weight(*MINIMAL_MODELS[name][0])
+        phi = Functional(half, {0: -2 * h}, {0: 2 * c})
+        assert quotient_dims(phi, 8) == quotient_dims(_minimal_model_phi(name), 8)
+        assert [len(singular_vectors(phi, n)) for n in range(1, 5)] == [
+            len(singular_vectors(_minimal_model_phi(name), n)) for n in range(1, 5)]
 
 
 # planted functionals on which the closed form fails: (order, n0, d0, c, dims),
