@@ -16,10 +16,10 @@ from . import liealg  # noqa: F401  (reads MAPVIR_MODE_MAX)
 
 _EXPORTS = {
     "algebra": (
-        "Algebra", "AlgebraElement", "Ideal", "LocalFactor", "PrincipalIdeal",
-        "QuotientMap", "algebra_from_spec", "algebra_to_spec", "format_element",
-        "ideal_closure", "ideal_intersection", "ideal_power", "ideal_product",
-        "local_decomposition", "multiply", "point_ideal", "quotient_algebra"),
+        "Algebra", "AlgebraElement", "Ideal", "PrincipalIdeal", "QuotientMap",
+        "algebra_from_spec", "algebra_to_spec", "format_element", "ideal_closure",
+        "ideal_intersection", "ideal_power", "ideal_product", "point_ideal",
+        "quotient_algebra"),
     "classify": (
         "ClassificationRecord", "Component", "TrichotomyProfile", "classify_module",
         "involute_functional", "trichotomy_profile"),

@@ -431,11 +431,6 @@ def format_element(x: AlgebraElement) -> str:
     return join_signed(signed_term(x._coeffs[i], x.algebra.label(i)) for i in keys)
 
 
-def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Exact product in the common algebra of x and y."""
-    return x * y
-
-
 # -- ideals -----------------------------------------------------------------
 
 
@@ -776,16 +771,6 @@ def product_local_quotient(algebra: Algebra, factors) -> tuple[Algebra, Quotient
 # -- local structure --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalFactor:
-    """One local factor Q[t]/((t-point)^order) of a product_local algebra."""
-
-    point: Fraction
-    order: int
-    maximal_ideal: Ideal
-    idempotent: AlgebraElement
-
-
 def crt_idempotents(algebra: Algebra) -> tuple[polyutil.Poly, ...]:
     """The orthogonal CRT idempotents of a product_local algebra, one per
     factor in order, as polynomials reduced modulo the modulus:
@@ -827,23 +812,6 @@ def _certify_crt_idempotents(algebra: Algebra, idempotents) -> None:
         for j, (point, order) in enumerate(algebra.factors):
             if polyutil.taylor(e, point, order) != [int(i == j)] + [0] * (order - 1):
                 raise ValueError(f"CRT idempotent {i} has the wrong image at {format_scalar(point)}")
-
-
-def local_decomposition(algebra: Algebra) -> list[LocalFactor]:
-    """CRT data of a product_local algebra.
-
-    For each factor, the maximal ideal (t - point) and the orthogonal
-    idempotent from ``crt_idempotents``, which certifies it exactly.
-    """
-    if algebra.kind != "product_local":
-        raise UnsupportedKind("local_decomposition needs a product_local presentation")
-    rows = algebra._caches.get("local_decomposition")
-    if rows is None:  # plain data: a cached ideal would point back at the algebra
-        rows = algebra._caches["local_decomposition"] = tuple(
-            ideal_closure([algebra.from_poly((-point, Fraction(1)))]).rows
-            for point, _ in algebra.factors)
-    return [LocalFactor(point, order, Ideal(algebra, r), algebra.from_poly(e))
-            for (point, order), r, e in zip(algebra.factors, rows, crt_idempotents(algebra))]
 
 
 def point_ideal(algebra: Algebra, point):

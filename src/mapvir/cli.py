@@ -188,7 +188,7 @@ def _cmd_module(args) -> int:
 
 def _cmd_classify(args) -> int:
     from .classify import classify_module
-    from .evalmod import module_from_spec
+    from .evalmod import IntSeriesEvalHandle, module_from_spec
     from .verma import functional_from_spec
 
     alg = _load_algebra(args.algebra)
@@ -197,10 +197,9 @@ def _cmd_classify(args) -> int:
         record = classify_module(phi, lowest=args.lowest, bound=args.bound,
                                  assume_exact=args.assume_exact)
     elif args.module is not None:
-        spec = _load_json(args.module)
-        if spec.get("variant") != "int_series_eval":
+        handle = module_from_spec(alg, _load_json(args.module))
+        if not isinstance(handle, IntSeriesEvalHandle):
             raise ValueError("classify -M expects an int_series_eval module spec")
-        handle = module_from_spec(alg, spec)
         record = classify_module(handle.spec, point=handle.point)
     else:
         raise ValueError("classify needs -phi FILE or -M FILE")

@@ -59,6 +59,8 @@ class Functional:
     __slots__ = ("algebra", "_d0", "_c", "exact_poly", "_extended", "_act_cache", "_pieces")
 
     def __init__(self, algebra: Algebra, d0, c, exact_poly=None):
+        if exact_poly is not None and algebra.kind != "polynomial":
+            raise UnsupportedKind("an exact recurrence needs a polynomial algebra")
         if algebra.kind == "polynomial":
             d0, c = dict(enumerate(d0)), dict(enumerate(c))
             if len(d0) != len(c):
@@ -66,10 +68,8 @@ class Functional:
         elif algebra.is_finite:
             d0 = {i: d0.get(i, 0) for i in range(algebra.dim)}
             c = {i: c.get(i, 0) for i in range(algebra.dim)}
-            exact_poly = None
         elif algebra.kind == "laurent":
             d0, c = dict(d0), dict(c)
-            exact_poly = None
         else:
             raise UnsupportedKind(f"no functional support for {algebra.kind}")
         # one layout for every kind: scalar values in ascending index order

@@ -160,28 +160,30 @@ def oracle_ideal_closure(gens):
     return basis
 
 
-def oracle_minimal_order(piece, factor) -> int:
-    """Smallest N with the CRT piece vanishing on Vir_0 (x) m^N, searched by
-    forming each ideal power m^N of the factor's maximal ideal in turn."""
-    from mapvir import ideal_power
+def oracle_minimal_order(piece, point, order) -> int:
+    """Smallest N with the CRT piece vanishing on Vir_0 (x) m^N, m the
+    maximal ideal (t - point) of a factor of the given order, searched by
+    forming each ideal power m^N in turn."""
+    from mapvir import ideal_power, point_ideal
 
-    for n in range(1, factor.order + 1):
-        mpow = ideal_power(factor.maximal_ideal, n)
+    m = point_ideal(piece.algebra, point)
+    for n in range(1, order + 1):
+        mpow = ideal_power(m, n)
         if all(piece.eval_d0(b) == 0 and piece.eval_c(b) == 0
                for b in mpow.basis_elements()):
             return n
-    return factor.order
+    return order
 
 
 def oracle_split_values(phi):
     """Per CRT factor, the lists phi(d_0 (x) e_i t^j) and phi(c (x) e_i t^j),
     j < dim A, formed by products in A with the idempotents of
-    ``local_decomposition``.  The idempotents are first checked by products:
+    ``crt_idempotents``.  The idempotents are first checked by products:
     e_i e_j = delta_ij e_i, and they sum to 1."""
-    from mapvir import local_decomposition
+    from mapvir.algebra import crt_idempotents
 
     alg = phi.algebra
-    idems = [f.idempotent for f in local_decomposition(alg)]
+    idems = [alg.from_poly(e) for e in crt_idempotents(alg)]
     assert sum(idems, alg.zero()) == alg.one()
     for i, e in enumerate(idems):
         for j, g in enumerate(idems):

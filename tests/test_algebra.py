@@ -23,8 +23,6 @@ from mapvir import (
     ideal_intersection,
     ideal_power,
     ideal_product,
-    local_decomposition,
-    multiply,
     point_ideal,
     quotient_algebra,
 )
@@ -53,7 +51,7 @@ def idempotent_splitting_algebra():
 def test_nilpotent_square():
     alg = Algebra.product_local([(0, 2)])  # Q[t]/(t^2)
     t = alg.basis_element(1)
-    assert multiply(t, t).is_zero()
+    assert (t * t).is_zero()
 
 
 def test_unit_law():
@@ -61,7 +59,7 @@ def test_unit_law():
                 Algebra.polynomial((0, 8))):
         one = alg.one()
         f = alg.element({0: F(2), **({1: F(-1, 3)} if alg.kind != "structure_constants" else {})})
-        assert multiply(one, f) == f
+        assert one * f == f
 
 
 def test_split_quadratic_square():
@@ -86,21 +84,21 @@ def test_algebra_mismatch():
     a = Algebra.product_local([(0, 2)])
     b = Algebra.product_local([(0, 3)])
     with pytest.raises(AlgebraMismatch):
-        multiply(a.one(), b.one())
+        a.one() * b.one()
 
 
 def test_window_overflow():
     alg = Algebra.polynomial((0, 3))
     t2 = alg.basis_element(2)
     with pytest.raises(WindowOverflow):
-        multiply(t2, t2)
+        t2 * t2
 
 
 def test_laurent_negative_exponents():
     alg = Algebra.laurent((-4, 4))
     tinv = alg.basis_element(-1)
     t = alg.basis_element(1)
-    assert multiply(tinv, t) == alg.one()
+    assert tinv * t == alg.one()
 
 
 def test_axioms_random():
@@ -474,9 +472,8 @@ def test_irrational_principal_quotient_keeps_structure_constants():
 
 def test_local_decomposition_two_points():
     alg = idempotent_splitting_algebra()
-    facs = local_decomposition(alg)
-    assert [f.point for f in facs] == [0, 1]
-    e0, e1 = (f.idempotent for f in facs)
+    assert [point for point, _ in alg.factors] == [0, 1]
+    e0, e1 = (alg.from_poly(e) for e in crt_idempotents(alg))
     assert format_element(e0) == "-t + 1"
     assert format_element(e1) == "t"
     assert e0 * e0 == e0 and e1 * e1 == e1
@@ -486,18 +483,17 @@ def test_local_decomposition_two_points():
 
 def test_local_decomposition_single_local():
     alg = Algebra.product_local([(0, 2)])
-    (fac,) = local_decomposition(alg)
-    assert fac.idempotent == alg.one()
-    assert fac.maximal_ideal.dim == 1
-    assert fac.maximal_ideal.contains(alg.basis_element(1))
+    (e,) = crt_idempotents(alg)
+    assert alg.from_poly(e) == alg.one()
+    maximal = point_ideal(alg, 0)
+    assert maximal.dim == 1
+    assert maximal.contains(alg.basis_element(1))
 
 
 def test_local_decomposition_mixed_orders():
     # Q[t]/(t^2 (t-1)): e_0 = 1 mod t^2, e_0 = 0 mod (t-1)
     alg = Algebra.product_local([(0, 2), (1, 1)])
-    facs = local_decomposition(alg)
-    e0 = facs[0].idempotent
-    e1 = facs[1].idempotent
+    e0, e1 = (alg.from_poly(e) for e in crt_idempotents(alg))
     assert e0 + e1 == alg.one()
     assert (e0 * e1).is_zero()
     # congruences through the long-division oracle: e0 = 1 mod t^2, 0 mod t-1
@@ -514,7 +510,7 @@ def test_local_decomposition_mixed_orders():
 def test_local_decomposition_unsupported():
     alg = Algebra.rationals()
     with pytest.raises(UnsupportedKind):
-        local_decomposition(alg)
+        crt_idempotents(alg)
 
 
 def _random_layout(rng, least=1):
@@ -522,13 +518,12 @@ def _random_layout(rng, least=1):
     return [(p, rng.randint(1, 3)) for p in rng.sample(points, rng.randint(least, 4))]
 
 
-def test_crt_idempotents_are_certified_and_match_local_decomposition():
+def test_crt_idempotents_are_certified_by_products():
     rng = random.Random(1517)
     for _ in range(200):
         factors = _random_layout(rng)
         alg = Algebra.product_local(factors)
         idems = [alg.from_poly(e) for e in crt_idempotents(alg)]
-        assert idems == [f.idempotent for f in local_decomposition(alg)]
         # the product identities, by products in A, and e_i(a_i) = 1
         assert sum(idems, alg.zero()) == alg.one()
         for i, e in enumerate(idems):
@@ -546,7 +541,7 @@ def test_crt_idempotents_run_the_certificate_once_per_algebra(monkeypatch):
     for _ in range(20):
         alg = Algebra.product_local(_random_layout(rng, least=2))
         crt_idempotents(alg)
-        local_decomposition(alg)
+        crt_idempotents(alg)
         assert calls == [alg]
         calls.clear()
 

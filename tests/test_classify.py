@@ -22,7 +22,6 @@ from mapvir import (
     classify_module,
     ideal_closure,
     involute_functional,
-    local_decomposition,
     quotient_algebra,
     quotient_dims,
     split_phi,
@@ -172,8 +171,8 @@ def test_minimal_order_matches_the_ideal_power_oracle():
         phi = Functional(alg, _planted_local_values(factors, planted_d0, alg.dim, rng),
                          _planted_local_values(factors, planted_c, alg.dim, rng))
         record = classify_module(phi)
-        expected = [(factor.point, oracle_minimal_order(piece, factor))
-                    for factor, piece in zip(local_decomposition(alg), split_phi(phi))
+        expected = [(point, oracle_minimal_order(piece, point, order))
+                    for (point, order), piece in zip(alg.factors, split_phi(phi))
                     if not piece.is_zero()]
         assert [(c.point, c.order) for c in record.components] == expected
         assert expected == [(p, max(nd, nc)) for (p, _), nd, nc

@@ -210,12 +210,32 @@ def test_classify(capsys, tmp_path):
     assert payload["idempotents"] == ["-t + 1", "t"]
 
 
+def test_classify_module_rejects_a_verma_spec(capsys, tmp_path):
+    mod = tmp_path / "m.json"
+    mod.write_text(json.dumps({"variant": "verma",
+                               "functional": {"d0": {"1": "2"}, "c": {}}}))
+    code, out, err = run_cli(capsys, "classify", "-M", str(mod))
+    assert code == 1
+    assert out == ""
+    assert "classify -M expects an int_series_eval module spec" in err
+
+
 def test_selftest_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "selftest", "--seed", "3")
     code2, out2, _ = run_cli(capsys, "selftest", "--seed", "3")
     assert code1 == code2 == 0
     assert out1 == out2
     assert "seed 3" in out1
+
+
+def test_selftest_idempotents_suite_catches_a_wrong_split(monkeypatch):
+    from mapvir import selftest
+    real = selftest.crt_idempotents
+    monkeypatch.setattr(selftest, "crt_idempotents",
+                        lambda alg: ((F(1),),) + real(alg)[1:])
+    ok, detail = selftest.suite_idempotents(0)
+    assert not ok
+    assert "idempotents" in detail
 
 
 def test_reports_byte_identical(capsys, dual_algebra, dual_phi):

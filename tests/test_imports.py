@@ -20,7 +20,7 @@ PUBLIC_NAMES = [
     "ClassificationRecord", "Component", "EnvElement", "Functional",
     "GeneralizedEvalHandle", "GradeComponent", "Ideal", "ImproperIdeal",
     "InfiniteDimensionalAlgebra", "IntSeriesEvalHandle", "IntSeriesSpec",
-    "IrreducibleQuotientHandle", "LieElement", "LocalFactor", "MapVirError", "MissingWindow",
+    "IrreducibleQuotientHandle", "LieElement", "MapVirError", "MissingWindow",
     "ModeRangeError", "ModuleHandle", "NotLowering", "PrincipalIdeal", "QuasifiniteVerdict",
     "QuotientMap", "ReducibilityVerdict", "Scalar", "TensorHandle", "TrichotomyProfile",
     "UnsupportedKind", "VermaHandle", "VermaVector", "WeightTable", "WindowOverflow",
@@ -31,9 +31,9 @@ PUBLIC_NAMES = [
     "functional_from_spec", "functional_to_spec", "grade_decompose", "height_hm",
     "highest_weight_vector", "ideal_closure", "ideal_intersection", "ideal_power",
     "ideal_product", "in_maximal_submodule", "int_series_act", "involute_functional",
-    "largest_d0_ideal", "largest_v0_ideal", "local_decomposition", "local_quotient",
+    "largest_d0_ideal", "largest_v0_ideal", "local_quotient",
     "mode_max", "module_dims", "module_from_spec", "module_to_spec", "monomial_weight",
-    "multiply", "pairing_matrix", "parse_algebra_element", "parse_lie_element",
+    "pairing_matrix", "parse_algebra_element", "parse_lie_element",
     "parse_scalar", "parse_word", "pbw_basis", "point_ideal", "quotient_algebra",
     "quotient_dims", "singular_vectors", "split_phi", "straighten", "trichotomy_profile",
     "verma_act", "weight_multiplicities",

@@ -28,7 +28,6 @@ from mapvir import (
     in_maximal_submodule,
     largest_d0_ideal,
     largest_v0_ideal,
-    local_decomposition,
     module_dims,
     pairing_matrix,
     pbw_basis,
@@ -39,6 +38,7 @@ from mapvir import (
     verma_act,
 )
 from mapvir import linalg, pbw, polyutil, recurrence, verma
+from mapvir.algebra import crt_idempotents
 from oracles import (
     c_one_dims,
     classical_pairing_matrix,
@@ -1515,21 +1515,21 @@ def test_split_phi_kills_other_factors():
     # piece's own maximal ideal: it is exactly what vanishes at the point
     rng = random.Random(18)
     alg = Algebra.product_local([(0, 2), (1, 1)])
-    from mapvir import ideal_power, local_decomposition
+    from mapvir import ideal_power, point_ideal
     phi = rand_functional(rng, alg)
     pieces = split_phi(phi)
-    facs = local_decomposition(alg)
-    for piece, fac in zip(pieces, facs):
-        others = ideal_power(fac.maximal_ideal, fac.order)
+    idems = [alg.from_poly(e) for e in crt_idempotents(alg)]
+    for i, (piece, (point, order)) in enumerate(zip(pieces, alg.factors)):
+        others = ideal_power(point_ideal(alg, point), order)
         for b in others.basis_elements():
             assert piece.eval_d0(b) == 0
             assert piece.eval_c(b) == 0
         # and the complementary idempotents annihilate the piece
-        for other in facs:
-            if other.point == fac.point:
+        for j, other in enumerate(idems):
+            if j == i:
                 continue
-            assert piece.eval_d0(other.idempotent) == 0
-            assert piece.eval_c(other.idempotent) == 0
+            assert piece.eval_d0(other) == 0
+            assert piece.eval_c(other) == 0
 
 
 def test_character_factorization():
@@ -1587,14 +1587,14 @@ def _expected_components(phi):
     all from oracle_split_values and the ideal-power oracle."""
     alg = phi.algebra
     out = []
-    for fac, (d0, c) in zip(local_decomposition(alg), oracle_split_values(phi)):
+    for (point, full), (d0, c) in zip(alg.factors, oracle_split_values(phi)):
         piece = Functional(alg, dict(enumerate(d0)), dict(enumerate(c)))
         if piece.is_zero():
             continue
-        order = oracle_minimal_order(piece, fac)
-        local = Functional(Algebra.product_local([(fac.point, order)]),
+        order = oracle_minimal_order(piece, point, full)
+        local = Functional(Algebra.product_local([(point, order)]),
                            dict(enumerate(d0[:order])), dict(enumerate(c[:order])))
-        out.append((fac.point, order, local, piece))
+        out.append((point, order, local, piece))
     return out
 
 
@@ -1613,8 +1613,8 @@ def test_split_and_classify_match_the_product_oracle(label, phi):
         assert report["components"] == [
             {"point": format_scalar(a), "order": n, "functional": functional_to_spec(local)}
             for a, n, local, _ in expected]
-        assert report["idempotents"] == [format_element(f.idempotent)
-                                         for f in local_decomposition(alg)]
+        assert report["idempotents"] == [format_element(alg.from_poly(e))
+                                         for e in crt_idempotents(alg)]
 
 
 def test_classify_of_exact_polynomial_functionals_matches_the_product_oracle():
@@ -1950,6 +1950,14 @@ def test_functional_add_laurent_unsupported():
     phi = Functional.from_values(LAUR, {"t^-1": 2}, {})
     with pytest.raises(UnsupportedKind):
         phi + phi
+
+
+@pytest.mark.parametrize("alg", [DUAL, QXQ, LAUR], ids=["product_local", "structure_constants",
+                                                        "laurent"])
+def test_an_exact_recurrence_off_the_polynomial_kind_raises(alg):
+    from mapvir import UnsupportedKind
+    with pytest.raises(UnsupportedKind, match="exact recurrence"):
+        Functional(alg, {0: F(1)}, {0: F(2)}, exact_poly=(F(-1), F(1)))
 
 
 def test_laurent_functional_values_negate_eq_spec():
