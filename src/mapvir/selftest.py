@@ -26,22 +26,21 @@ def rand_element(rng: random.Random, algebra: Algebra):
     return algebra.element(coeffs)
 
 
-def rand_lie(rng: random.Random, algebra: Algebra, modes=(-4, 4),
-             allow_c: bool = True) -> LieElement:
+def rand_lie(rng: random.Random, algebra: Algebra, modes=(-4, 4)) -> LieElement:
     x = LieElement(algebra, {})
     for _ in range(rng.randint(1, 3)):
         n = rng.randint(*modes)
         x = x + d_term(algebra, n, rand_element(rng, algebra))
-    if allow_c and rng.random() < 0.4:
+    if rng.random() < 0.4:
         x = x + c_term(algebra, rand_element(rng, algebra))
     return x
 
 
-def rand_lowering(rng: random.Random, algebra: Algebra, max_depth: int = 3) -> LieElement:
+def rand_lowering(rng: random.Random, algebra: Algebra) -> LieElement:
     x = LieElement(algebra, {})
     while x.is_zero():
         for _ in range(rng.randint(1, 2)):
-            n = -rng.randint(1, max_depth)
+            n = -rng.randint(1, 3)
             x = x + d_term(algebra, n, rand_element(rng, algebra))
     return x
 

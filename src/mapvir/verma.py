@@ -29,7 +29,7 @@ from .algebra import (
     quotient_algebra,
 )
 from .errors import AlgebraMismatch, UnsupportedKind, WindowOverflow
-from .liealg import LieElement, d_term
+from .liealg import LieElement
 from .pbw import (
     EnvElement,
     Monomial,
@@ -974,11 +974,14 @@ def _check_products(v: VermaVector, window, single: bool):
 
 
 def _is_singular(v: VermaVector, window=None) -> bool:
-    """Do d_1 (x) e_b and d_2 (x) e_b kill v for every color b of the window?"""
-    alg = v.functional.algebra
+    """Do d_1 (x) e_b and d_2 (x) e_b kill v for every color b of the window?
+    Each ``_action_rows`` row over v's monomials must kill v's coefficients."""
+    phi = v.functional
     _check_products(v, window, single=True)
-    return not any(verma_act(d_term(alg, mode, alg.basis_element(b)), v)
-                   for mode in (1, 2) for b in alg.window_indices(window))
+    monos, coeffs = list(v.env.terms), list(v.env.terms.values())
+    return not any(sum(c * coeffs[col] for col, c in row.items())
+                   for mode in (1, 2) for b in phi.algebra.window_indices(window)
+                   for row in _action_rows(phi, mode, b, monos).values())
 
 
 def check_verma_reducible(phi: Functional, bound: int | None = None,

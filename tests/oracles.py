@@ -9,9 +9,10 @@ from Fraction arithmetic), null spaces from Gauss-Jordan elimination,
 partition counts come from the generating function, minimal recurrences
 from a per-order Hankel search,
 ideal closures from a rank-driven worklist over the algebra's product, the
-order of a local piece from successive ideal powers, the CRT pieces of a
-functional from products with product-checked idempotents, the structure
-tensor of Q[t]/(p) from schoolbook division, and the quotient characters of
+order of a local piece from successive ideal powers, point evaluations by
+Horner's rule, the CRT pieces of a functional from products with
+product-checked idempotents, the structure tensor of Q[t]/(p) from
+schoolbook division, and the quotient characters of
 Q[t]/t^N Verma modules with one top-degree zero and of the classical Verma
 modules at c = 1 from closed forms.
 """
@@ -173,6 +174,21 @@ def oracle_minimal_order(piece, point, order) -> int:
                for b in mpow.basis_elements()):
             return n
     return order
+
+
+def oracle_eval_at_point(f, point) -> Fraction:
+    """f(point) for f = sum c_k t^k in a monomial-based algebra (basis
+    element k is t^k), by Horner's rule on t^lo times a polynomial, lo the
+    lowest exponent; a negative lo needs point != 0."""
+    if not f.coeffs:
+        return Fraction(0)
+    lo, hi = min(f.coeffs), max(f.coeffs)
+    if lo < 0 and point == 0:
+        raise ValueError("t is not invertible at the point 0")
+    total = Fraction(0)
+    for k in range(hi, lo - 1, -1):
+        total = total * point + f.coeffs.get(k, 0)
+    return total * Fraction(point) ** lo
 
 
 def oracle_split_values(phi):

@@ -182,6 +182,26 @@ def test_module_annihilator(capsys, tmp_path):
     assert payload["annihilator"]["annihilator_generators"] == ["t"]
 
 
+@pytest.mark.parametrize("algebra, point, message", [
+    ({"kind": "laurent", "window": [-4, 4]}, "0", "t is not invertible at the point 0"),
+    ({"kind": "product_local", "factors": [{"point": "0", "order": 1},
+                                           {"point": "1", "order": 1}]},
+     "5", "no factor dominating this point/order"),
+], ids=["laurent-at-0", "split-at-5"])
+def test_module_rejects_an_evaluation_point_outside_the_spectrum(capsys, tmp_path, algebra,
+                                                                 point, message):
+    alg = tmp_path / "a.json"
+    alg.write_text(json.dumps(algebra))
+    mod = tmp_path / "m.json"
+    mod.write_text(json.dumps({"variant": "int_series_eval", "a": "1/2",
+                               "b": "1/3", "point": point, "window": [-10, 10]}))
+    code, out, err = run_cli(capsys, "module", "-M", str(mod), "-A", str(alg),
+                             "--annihilator")
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 def test_module_trichotomy(capsys, tmp_path):
     phi = tmp_path / "phi.json"
     mod = tmp_path / "m.json"

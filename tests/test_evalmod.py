@@ -29,7 +29,7 @@ from mapvir import (
     split_phi,
     weight_multiplicities,
 )
-from oracles import colored_partition_series
+from oracles import colored_partition_series, oracle_eval_at_point
 
 QQ = Algebra.rationals()
 SPLIT = Algebra.product_local([(0, 1), (1, 1)])
@@ -126,6 +126,61 @@ def test_eval_act_central_zero():
     spec = IntSeriesSpec(F(1, 2), F(1, 3), (-8, 8))
     handle = IntSeriesEvalHandle(POLY, spec, 2)
     assert eval_act(handle, c_term(POLY), {0: F(1), 3: F(-2)}) == {}
+
+
+NO_MAXIMAL_IDEAL = [  # points where A has no maximal ideal, with local_quotient's error
+    pytest.param(Algebra.laurent((-4, 4)), 0, "t is not invertible at the point 0",
+                 id="laurent-at-0"),
+    pytest.param(SPLIT, 5, "no factor dominating this point/order", id="split-at-5"),
+]
+
+
+@pytest.mark.parametrize("alg, point, message", NO_MAXIMAL_IDEAL)
+def test_int_series_eval_rejects_points_outside_the_spectrum(alg, point, message):
+    spec = IntSeriesSpec(F(1, 2), F(1, 3), (-8, 8))
+    with pytest.raises(ValueError, match=message):
+        IntSeriesEvalHandle(alg, spec, point)
+    with pytest.raises(ValueError, match=message):
+        module_from_spec(alg, {"variant": "int_series_eval", "a": "1/2", "b": "1/3",
+                               "point": str(point), "window": [-8, 8]})
+
+
+@pytest.mark.parametrize("alg, point, exponents", [
+    pytest.param(POLY, F(2), (0, 5), id="polynomial"),
+    pytest.param(Algebra.laurent((-6, 6)), F(-3, 2), (-4, 4), id="laurent"),
+    pytest.param(Algebra.product_local([(0, 2), (1, 1)]), F(0), (0, 2), id="order-2-factor"),
+    pytest.param(Algebra.product_local([(0, 2), (1, 1)]), F(1), (0, 2), id="order-1-factor"),
+])
+def test_int_series_eval_act_matches_horner(alg, point, exponents):
+    rng = random.Random(f"horner-{alg.kind}-{point}")
+    spec = IntSeriesSpec(F(1, 2), F(1, 3), (-12, 12))
+    handle = IntSeriesEvalHandle(alg, spec, point)
+    for _ in range(30):
+        x = c_term(alg, alg.basis_element(rng.randint(*exponents)))  # c acts by zero
+        for n in rng.sample(range(-3, 4), 2):
+            f = sum((alg.basis_element(k).scale(F(rng.randint(-5, 5), rng.randint(1, 4)))
+                     for k in range(exponents[0], exponents[1] + 1)), alg.zero())
+            x = x + d_term(alg, n, f)
+        v = {k: F(rng.randint(-3, 3)) for k in range(-6, 7, 3)}
+        expected: dict[int, F] = {}
+        for n, f in x.d_part.items():
+            for k, cv in v.items():
+                val = oracle_eval_at_point(f, point) * spec.coefficient(n, k) * cv
+                expected[n + k] = expected.get(n + k, F(0)) + val
+        assert eval_act(handle, x, v) == {k: c for k, c in expected.items() if c}
+
+
+def test_int_series_spec_evaluates_no_coefficient(monkeypatch):
+    calls = []
+    real = IntSeriesSpec.coefficient
+
+    def counting(self, n, k):
+        calls.append((n, k))
+        return real(self, n, k)
+
+    monkeypatch.setattr(IntSeriesSpec, "coefficient", counting)
+    IntSeriesSpec(F(1, 2), F(1, 3), (-8, 8))
+    assert calls == []
 
 
 def test_generalized_eval_keeps_nilpotent_direction():

@@ -1841,7 +1841,7 @@ def _decide_exact(order, rng):
 def test_exact_certify_checks_the_colors_below_deg_r(monkeypatch, order):
     rng = random.Random(f"certify-{order}")
     phi, r = _decide_exact(order, rng)
-    acts = _counting(monkeypatch, verma, "verma_act")
+    acts = _counting(monkeypatch, verma, "_action_rows")
     verdict = check_verma_reducible(phi)
     assert verdict.status == "reducible_certified"
     assert len(acts) == 2 * order  # d_1 and d_2 at each color below deg r
