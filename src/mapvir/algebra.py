@@ -299,7 +299,7 @@ class Algebra:
                 self.check_index(j)
                 prod = enumerate(self._tensor[key[0]][key[1]])
             else:
-                prod = (self.basis_element(i) * self.basis_element(j))._coeffs.items()
+                prod = (self.basis_element(i) * self.basis_element(j))._terms.items()
             hit = cache[key] = tuple((k, c.numerator, c.denominator) for k, c in prod if c)
         return hit
 
@@ -308,10 +308,58 @@ class Algebra:
                                      for k, n, d in self.product_terms(i, j)})
 
 
-class AlgebraElement:
-    """A sparse vector over an algebra's basis (or exponent window)."""
+class _Vector:
+    """A sparse ``{key: Fraction}`` vector over an algebra: the arithmetic
+    ``AlgebraElement`` and ``pbw.EnvElement`` share.  An operand of another
+    class gets NotImplemented, so mixed sums raise TypeError and mixed
+    comparisons are False."""
 
-    __slots__ = ("algebra", "_coeffs")
+    __slots__ = ("algebra", "_terms")
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self.algebra.require_compatible(other.algebra)
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            out[k] = out.get(k, 0) + c
+        return type(self)(self.algebra, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, s):
+        s = as_scalar(s)
+        return type(self)(self.algebra, {k: s * c for k, c in self._terms.items()})
+
+    def __mul__(self, s):
+        if isinstance(s, (int, Fraction)):
+            return self.scale(s)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.algebra.compatible(other.algebra) and self._terms == other._terms
+
+    def __hash__(self):
+        return hash((self.algebra.signature, frozenset(self._terms.items())))
+
+
+class AlgebraElement(_Vector):
+    """A sparse vector over an algebra's basis (or exponent window); its
+    linear arithmetic is ``_Vector``'s, and ``*`` of two elements is the
+    algebra product."""
+
+    __slots__ = ()
 
     def __init__(self, algebra: Algebra, coeffs):
         clean = {}
@@ -321,72 +369,34 @@ class AlgebraElement:
                 algebra.check_index(i)
                 clean[int(i)] = c
         self.algebra = algebra
-        self._coeffs = clean
+        self._terms = clean
 
     @property
     def coeffs(self):
-        return MappingProxyType(self._coeffs)
+        return MappingProxyType(self._terms)
 
     def coeff(self, i: int) -> Fraction:
-        return self._coeffs.get(i, Fraction(0))
+        return self._terms.get(i, Fraction(0))
 
     def support(self) -> list[int]:
-        return sorted(self._coeffs)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
+        return sorted(self._terms)
 
     def items(self):
-        return sorted(self._coeffs.items())
-
-    def __add__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        self.algebra.require_compatible(other.algebra)
-        out = dict(self._coeffs)
-        for i, c in other._coeffs.items():
-            out[i] = out.get(i, Fraction(0)) + c
-        return AlgebraElement(self.algebra, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, {i: -c for i, c in self._coeffs.items()})
+        return sorted(self._terms.items())
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self.algebra.require_compatible(other.algebra)
             return AlgebraElement(self.algebra,
-                                  self.algebra._mul_coeffs(self._coeffs, other._coeffs))
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c) -> "AlgebraElement":
-        c = as_scalar(c)
-        return AlgebraElement(self.algebra, {i: c * v for i, v in self._coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return (self.algebra.compatible(other.algebra)
-                and self._coeffs == other._coeffs)
-
-    def __hash__(self):
-        return hash((self.algebra.signature, frozenset(self._coeffs.items())))
+                                  self.algebra._mul_coeffs(self._terms, other._terms))
+        return super().__mul__(other)
 
     def to_vector(self) -> list[Fraction]:
         """Dense coordinates over the basis (finite) or window (infinite)."""
         idx = list(self.algebra.window_indices())
         pos = {k: n for n, k in enumerate(idx)}
         vec = [Fraction(0)] * len(idx)
-        for i, c in self._coeffs.items():
+        for i, c in self._terms.items():
             vec[pos[i]] = c
         return vec
 
@@ -394,10 +404,10 @@ class AlgebraElement:
         """Dense polynomial coefficients; nonnegative exponents only."""
         if self.algebra.kind not in MONOMIAL_KINDS:
             raise UnsupportedKind("as_poly needs a monomial-based algebra")
-        if self._coeffs and min(self._coeffs) < 0:
+        if self._terms and min(self._terms) < 0:
             raise ValueError("element has negative exponents")
-        dense = [Fraction(0)] * (max(self._coeffs) + 1 if self._coeffs else 0)
-        for k, c in self._coeffs.items():
+        dense = [Fraction(0)] * (max(self._terms) + 1 if self._terms else 0)
+        for k, c in self._terms.items():
             dense[k] = c
         return polyutil.trim(dense)
 
@@ -427,8 +437,8 @@ def _exponent_from_label(label: str) -> int:
 def format_element(x: AlgebraElement) -> str:
     """Render an element, e.g. "t^2 - 2*t + 1" or "3*e0 + 1/2*e1"."""
     monomial = x.algebra.kind in MONOMIAL_KINDS
-    keys = sorted(x._coeffs, reverse=True) if monomial else sorted(x._coeffs)
-    return join_signed(signed_term(x._coeffs[i], x.algebra.label(i)) for i in keys)
+    keys = sorted(x._terms, reverse=True) if monomial else sorted(x._terms)
+    return join_signed(signed_term(x._terms[i], x.algebra.label(i)) for i in keys)
 
 
 # -- ideals -----------------------------------------------------------------
@@ -477,14 +487,18 @@ class Ideal(_IdealInterface):
         return self.dim == self.algebra.dim
 
     def contains(self, x: AlgebraElement) -> bool:
-        self.algebra.require_compatible(x.algebra)
-        return linalg.in_row_span(list(map(list, self.rows)), self.pivots,
-                                  x.to_vector())
+        return self.reduce(x).is_zero()
 
     def reduce(self, x: AlgebraElement) -> AlgebraElement:
-        res = linalg.reduce_against(list(map(list, self.rows)), self.pivots,
-                                    x.to_vector())
-        return AlgebraElement(self.algebra, {i: c for i, c in enumerate(res)})
+        """The residual of x modulo the rows: each pivot coordinate is
+        cleared by its RREF row, which has 0 at every other pivot."""
+        self.algebra.require_compatible(x.algebra)
+        res = x.to_vector()
+        for row, p in zip(self.rows, self.pivots):
+            f = res[p]
+            if f:
+                res = [a - f * b for a, b in zip(res, row)]
+        return AlgebraElement(self.algebra, dict(enumerate(res)))
 
     def basis_elements(self) -> list[AlgebraElement]:
         return [AlgebraElement(self.algebra, {i: c for i, c in enumerate(r)})
@@ -638,10 +652,12 @@ def ideal_intersection(i1, i2):
             return PrincipalIdeal(i1.algebra, i1.algebra.zero())
         return PrincipalIdeal(i1.algebra,
                               i1.algebra.from_poly(polyutil.plcm(p, q)))
-    i1.algebra.require_compatible(i2.algebra)
-    rows = linalg.row_space_intersection(
-        list(map(list, i1.rows)), list(map(list, i2.rows)), i1.algebra.dim)
-    return Ideal(i1.algebra, rows)
+    # I ∩ J is the kernel of x ↦ (x mod I, x mod J); column j is the image of e_j
+    alg = i1.algebra
+    alg.require_compatible(i2.algebra)
+    cols = [i1.reduce(e).to_vector() + i2.reduce(e).to_vector()
+            for e in map(alg.basis_element, alg.basis_indices())]
+    return Ideal(alg, linalg.kernel(list(zip(*cols)), alg.dim))
 
 
 # -- quotients --------------------------------------------------------------
@@ -792,10 +808,8 @@ def crt_idempotents(algebra: Algebra) -> tuple[polyutil.Poly, ...]:
             inv = [1 / r_s[0]]
             for k in range(1, order):
                 inv.append(-sum(r_s[j] * inv[k - j] for j in range(1, k + 1)) / r_s[0])
-            v_t: polyutil.Poly = ()  # back to t by Horner in s = t - point
-            for x in reversed(inv):
-                v_t = polyutil.padd(polyutil.pmul(v_t, (-point, Fraction(1))), (x,))
-            cached.append(polyutil.pmul(r_t, v_t))
+            # back to t: v(t) = inv(t - point), of degree below order
+            cached.append(polyutil.pmul(r_t, polyutil.taylor(inv, -point, order)))
         _certify_crt_idempotents(algebra, cached)
         cached = algebra._caches["crt_idempotents"] = tuple(cached)
     return cached

@@ -1,10 +1,12 @@
 """Dense exact linear algebra over the rationals, plus one mod-p rank test.
 
-Matrices are lists of rows of Fractions (ints are accepted too).  There is
-one exact elimination loop, ``row_basis``: it is fraction-free on integer
-rows, so ``rref``, ``rank`` and ``kernel`` first scale each row to integers.
-Fractions appear only in what ``kernel`` returns and when ``rref`` normalizes
-pivots and back-substitutes.
+What it holds: ``row_basis``, ``rref``, ``rank``, ``kernel`` and
+``full_rank_mod_p``.  Matrices are lists of rows of Fractions (ints are
+accepted too).  There is one exact elimination loop, ``row_basis``: it is
+fraction-free on integer rows, so ``rref``, ``rank`` and ``kernel`` first
+scale each row to integers.  Fractions appear only in what ``kernel`` returns
+and when ``rref`` normalizes pivots and back-substitutes.  Membership,
+reduction and intersection of row-reduced ideals live in ``algebra.Ideal``.
 
 ``full_rank_mod_p`` eliminates sparse integer rows over F_p for the fixed
 prime ``PRIME``.  It can only certify: an integer matrix's rank mod p never
@@ -120,22 +122,6 @@ def full_rank_mod_p(rows: Iterable[dict[int, int]], ncols: int) -> bool:
     return len(pivots) == ncols
 
 
-def reduce_against(rref_rows: Sequence[Row], pivots: Sequence[int],
-                   vec: Sequence[Fraction]) -> Row:
-    """Residual of vec modulo the row space (rows must be in RREF)."""
-    out = [Fraction(x) for x in vec]
-    for row, p in zip(rref_rows, pivots):
-        f = out[p]
-        if f != 0:
-            out = [a - f * b for a, b in zip(out, row)]
-    return out
-
-
-def in_row_span(rref_rows: Sequence[Row], pivots: Sequence[int],
-                vec: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in reduce_against(rref_rows, pivots, vec))
-
-
 def kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Row]:
     """Basis of the right null space {x : M x = 0}: for each non-pivot column
     f, the solution with x_f = 1 and 0 at the other non-pivot columns.  It is
@@ -158,22 +144,3 @@ def kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Row]:
                 v[p] = -s // g
         out.append([Fraction(x, den) for x in v])
     return out
-
-
-def row_space_intersection(rows_a: Sequence[Sequence[Fraction]],
-                           rows_b: Sequence[Sequence[Fraction]],
-                           ncols: int) -> list[Row]:
-    """Basis (RREF) of the intersection of two row spaces."""
-    a = [list(r) for r in rows_a]
-    b = [list(r) for r in rows_b]
-    if not a or not b:
-        return []
-    # alpha·A = beta·B  <=>  (alpha, beta) in the kernel of [A^T | -B^T]
-    stacked = []
-    for c in range(ncols):
-        stacked.append([row[c] for row in a] + [-row[c] for row in b])
-    combos = kernel(stacked, len(a) + len(b))
-    vecs = [[sum((coef * row[j] for coef, row in zip(combo, a)), Fraction(0))
-             for j in range(ncols)] for combo in combos]
-    red, _ = rref(vecs)
-    return red

@@ -20,7 +20,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Sequence
 
-from .algebra import Algebra
+from .algebra import Algebra, _Vector
 from .errors import NotLowering
 from .liealg import LieElement
 from .scalars import as_scalar, join_signed, signed_term
@@ -44,10 +44,11 @@ def monomial_weight(mono: Monomial) -> int:
     return -sum(m for m, _ in mono)
 
 
-class EnvElement:
-    """A finite rational combination of PBW monomials in U(V_-)."""
+class EnvElement(_Vector):
+    """A finite rational combination of PBW monomials in U(V_-); its linear
+    arithmetic is the shared ``algebra._Vector`` core."""
 
-    __slots__ = ("algebra", "_terms")
+    __slots__ = ()
 
     def __init__(self, algebra: Algebra, terms=None):
         clean: dict[Monomial, Fraction] = {}
@@ -62,9 +63,6 @@ class EnvElement:
     def terms(self):
         return MappingProxyType(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def coeff(self, mono: Monomial) -> Fraction:
         return self._terms.get(tuple(mono), Fraction(0))
 
@@ -73,41 +71,6 @@ class EnvElement:
 
     def is_homogeneous(self) -> bool:
         return len(self.weights()) <= 1
-
-    def __add__(self, other):
-        if not isinstance(other, EnvElement):
-            return NotImplemented
-        self.algebra.require_compatible(other.algebra)
-        out = dict(self._terms)
-        for mono, c in other._terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return EnvElement(self.algebra, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, s) -> "EnvElement":
-        s = as_scalar(s)
-        return EnvElement(self.algebra, {m: s * c for m, c in self._terms.items()})
-
-    def __mul__(self, s):
-        if isinstance(s, (int, Fraction)):
-            return self.scale(s)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, EnvElement):
-            return NotImplemented
-        return (self.algebra.compatible(other.algebra)
-                and self._terms == other._terms)
-
-    def __hash__(self):
-        return hash((self.algebra.signature, frozenset(self._terms.items())))
 
     def __repr__(self):
         return f"<{format_env(self)}>"

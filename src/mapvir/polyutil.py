@@ -181,7 +181,7 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def pstr(p: Poly, var: str = "t") -> str:
+def pstr(p: Poly) -> str:
     """Human form, highest degree first: "t^2 - 2*t + 1"."""
-    return join_signed(signed_term(p[k], "1" if k == 0 else var if k == 1 else f"{var}^{k}")
+    return join_signed(signed_term(p[k], "1" if k == 0 else "t" if k == 1 else f"t^{k}")
                        for k in range(len(p) - 1, -1, -1) if p[k])

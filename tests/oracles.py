@@ -5,7 +5,8 @@ come from plain Fraction Gauss elimination, the classical Virasoro action is a
 worklist rewriter on bare mode tuples (and the action of Vir (x) A another,
 on (mode, color) letters over a hand-written product table), the zeros of the
 Kac determinant come from the h_{r,s} formula (and their (t, m) position
-from Fraction arithmetic), null spaces from Gauss-Jordan elimination,
+from Fraction arithmetic), null spaces, reduced row echelon forms and
+row-space intersections from Gauss-Jordan elimination,
 partition counts come from the generating function, minimal recurrences
 from a per-order Hankel search,
 ideal closures from a rank-driven worklist over the algebra's product, the
@@ -70,10 +71,9 @@ def oracle_det(rows) -> Fraction:
     return det
 
 
-def oracle_kernel(rows, ncols: int) -> list[list[Fraction]]:
-    """Null-space basis by plain Fraction Gauss-Jordan elimination: for each
-    non-pivot column f, the vector with 1 at f, 0 at the other non-pivot
-    columns and minus column f of the reduced rows at the pivots."""
+def _gauss_jordan(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Plain Fraction Gauss-Jordan elimination: the reduced rows (the first
+    len(pivots) of them nonzero, with a leading 1) and the pivot columns."""
     m = [[Fraction(x) for x in row] for row in rows]
     pivots: list[int] = []
     for col in range(ncols):
@@ -88,6 +88,20 @@ def oracle_kernel(rows, ncols: int) -> list[list[Fraction]]:
                 f = m[i][col]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(col)
+    return m, pivots
+
+
+def oracle_rref(rows, ncols: int) -> list[list[Fraction]]:
+    """The nonzero rows of the reduced row echelon form, by Gauss-Jordan."""
+    m, pivots = _gauss_jordan(rows, ncols)
+    return m[:len(pivots)]
+
+
+def oracle_kernel(rows, ncols: int) -> list[list[Fraction]]:
+    """Null-space basis by plain Fraction Gauss-Jordan elimination: for each
+    non-pivot column f, the vector with 1 at f, 0 at the other non-pivot
+    columns and minus column f of the reduced rows at the pivots."""
+    m, pivots = _gauss_jordan(rows, ncols)
     basis = []
     for f in range(ncols):
         if f not in pivots:
@@ -97,6 +111,21 @@ def oracle_kernel(rows, ncols: int) -> list[list[Fraction]]:
                 v[p] = -row[f]
             basis.append(v)
     return basis
+
+
+def oracle_row_space_intersection(rows_a, rows_b, ncols: int) -> list[list[Fraction]]:
+    """RREF basis of the intersection of two row spaces: alpha A = beta B
+    exactly when (alpha, beta) lies in the kernel of [A^T | -B^T], and the
+    vectors alpha A of a kernel basis span the intersection."""
+    a = [list(r) for r in rows_a]
+    b = [list(r) for r in rows_b]
+    if not a or not b:
+        return []
+    stacked = [[row[c] for row in a] + [-row[c] for row in b] for c in range(ncols)]
+    combos = oracle_kernel(stacked, len(a) + len(b))
+    vecs = [[sum((coef * row[j] for coef, row in zip(combo, a)), Fraction(0))
+             for j in range(ncols)] for combo in combos]
+    return oracle_rref(vecs, ncols)
 
 
 def oracle_min_recurrence(seqs, max_order=None):

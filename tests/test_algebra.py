@@ -32,6 +32,7 @@ from mapvir.algebra import crt_idempotents
 from oracles import (
     oracle_ideal_closure,
     oracle_rank,
+    oracle_row_space_intersection,
     poly_divmod_oracle,
     principal_quotient_tensor,
 )
@@ -181,6 +182,35 @@ def test_ideal_product_inside_intersection():
         prod = ideal_product(i1, i2)
         inter = ideal_intersection(i1, i2)
         assert all(inter.contains(x) for x in prod.basis_elements())
+
+
+def test_ideal_intersection_matches_the_row_space_oracle():
+    # I = (s, a x), J = (s, b y) with x, y non-units and s shared half the
+    # time, so the intersection ranges from (0) to proper pieces of both
+    rng = random.Random(4402)
+    t3 = Algebra.structure_constants(*principal_quotient_tensor((F(0), F(0), F(0), F(1))))
+    cases = [(t3, [t3.basis_element(1), t3.basis_element(2)]),
+             (_three_points(), [_three_points().basis_element(i) for i in range(3)])]
+    for factors in ([(0, 2), (1, 2)], [(F(1, 2), 2), (-1, 1), (2, 1)], [(0, 4)]):
+        alg = Algebra.product_local(factors)
+        cases.append((alg, [alg.from_poly((-p, F(1))) for p, _ in alg.factors]))
+    proper = 0
+    for alg, nonunits in cases:
+        for _ in range(12):
+            shared = [rand_elt(rng, alg) * rng.choice(nonunits)] if rng.random() < 0.5 else []
+            gens = [shared + [rand_elt(rng, alg) * rng.choice(nonunits)] for _ in range(2)]
+            if any(all(g.is_zero() for g in gs) for gs in gens):
+                continue
+            i1, i2 = map(ideal_closure, gens)
+            meet = ideal_intersection(i1, i2)
+            assert [list(r) for r in meet.rows] == oracle_row_space_intersection(
+                i1.rows, i2.rows, alg.dim)
+            for ideal in (i1, i2):
+                assert all(oracle_rank(list(ideal.rows) + [r]) == ideal.dim for r in meet.rows)
+            total = ideal_closure(i1.basis_elements() + i2.basis_elements())
+            assert meet.dim + total.dim == i1.dim + i2.dim
+            proper += 0 < meet.dim < min(i1.dim, i2.dim)
+    assert proper >= 10
 
 
 def _gaussian_rationals():

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -52,6 +53,29 @@ def test_verma_dims_example(capsys):
     code, out, _ = run_cli(capsys, "verma", "--dims", "-n", "5")
     assert code == 0
     assert out.strip() == "1 1 2 3 5 7"
+
+
+def _readme_cli_examples():
+    """(argv, output) for each `mapvir ...` line of the README's CLI block that
+    names no spec file and is followed by a literal `# ...` output line."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    return [(shlex.split(cmd)[1:], shown[2:]) for cmd, shown in zip(lines, lines[1:])
+            if cmd.startswith("mapvir ") and ".json" not in cmd and shown.startswith("# ")]
+
+
+README_EXAMPLES = _readme_cli_examples()
+
+
+def test_readme_cli_block_shows_literal_outputs():
+    assert len(README_EXAMPLES) >= 2
+
+
+@pytest.mark.parametrize("argv, shown", README_EXAMPLES,
+                         ids=[argv[0] for argv, _ in README_EXAMPLES])
+def test_readme_cli_example_prints_the_shown_output(capsys, argv, shown):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == shown + "\n"
 
 
 def test_verma_negative_depth_exits_1(capsys):

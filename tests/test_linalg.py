@@ -71,7 +71,7 @@ def test_rref_is_the_canonical_form_of_the_row_space(name):
         assert all(other[p] == 0 for k, other in enumerate(red) if k != i)
     # r canonical rows that span every input row, r = rank: the unique RREF
     assert len(red) == linalg.rank(rows) == oracle_rank(rows)
-    assert all(linalg.in_row_span(red, pivots, row) for row in rows)
+    assert all(oracle_rank(red + [row]) == len(red) for row in rows)
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -134,23 +134,6 @@ def test_kernel_parity_cases_cover_every_shape():
 def test_hankel_solves_find_the_recurrence_order():
     assert minimal_annihilator([HANKEL_SEQ], max_order=2) is None
     assert minimal_annihilator([HANKEL_SEQ]) == (F(1, 3), F(-1, 2), F(-1), F(1))
-
-
-def test_row_space_intersection_dimension():
-    rng = random.Random(4402)
-    for _ in range(25):
-        ncols = rng.randint(1, 7)
-        shared = _low_rank(rng, rng.randint(0, 3), ncols, 2)
-        a = shared + _low_rank(rng, rng.randint(0, 3), ncols, 2)
-        b = shared + _low_rank(rng, rng.randint(0, 3), ncols, 2)
-        meet = linalg.row_space_intersection(a, b, ncols)
-        dim_a, dim_b = oracle_rank(a), oracle_rank(b)
-        assert len(meet) == oracle_rank(meet) == dim_a + dim_b - oracle_rank(a + b)
-        red_a, piv_a = linalg.rref(a)
-        red_b, piv_b = linalg.rref(b)
-        for v in meet:
-            assert linalg.in_row_span(red_a, piv_a, v)
-            assert linalg.in_row_span(red_b, piv_b, v)
 
 
 def test_rref_and_rank_eliminate_through_row_basis(monkeypatch):

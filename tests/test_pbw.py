@@ -111,6 +111,59 @@ def test_straighten_rejects_raising():
         straighten([d_term(A1, -1) + d_term(A1, 0)])
 
 
+# -- the shared element core (algebra._Vector) ---------------------------------
+
+def _rand_vectors(rng, kind):
+    """Nine seeded AlgebraElements over Q[t]/(t^2) x Q, or EnvElements over
+    Q[t]/(t^2), the zero element first."""
+    if kind == "algebra":
+        alg = Algebra.product_local([(0, 2), (1, 1)])
+        keys, make = list(alg.basis_indices()), alg.element
+    else:
+        keys, make = pbw_basis(3, A2) + pbw_basis(2, A2), lambda terms: EnvElement(A2, terms)
+    out = [make({})]
+    for _ in range(8):
+        out.append(make({k: F(rng.randint(-4, 4), rng.randint(1, 3))
+                         for k in keys if rng.random() < 0.6}))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["algebra", "env"])
+def test_element_core_arithmetic_identities(kind):
+    rng = random.Random(2501)
+    xs = _rand_vectors(rng, kind)
+    for x in xs:
+        assert -x == x.scale(-1) == -1 * x == x * -1 == x.scale("-1")
+        assert (x + x) == 2 * x == x * F(2) and hash(x + x) == hash(x.scale(2))
+        assert (x - x).is_zero() and (x - x) == x.scale(0)
+        for y in xs:
+            assert x - y == x + (-y)
+            assert x + y == y + x and hash(x + y) == hash(y + x)
+            assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+            assert (x == y) == (x._terms == y._terms)
+
+
+def test_algebra_elements_never_meet_env_or_lie_elements():
+    zero_alg, zero_env, zero_lie = A2.zero(), EnvElement(A2, {}), LieElement(A2)
+    t = A2.basis_element(1)
+    env = EnvElement(A2, {((1, 0),): F(1)})
+    for other in (zero_env, zero_lie, env, d_term(A2, -1)):
+        for x in (zero_alg, t):
+            assert x != other and other != x
+            with pytest.raises(TypeError):
+                x + other
+            with pytest.raises(TypeError):
+                other + x
+            with pytest.raises(TypeError):
+                x - other
+    # * of two algebra elements is the algebra product; of two env elements, nothing
+    assert t * t == A2.zero() and (A2.one() + t) * (A2.one() - t) == A2.one()
+    i = Algebra.structure_constants([[[1, 0], [0, 1]], [[0, 1], [-1, 0]]], (1, 0)).basis_element(1)
+    assert i * i == -i.algebra.one()
+    with pytest.raises(TypeError):
+        env * env
+
+
 def test_height_hm():
     env = EnvElement(A1, {((2, 0), (1, 0)): F(2), ((3, 0),): F(5)})
     height, hm = height_hm(env)
