@@ -94,7 +94,9 @@ class Algebra:
 
     @classmethod
     def product_local(cls, factors) -> "Algebra":
-        """Q[t] modulo the product of (t - point)^order over the given factors."""
+        """Q[t] modulo the product of (t - point)^order over the given factors.
+        The modulus is formed in integers, as the product of (v t - u)^order
+        over the points u/v, and made monic once."""
         facs = tuple((as_scalar(p), int(n)) for p, n in
                      (((f["point"], f["order"]) if isinstance(f, dict) else f)
                       for f in factors))
@@ -105,9 +107,11 @@ class Algebra:
             raise ValueError("product_local points must be pairwise distinct")
         if any(n < 1 for _, n in facs):
             raise ValueError("factor orders must be positive")
-        modulus: polyutil.Poly = (Fraction(1),)
+        num = [1]
         for p, n in facs:
-            modulus = polyutil.pmul(modulus, polyutil.ppow((-p, Fraction(1)), n))
+            for _ in range(n):
+                num = polyutil.times_linear(num, p.numerator, p.denominator)
+        modulus = tuple([Fraction(x, num[-1]) for x in num])
         dim = len(modulus) - 1
         labels = tuple(_exponent_label(k) for k in range(dim))
         return cls(kind="product_local", dim=dim, basis_labels=labels,
@@ -789,27 +793,49 @@ def product_local_quotient(algebra: Algebra, factors) -> tuple[Algebra, Quotient
 
 def crt_idempotents(algebra: Algebra) -> tuple[polyutil.Poly, ...]:
     """The orthogonal CRT idempotents of a product_local algebra, one per
-    factor in order, as polynomials reduced modulo the modulus:
-    e_i = r_i v_i, where r_i is the product of the other factors' moduli and
-    v_i is the power series inverse of r_i at point_i, in s = t - point_i,
-    taken below s^order_i, so r_i v_i = 1 mod (t - point_i)^order_i.  The
-    product has degree below dim and needs no reduction.  Certified by
-    ``_certify_crt_idempotents`` and cached on the algebra."""
+    factor in order, as polynomials reduced modulo the modulus.
+
+    Computed in integers, with one Fraction per returned coefficient.  At the
+    point a = u/v of order N, with d = dim - N:
+    * r = prod over the other factors of (v_j t - u_j)^{n_j}, of degree d;
+    * q = v^d r(a + s) mod s^N, by Horner in u + v s; q_0 != 0 as the points
+      are distinct;
+    * the series inverse of q is sum_k w_k s^k / q_0^{k+1}, fraction-free
+      with w_0 = 1 and w_k = -sum_{1 <= j <= k} q_j q_0^{j-1} w_{k-j};
+    * h = v^{N-1} sum_k w_k q_0^{N-1-k} (t - a)^k, by Horner in v t - u;
+    * e = r h v^d / (v^{N-1} q_0^N), so e = 1 mod (t - a)^N and e = 0 mod
+      the other factors, of degree below dim with no reduction.
+    Certified by ``_certify_crt_idempotents`` and cached on the algebra."""
     if algebra.kind != "product_local":
         raise UnsupportedKind("CRT idempotents need a product_local presentation")
     cached = algebra._caches.get("crt_idempotents")
     if cached is None and len(algebra.factors) == 1:
         cached = algebra._caches["crt_idempotents"] = ((Fraction(1),),)  # a local algebra
     if cached is None:
+        points = [(a.numerator, a.denominator, n) for a, n in algebra.factors]
         cached = []
-        for point, order in algebra.factors:
-            r_t = polyutil.pdivmod(algebra._modulus, polyutil.ppow((-point, Fraction(1)), order))[0]
-            r_s = polyutil.taylor(r_t, point, order)  # r_s[0] != 0 as points are distinct
-            inv = [1 / r_s[0]]
+        for i, (u, v, order) in enumerate(points):
+            r = [1]
+            for uj, vj, nj in points[:i] + points[i + 1:]:
+                for _ in range(nj):
+                    r = polyutil.times_linear(r, uj, vj)
+            q = polyutil.shifted(r, u, v, order)
+            powers = [1]  # q_0^k
+            for _ in range(order):
+                powers.append(powers[-1] * q[0])
+            w = [1]
             for k in range(1, order):
-                inv.append(-sum(r_s[j] * inv[k - j] for j in range(1, k + 1)) / r_s[0])
-            # back to t: v(t) = inv(t - point), of degree below order
-            cached.append(polyutil.pmul(r_t, polyutil.taylor(inv, -point, order)))
+                w.append(-sum([q[j] * powers[j - 1] * w[k - j] for j in range(1, k + 1)]))
+            h = polyutil.shifted([x * powers[order - 1 - k] for k, x in enumerate(w)],
+                                 -u, v, order)
+            e = [0] * (len(r) + order - 1)
+            for k, x in enumerate(r):
+                for m, y in enumerate(h):
+                    e[k + m] += x * y
+            scale, den = v ** (len(r) - 1), v ** (order - 1) * powers[order]
+            while not e[-1]:
+                e.pop()
+            cached.append(tuple([Fraction(x * scale, den) for x in e]))
         _certify_crt_idempotents(algebra, cached)
         cached = algebra._caches["crt_idempotents"] = tuple(cached)
     return cached
@@ -819,12 +845,19 @@ def _certify_crt_idempotents(algebra: Algebra, idempotents) -> None:
     """Raise ValueError unless idempotents[i] is the i-th CRT idempotent,
     with no product in A: the CRT map A -> prod_j Q[s]/s^{N_j}, taking Taylor
     coefficients at point_j below order_j, is an isomorphism, so a reduced e_i
-    is the i-th idempotent exactly when its image is delta_ij (1, 0, ...)."""
+    is the i-th idempotent exactly when its image is delta_ij (1, 0, ...).
+    Each e_i is read as given (a padded list is fine) and cleared of its
+    denominators once, e_i = E / m; the images are compared in integers, as
+    v^deg E(u/v + s) mod s^N against delta_ij m v^deg."""
     for i, e in enumerate(idempotents):
         if len(e) > algebra.dim:
             raise ValueError(f"CRT idempotent {i} is not reduced")
+        num, den = polyutil.cleared(e)
+        num = num or [0]
         for j, (point, order) in enumerate(algebra.factors):
-            if polyutil.taylor(e, point, order) != [int(i == j)] + [0] * (order - 1):
+            u, v = point.numerator, point.denominator
+            target = [den * v ** (len(num) - 1) if i == j else 0] + [0] * (order - 1)
+            if polyutil.shifted(num, u, v, order) != target:
                 raise ValueError(f"CRT idempotent {i} has the wrong image at {format_scalar(point)}")
 
 

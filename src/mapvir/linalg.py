@@ -20,6 +20,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .polyutil import cleared
+
 Row = list[Fraction]
 
 PRIME = 2**31 - 1
@@ -30,11 +32,7 @@ def _echelon(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     denominators, which keeps the row space."""
     if not rows:
         return []
-    ints = []
-    for row in rows:
-        den = math.lcm(*[x.denominator for x in row])
-        ints.append([x.numerator * (den // x.denominator) for x in row])
-    return row_basis(ints, len(rows[0]))
+    return row_basis([cleared(row)[0] for row in rows], len(rows[0]))
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:

@@ -3,10 +3,15 @@
 Polynomials are tuples of Fractions indexed by exponent, trailing zeros
 stripped; the zero polynomial is the empty tuple.  They are built from lists,
 not generators, for the free-list reason given in ``pbw._lincomb``.
+
+The integer helpers at the end work on lists of ints, low degree first and
+not trimmed: a rational polynomial enters as its numerators over one
+denominator (``cleared``) and leaves as one Fraction per coefficient.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -105,20 +110,6 @@ def peval(p: Poly, x: Fraction) -> Fraction:
     return acc
 
 
-def taylor(p: Poly, a: Fraction, n: int) -> list[Fraction]:
-    """The first n Taylor coefficients of p at a, i.e. p(a + s) mod s^n, by
-    repeated synthetic division by t - a."""
-    out, q = [], list(p)
-    for _ in range(n):
-        acc, quo = Fraction(0), []
-        for c in reversed(q):  # Horner: the remainder is q(a), the rest the quotient
-            acc = acc * a + c
-            quo.append(acc)
-        out.append(acc)
-        q = quo[-2::-1]
-    return out
-
-
 def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
     """All rational roots with multiplicities, plus the rootless cofactor.
 
@@ -185,3 +176,29 @@ def pstr(p: Poly) -> str:
     """Human form, highest degree first: "t^2 - 2*t + 1"."""
     return join_signed(signed_term(p[k], "1" if k == 0 else "t" if k == 1 else f"t^{k}")
                        for k in range(len(p) - 1, -1, -1) if p[k])
+
+
+# -- integer polynomials ---------------------------------------------------------
+
+
+def cleared(p: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(numerators, d) with p = numerators / d, d the lcm of p's denominators."""
+    den = math.lcm(*[x.denominator for x in p])
+    return [x.numerator * (den // x.denominator) for x in p], den
+
+
+def times_linear(p: list[int], u: int, v: int) -> list[int]:
+    """p (v t - u), one degree up."""
+    return [v * x - u * y for x, y in zip([0, *p], [*p, 0])]
+
+
+def shifted(p: list[int], u: int, v: int, n: int) -> list[int]:
+    """v^deg p((u + v s) / v) mod s^n, deg = len(p) - 1, by Horner in u + v s:
+    the first n Taylor coefficients of p at u/v, times v^deg.  With -u and
+    n = len(p) it is the whole of v^deg p(t - u/v) instead."""
+    acc, scale = [0] * n, 1
+    for c in reversed(p):
+        acc = [u * x + v * y for x, y in zip(acc, [0, *acc])]
+        acc[0] += c * scale
+        scale *= v
+    return acc

@@ -609,6 +609,10 @@ def _local_pieces(phi: Functional) -> tuple[tuple, ...] | None:
     off u and two values of phi.  The piece is the functional these values
     define on Q[s]/s^N, and V(phi) is the tensor product of the pieces'
     Verma modules.  Kept on the functional once computed.
+
+    The walk runs in integers: phi's values, e and the modulus are cleared
+    of denominators once, e s^k steps by v t - u at a = u/v and reduces by
+    the integer modulus, and each lam_k and kappa_k is one Fraction.
     """
     if phi._pieces is not None:
         return phi._pieces
@@ -619,17 +623,23 @@ def _local_pieces(phi: Functional) -> tuple[tuple, ...] | None:
         return phi._pieces
     if alg.kind != "product_local":
         return None
+    d0, d0_den = polyutil.cleared([phi.value_d0(j) for j in range(alg.dim)])
+    c, c_den = polyutil.cleared([phi.value_c(j) for j in range(alg.dim)])
+    modulus, lead = polyutil.cleared(alg._modulus)  # lead = modulus[-1], as it is monic
     pieces = []
-    for (a, order), f in zip(alg.factors, crt_idempotents(alg)):
+    for (a, order), e in zip(alg.factors, crt_idempotents(alg)):
+        f, den = polyutil.cleared(e)  # e s^k = f / den
         lam, kappa = [], []
         for k in range(order):
-            if k:  # f = e s^k: times t - a, then one step by the monic modulus
-                f = [x - a * y for x, y in zip([0, *f], [*f, 0])] if a else [0, *f]
+            if k:  # times v t - u, then one step by the integer modulus
+                f = polyutil.times_linear(f, a.numerator, a.denominator)
+                den *= a.denominator
                 if len(f) > alg.dim:
                     top = f.pop()
-                    f = [x - top * m for x, m in zip(f, alg._modulus)]
-            lam.append(sum(x * phi.value_d0(j) for j, x in enumerate(f) if x))
-            kappa.append(sum(x * phi.value_c(j) for j, x in enumerate(f) if x))
+                    f = [lead * x - top * m for x, m in zip(f, modulus)]
+                    den *= lead
+            lam.append(Fraction(sum([x * y for x, y in zip(f, d0)]), den * d0_den))
+            kappa.append(Fraction(sum([x * y for x, y in zip(f, c)]), den * c_den))
         pieces.append((a, tuple(lam), tuple(kappa)))
     phi._pieces = tuple(pieces)
     return phi._pieces
@@ -669,9 +679,12 @@ def _first_reducible_depth(phi: Functional, max_depth: int) -> int:
     * N = 1 is the Virasoro algebra at h = -lambda, c = kappa.  Its Kac
       determinant at depth n vanishes iff h = h_{r,s}(c) for some rs <= n
       (Kac 1978; Feigin-Fuchs 1984): the least ``_kac_steps`` from 0.
-    * N >= 2 vanishes first at the least n with
+    * N >= 2 vanishes first at the least n >= 1 with
       -2 n lambda + (n^3 - n) kappa / 12 = 0 (B. J. Wilson, "Highest-weight
-      theory for truncated current Lie algebras", J. Algebra 336, 2011).
+      theory for truncated current Lie algebras", J. Algebra 336, 2011),
+      i.e. 24 lambda = (n^2 - 1) kappa: for kappa != 0 the one n with
+      n^2 = 1 + 24 lambda / kappa, if that is a positive integer, and for
+      kappa = 0 the depth 1 exactly when lambda = 0.
     """
     pieces = _local_pieces(phi)
     if pieces is None:
@@ -681,9 +694,13 @@ def _first_reducible_depth(phi: Functional, max_depth: int) -> int:
         lam, kappa = lams[-1], kappas[-1]
         if len(lams) == 1:
             first = min(_kac_steps(*_kac_zero(-lam, kappa), 0, first - 1), default=first)
-        else:
-            first = next((n for n in range(1, first) if 24 * n * lam == (n ** 3 - n) * kappa),
-                         first)
+        elif kappa:
+            square = 1 + 24 * lam / kappa
+            n = _exact_sqrt(square.numerator, square.denominator)
+            if n and n < first:
+                first = n
+        elif not lam:
+            first = min(first, 1)
     return first
 
 

@@ -12,7 +12,10 @@ from a per-order Hankel search,
 ideal closures from a rank-driven worklist over the algebra's product, the
 order of a local piece from successive ideal powers, point evaluations by
 Horner's rule, the CRT pieces of a functional from products with
-product-checked idempotents, the structure tensor of Q[t]/(p) from
+product-checked idempotents, the modulus and CRT idempotents of a
+product_local algebra from Fraction polynomial products, series inverses
+and synthetic division, the first order N >= 2 reducible depth from an
+n-by-n search, the structure tensor of Q[t]/(p) from
 schoolbook division, and the quotient characters of
 Q[t]/t^N Verma modules with one top-degree zero and of the classical Verma
 modules at c = 1 from closed forms.
@@ -238,6 +241,70 @@ def oracle_split_values(phi):
         prods = [e * alg.basis_element(j) for j in range(alg.dim)]
         out.append(([phi.eval_d0(x) for x in prods], [phi.eval_c(x) for x in prods]))
     return out
+
+
+def _fraction_poly(coeffs) -> tuple:
+    """Low degree first Fractions, trailing zeros stripped."""
+    c = [Fraction(x) for x in coeffs]
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _fraction_poly_mul(p, q) -> tuple:
+    out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _fraction_poly(out)
+
+
+def oracle_taylor(p, point, order: int) -> list[Fraction]:
+    """The first ``order`` Taylor coefficients of p at the point, i.e.
+    p(point + s) mod s^order, by rounds of synthetic division by t - point."""
+    out, q, a = [], [Fraction(x) for x in p], Fraction(point)
+    for _ in range(order):
+        acc, quo = Fraction(0), []
+        for c in reversed(q):  # the remainder is q(a), the rest the quotient
+            acc = acc * a + c
+            quo.append(acc)
+        out.append(acc)
+        q = quo[-2::-1]
+    return out
+
+
+def oracle_modulus(factors) -> tuple:
+    """The monic product of (t - point)^order over the factors, multiplied
+    out factor by factor in Fractions."""
+    out = (Fraction(1),)
+    for point, order in factors:
+        for _ in range(order):
+            out = _fraction_poly_mul(out, (-Fraction(point), Fraction(1)))
+    return out
+
+
+def oracle_crt_idempotents(factors) -> tuple:
+    """The CRT idempotents of Q[t]/(oracle_modulus(factors)), in Fractions:
+    e_i = r_i w_i, r_i the monic product of the other factors and w_i the
+    power series inverse of r_i at point_i below order_i, in s = t - point_i,
+    taken back to t by Taylor expansion at -point_i."""
+    out = []
+    for i, (point, order) in enumerate(factors):
+        r_t = oracle_modulus(factors[:i] + factors[i + 1:])
+        r_s = oracle_taylor(r_t, point, order)
+        inv = [1 / r_s[0]]
+        for k in range(1, order):
+            inv.append(-sum(r_s[j] * inv[k - j] for j in range(1, k + 1)) / r_s[0])
+        out.append(_fraction_poly_mul(r_t, oracle_taylor(inv, -Fraction(point), order)))
+    return tuple(out)
+
+
+def oracle_wilson_depth(lam, kappa, max_depth: int) -> int:
+    """The least n in 1..max_depth with 24 n lam = (n^3 - n) kappa, the
+    vanishing of the order N >= 2 determinant (Wilson 2011), searched n by
+    n; max_depth + 1 when there is none."""
+    return next((n for n in range(1, max_depth + 1) if 24 * n * lam == (n ** 3 - n) * kappa),
+                max_depth + 1)
 
 
 def poly_divmod_oracle(num, den):

@@ -4,6 +4,7 @@ import math
 import pathlib
 import random
 from fractions import Fraction as F
+from itertools import zip_longest
 
 import pytest
 
@@ -30,9 +31,12 @@ from mapvir import algebra as algebra_module
 from mapvir import polyutil
 from mapvir.algebra import crt_idempotents
 from oracles import (
+    oracle_crt_idempotents,
     oracle_ideal_closure,
+    oracle_modulus,
     oracle_rank,
     oracle_row_space_intersection,
+    oracle_taylor,
     poly_divmod_oracle,
     principal_quotient_tensor,
 )
@@ -590,6 +594,66 @@ def test_a_wrong_crt_idempotent_raises():
     alg = Algebra.product_local([(0, 1), (1, 1)])
     with pytest.raises(ValueError, match="not reduced"):
         algebra_module._certify_crt_idempotents(alg, [(F(1), F(-1)), (F(0), F(0), F(1))])
+
+
+def _rational_layout(rng, count, orders, dens=range(1, 10)):
+    """count distinct points u/v, |u| <= 20 and v in dens, with orders drawn from orders."""
+    points = set()
+    while len(points) < count:
+        points.add(F(rng.randint(-20, 20), rng.choice(dens)))
+    return [(a, rng.choice(orders)) for a in sorted(points)]
+
+
+def test_modulus_and_idempotents_match_the_fraction_oracle():
+    # the integer modulus and idempotents against the Fraction algorithm they
+    # replaced: the same Fraction tuples, trimmed the same way
+    rng = random.Random(2601)
+    layouts = [_rational_layout(rng, rng.randint(1, 4), range(1, 6)) for _ in range(300)]
+    # e_0 = 1 - t^2 on Q[t]/(t^2 (t^2 - 1)) has degree below dim - 1
+    layouts += [[(0, 1), (1, 1)], [(0, 5)], [(F(-20, 9), 5), (F(20, 9), 5), (F(19, 7), 5), (0, 5)],
+                [(0, 2), (-1, 1), (1, 1)]]
+    trimmed = 0
+    for factors in layouts:
+        alg = Algebra.product_local(factors)
+        idems = crt_idempotents(alg)
+        assert alg._modulus == oracle_modulus(factors), factors
+        assert idems == oracle_crt_idempotents(factors), factors
+        assert all(type(x) is F for poly in (alg._modulus, *idems) for x in poly)
+        trimmed += any(0 < len(e) < alg.dim for e in idems)
+    assert trimmed
+
+
+def test_wrong_idempotents_raise_on_large_denominators_and_orders():
+    rng = random.Random(2602)
+    for _ in range(60):
+        alg = Algebra.product_local(_rational_layout(rng, rng.randint(2, 3), (4, 5),
+                                                     dens=range(5, 10)))
+        idems = [list(e) for e in crt_idempotents(alg)]
+        algebra_module._certify_crt_idempotents(alg, idems)
+        i, k = rng.randrange(len(idems)), rng.randrange(alg.dim)
+        idems[i] += [F(0)] * (alg.dim - len(idems[i]))
+        idems[i][k] += F(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 9))
+        with pytest.raises(ValueError, match="wrong image"):
+            algebra_module._certify_crt_idempotents(alg, idems)
+
+
+def test_a_wrong_higher_taylor_coefficient_raises():
+    # e_0 + (t - a_0) r_0, r_0 the product of the other factors: still 0 to
+    # every order at the other points and 1 at a_0, but its s^1 coefficient
+    # at a_0 is r_0(a_0) != 0, so a certificate reading only s^0 passes it
+    for factors in ([(0, 2), (1, 1)], [(F(3, 5), 4), (F(-7, 8), 2), (2, 1)]):
+        alg = Algebra.product_local(factors)
+        (a, order), others = factors[0], factors[1:]
+        bump = oracle_modulus([(a, 1)] + others)
+        idems = [list(e) for e in crt_idempotents(alg)]
+        idems[0] = [x + y for x, y in zip_longest(idems[0], bump, fillvalue=F(0))]
+        assert len(idems[0]) <= alg.dim
+        for j, (b, n) in enumerate(factors):
+            image = oracle_taylor(idems[0], b, n)
+            assert image[0] == (j == 0) and (j == 0 or not any(image))
+        assert oracle_taylor(idems[0], a, order)[1] != 0
+        with pytest.raises(ValueError, match="CRT idempotent 0 has the wrong image at"):
+            algebra_module._certify_crt_idempotents(alg, idems)
 
 
 # -- serialization -----------------------------------------------------------

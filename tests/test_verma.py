@@ -54,6 +54,7 @@ from oracles import (
     oracle_minimal_order,
     oracle_rank,
     oracle_split_values,
+    oracle_wilson_depth,
     partitions,
     principal_quotient_tensor,
     rocha_caridi_dims,
@@ -828,6 +829,84 @@ def test_pullback_verma_module_stays_on_the_original_algebra():
     vecs = singular_vectors(phi, 1)
     assert vecs and all(verma._is_singular(v) for v in vecs)
     assert quotient_dims(phi, 6) == (1, 1, 1, 2, 2, 3, 4)
+
+
+def _loop_first_reducible_depth(phi, max_depth):
+    """``_first_reducible_depth`` with the order N >= 2 criterion searched
+    n by n, as it was before its closed form."""
+    pieces = verma._local_pieces(phi)
+    if pieces is None:
+        return 0
+    first = max_depth + 1
+    for _, lams, kappas in pieces:
+        lam, kappa = lams[-1], kappas[-1]
+        if len(lams) == 1:
+            first = min(verma._kac_steps(*verma._kac_zero(-lam, kappa), 0, first - 1), default=first)
+        else:
+            first = min(first, oracle_wilson_depth(lam, kappa, first - 1))
+    return first
+
+
+def _wilson_cases():
+    """(lam, kappa, max_depth) for a top pair: planted squares
+    1 + 24 lam / kappa = n^2 with max_depth below, at and above n; kappa = 0
+    with lam = 0 and lam != 0; negative, zero and non-square values."""
+    rng = random.Random(2604)
+    cases = []
+    for n in range(1, 13):
+        kappa = F(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 9))
+        cases += [((n * n - 1) * kappa / 24, kappa, depth) for depth in (n - 1, n, n + 1)]
+    cases += [(F(0), F(0), depth) for depth in (0, 1, 6)]
+    cases += [(F(3, 2), F(0), 12), (F(-1, 7), F(0), 12)]
+    for square in (F(-1), F(-48, 5), F(0), F(2), F(7, 4), F(24), F(99), F(143, 4)):
+        kappa = F(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 9))
+        cases += [((square - 1) * kappa / 24, kappa, 12)]
+    return cases
+
+
+def test_wilson_closed_form_matches_the_search():
+    rng = random.Random(2605)
+    for lam, kappa, depth in _wilson_cases():
+        want = oracle_wilson_depth(lam, kappa, depth)
+        for point, order in ((0, 2), (F(3, 5), 3), (F(-7, 2), 5)):
+            d0 = [rand_scalar(rng) for _ in range(order - 1)] + [lam]
+            c = [rand_scalar(rng) for _ in range(order - 1)] + [kappa]
+            phi = _local_functional([(point, order)], [d0], [c])
+            assert verma._local_pieces(phi)[0][1:] == (tuple(d0), tuple(c))
+            assert verma._first_reducible_depth(phi, depth) == want, (lam, kappa, depth)
+    # the planted squares answer every depth 1..12, and 13 past max_depth 12
+    wants = [oracle_wilson_depth(lam, kappa, depth) for lam, kappa, depth in _wilson_cases()]
+    assert set(range(1, 14)) <= set(wants)
+
+
+@pytest.mark.parametrize(
+    "phi, depth", [PARITY_CASES[name] for name in PARITY_CASES]
+    + [(phi, depth) for _, phi, depth in PLANTED_LOCAL],
+    ids=list(PARITY_CASES) + [label for label, _, _ in PLANTED_LOCAL])
+def test_quotient_dims_agree_with_the_searched_criterion(phi, depth, monkeypatch):
+    for max_depth in range(depth + 1):
+        assert (verma._first_reducible_depth(phi, max_depth)
+                == _loop_first_reducible_depth(phi, max_depth))
+    dims = quotient_dims(phi, depth)
+    monkeypatch.setattr(verma, "_first_reducible_depth", _loop_first_reducible_depth)
+    assert quotient_dims(phi, depth) == dims
+
+
+def test_local_pieces_match_the_product_oracle_at_rational_points():
+    # lam_k = phi(d_0 (x) e s^k) = sum_j binom(k, j) (-a)^(k - j) phi(d_0 (x) e t^j),
+    # with phi(d_0 (x) e t^j) from products in A
+    rng = random.Random(2606)
+    for _ in range(40):
+        points = rng.sample([F(u, v) for u in range(-9, 10) for v in (1, 2, 5, 9)
+                             if math.gcd(u, v) == 1], rng.randint(1, 3))
+        alg = Algebra.product_local([(a, rng.randint(1, 4)) for a in points])
+        phi = rand_functional(rng, alg)
+        expected = []
+        for (a, order), values in zip(alg.factors, oracle_split_values(phi)):
+            expected.append((a, *(tuple(sum(math.comb(k, j) * (-a) ** (k - j) * w[j]
+                                            for j in range(k + 1)) for k in range(order))
+                                  for w in values)))
+        assert list(verma._local_pieces(phi)) == expected
 
 
 def test_only_local_pieces_reads_the_factor_layout():
