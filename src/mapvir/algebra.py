@@ -313,12 +313,18 @@ class Algebra:
 
 
 class _Vector:
-    """A sparse ``{key: Fraction}`` vector over an algebra: the arithmetic
-    ``AlgebraElement`` and ``pbw.EnvElement`` share.  An operand of another
-    class gets NotImplemented, so mixed sums raise TypeError and mixed
-    comparisons are False."""
+    """A sparse ``{key: coefficient}`` vector over an algebra: the arithmetic
+    ``AlgebraElement`` and ``pbw.EnvElement`` (Fraction coefficients) and
+    ``liealg.LieElement`` (AlgebraElement coefficients) share.  ``_terms``
+    holds only nonzero coefficients, and every result is built by
+    ``_like(terms)``, whose constructor drops the zeros.  An operand of
+    another class gets NotImplemented, so mixed sums raise TypeError and
+    mixed comparisons are False."""
 
     __slots__ = ("algebra", "_terms")
+
+    def _like(self, terms):
+        return type(self)(self.algebra, terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -329,8 +335,8 @@ class _Vector:
         self.algebra.require_compatible(other.algebra)
         out = dict(self._terms)
         for k, c in other._terms.items():
-            out[k] = out.get(k, 0) + c
-        return type(self)(self.algebra, out)
+            out[k] = out[k] + c if k in out else c
+        return self._like(out)
 
     def __sub__(self, other):
         return self + (-other)
@@ -340,7 +346,7 @@ class _Vector:
 
     def scale(self, s):
         s = as_scalar(s)
-        return type(self)(self.algebra, {k: s * c for k, c in self._terms.items()})
+        return self._like({k: s * c for k, c in self._terms.items()})
 
     def __mul__(self, s):
         if isinstance(s, (int, Fraction)):

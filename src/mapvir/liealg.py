@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra, AlgebraElement, format_element
+from .algebra import Algebra, AlgebraElement, _Vector, format_element
 from .errors import ModeRangeError
 from .scalars import as_scalar, join_signed, signed_term
 
@@ -53,96 +53,67 @@ def _check_mode(n: int) -> int:
     return n
 
 
-class LieElement:
-    """A finite sum  sum_n d_n (x) f_n  +  c (x) g."""
+_CENTRAL = None  # the _terms key of the central part c (x) g
 
-    __slots__ = ("algebra", "_d", "_c")
+
+class LieElement(_Vector):
+    """A finite sum  sum_n d_n (x) f_n  +  c (x) g: a sparse vector of
+    AlgebraElement coefficients whose ``_terms`` map each mode n to its
+    nonzero f_n and the key None to a nonzero g.  Its linear arithmetic is
+    the shared ``algebra._Vector`` core."""
+
+    __slots__ = ()
 
     def __init__(self, algebra: Algebra, d_part=None, c_part=None):
-        d_clean: dict[int, AlgebraElement] = {}
+        terms: dict[int | None, AlgebraElement] = {}
         for n, f in (d_part or {}).items():
             algebra.require_compatible(f.algebra)
             if not f.is_zero():
-                d_clean[_check_mode(n)] = f
-        if c_part is None:
-            c_part = algebra.zero()
-        algebra.require_compatible(c_part.algebra)
+                terms[_check_mode(n)] = f
+        if c_part is not None:
+            algebra.require_compatible(c_part.algebra)
+            if not c_part.is_zero():
+                terms[_CENTRAL] = c_part
         self.algebra = algebra
-        self._d = d_clean
-        self._c = c_part
+        self._terms = terms
+
+    def _like(self, terms):
+        c_part = terms.pop(_CENTRAL, None)
+        return LieElement(self.algebra, terms, c_part)
 
     @property
     def d_part(self) -> dict[int, AlgebraElement]:
-        return dict(self._d)
+        return {n: f for n, f in self._terms.items() if n is not _CENTRAL}
 
     @property
     def c_part(self) -> AlgebraElement:
-        return self._c
+        c_part = self._terms.get(_CENTRAL)
+        return self.algebra.zero() if c_part is None else c_part
 
     def modes(self) -> list[int]:
-        return sorted(self._d)
-
-    def is_zero(self) -> bool:
-        return not self._d and self._c.is_zero()
-
-    def __add__(self, other):
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        self.algebra.require_compatible(other.algebra)
-        d = dict(self._d)
-        for n, f in other._d.items():
-            d[n] = d[n] + f if n in d else f
-        return LieElement(self.algebra, d, self._c + other._c)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LieElement(self.algebra, {n: -f for n, f in self._d.items()}, -self._c)
-
-    def scale(self, s) -> "LieElement":
-        s = as_scalar(s)
-        return LieElement(self.algebra,
-                          {n: f.scale(s) for n, f in self._d.items()},
-                          self._c.scale(s))
-
-    def __mul__(self, s):
-        if isinstance(s, (int, Fraction)):
-            return self.scale(s)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        return (self.algebra.compatible(other.algebra)
-                and self._d == other._d and self._c == other._c)
-
-    def __hash__(self):
-        return hash((self.algebra.signature,
-                     frozenset(self._d.items()), self._c))
+        return sorted(self.d_part)
 
     def __repr__(self):
         return f"<{format_lie_element(self)}>"
 
 
+def _coefficient(algebra: Algebra, coeff) -> AlgebraElement:
+    """coeff as an element of algebra: 1 for None, s * 1 for a scalar s."""
+    if coeff is None:
+        return algebra.one()
+    if isinstance(coeff, (int, Fraction, str)):
+        return algebra.one().scale(as_scalar(coeff))
+    return coeff
+
+
 def d_term(algebra: Algebra, n: int, coeff=None) -> LieElement:
     """The element d_n (x) coeff (coeff defaults to 1)."""
-    if coeff is None:
-        coeff = algebra.one()
-    elif isinstance(coeff, (int, Fraction, str)):
-        coeff = algebra.one().scale(as_scalar(coeff))
-    return LieElement(algebra, {n: coeff})
+    return LieElement(algebra, {n: _coefficient(algebra, coeff)})
 
 
 def c_term(algebra: Algebra, coeff=None) -> LieElement:
     """The central element c (x) coeff (coeff defaults to 1)."""
-    if coeff is None:
-        coeff = algebra.one()
-    elif isinstance(coeff, (int, Fraction, str)):
-        coeff = algebra.one().scale(as_scalar(coeff))
-    return LieElement(algebra, {}, coeff)
+    return LieElement(algebra, {}, _coefficient(algebra, coeff))
 
 
 def central_scalar(m: int) -> Fraction:
@@ -160,8 +131,9 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
     alg = x.algebra
     d_out: dict[int, AlgebraElement] = {}
     c_out = alg.zero()
-    for m, f in x._d.items():
-        for n, g in y._d.items():
+    y_d = y.d_part
+    for m, f in x.d_part.items():
+        for n, g in y_d.items():
             fg = f * g
             if fg.is_zero():
                 continue
@@ -187,15 +159,14 @@ class GradeComponent:
 
 def grade_decompose(x: LieElement) -> list[GradeComponent]:
     """Split into graded components, sorted by mode; their sum is x."""
+    d, c = x.d_part, x.c_part
     comps = []
-    for n in sorted(x._d):
+    for n in sorted(d):
         if n == 0:
             continue
-        comps.append(GradeComponent(n, LieElement(x.algebra, {n: x._d[n]})))
-    if 0 in x._d or not x._c.is_zero():
-        zero_part = LieElement(x.algebra,
-                               {0: x._d[0]} if 0 in x._d else {},
-                               x._c)
+        comps.append(GradeComponent(n, LieElement(x.algebra, {n: d[n]})))
+    if 0 in d or not c.is_zero():
+        zero_part = LieElement(x.algebra, {0: d[0]} if 0 in d else {}, c)
         comps.append(GradeComponent(0, zero_part))
     comps.sort(key=lambda gc: gc.mode)
     return comps
@@ -212,10 +183,10 @@ def format_lie_element(x: LieElement) -> str:
         else:
             parts.append((False, f"{symbol}*({format_element(coeff)})"))
 
-    for n in sorted(x._d):
-        push(x._d[n], f"d[{n}]")
-    if not x._c.is_zero():
-        push(x._c, "c")
+    for n, f in sorted(x.d_part.items()):
+        push(f, f"d[{n}]")
+    if not x.c_part.is_zero():
+        push(x.c_part, "c")
     return join_signed(parts)
 
 

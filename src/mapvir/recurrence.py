@@ -21,17 +21,15 @@ from typing import Sequence
 from . import polyutil
 
 
-def minimal_annihilator(seqs: Sequence[Sequence[Fraction]],
-                        max_order: int | None = None) -> polyutil.Poly | None:
-    """Smallest common monic annihilating polynomial, or None.
+def minimal_annihilator(seqs: Sequence[Sequence[Fraction]]) -> polyutil.Poly | None:
+    """Smallest common monic annihilating polynomial of order at most
+    floor(D/2), where s_D ends the shortest nonempty window, or None.
 
     Order 0 (the constant polynomial 1) is reported exactly when every
     sequence is identically zero on its window.
     """
     seqs = [s for s in seqs if len(s) > 0]
     cap = (min(map(len, seqs), default=1) - 1) // 2
-    if max_order is not None:
-        cap = min(cap, max_order)
     p: polyutil.Poly = (Fraction(1),)
     for s in seqs:
         q = _berlekamp_massey(s, cap)

@@ -131,11 +131,11 @@ def oracle_row_space_intersection(rows_a, rows_b, ncols: int) -> list[list[Fract
     return oracle_rref(vecs, ncols)
 
 
-def oracle_min_recurrence(seqs, max_order=None):
+def oracle_min_recurrence(seqs):
     """Smallest monic p with sum_i p_i s_{k+i} = 0 on every window, or None.
 
     Per-order Hankel search: for r = 0, 1, ... up to floor(D/2) (D + 1 the
-    shortest window) and max_order, stack the order-r systems of all the
+    shortest window), stack the order-r systems of all the
     sequences; the first consistent one (the oracle rank does not grow when
     the right-hand side is appended) is solved by Fraction elimination.
     """
@@ -143,8 +143,6 @@ def oracle_min_recurrence(seqs, max_order=None):
     if not seqs:
         return (Fraction(1),)
     cap = (min(len(s) for s in seqs) - 1) // 2
-    if max_order is not None:
-        cap = min(cap, max_order)
     for r in range(cap + 1):
         aug = [s[k:k + r] + [-s[k + r]] for s in seqs for k in range(len(s) - r)]
         if oracle_rank([row[:r] for row in aug]) == oracle_rank(aug):

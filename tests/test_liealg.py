@@ -9,6 +9,7 @@ import pytest
 
 from mapvir import (
     Algebra,
+    AlgebraMismatch,
     LieElement,
     ModeRangeError,
     bracket,
@@ -143,6 +144,23 @@ def test_mode_bound(monkeypatch):
     with pytest.raises(ModeRangeError):
         d_term(A, 5)
     assert not d_term(A, 4).is_zero()
+
+
+def test_constructor_drops_zeros_checks_modes_and_algebras():
+    t = DUAL.basis_element(1)
+    assert LieElement(DUAL, {10**6: DUAL.zero()}) == LieElement(DUAL)  # no mode check
+    with pytest.raises(TypeError):
+        LieElement(DUAL, {None: t})
+    other = Algebra.product_local([(0, 3)])
+    with pytest.raises(AlgebraMismatch):
+        LieElement(DUAL, {1: other.one()})
+    with pytest.raises(AlgebraMismatch):
+        LieElement(DUAL, {}, other.one())
+    x = d_term(DUAL, 2, t) + c_term(DUAL, t)
+    assert (x - x).modes() == [] and (x - x).c_part.is_zero()
+    d = x.d_part
+    d[3] = d.pop(2)
+    assert x.d_part == {2: t} and x.modes() == [2] and x.c_part == t
 
 
 @pytest.mark.parametrize("raw, answer", [

@@ -132,7 +132,7 @@ def test_kernel_parity_cases_cover_every_shape():
 
 
 def test_hankel_solves_find_the_recurrence_order():
-    assert minimal_annihilator([HANKEL_SEQ], max_order=2) is None
+    assert minimal_annihilator([HANKEL_SEQ[:6]]) is None  # 6 samples: order <= 2
     assert minimal_annihilator([HANKEL_SEQ]) == (F(1, 3), F(-1, 2), F(-1), F(1))
 
 

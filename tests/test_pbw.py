@@ -115,7 +115,15 @@ def test_straighten_rejects_raising():
 
 def _rand_vectors(rng, kind):
     """Nine seeded AlgebraElements over Q[t]/(t^2) x Q, or EnvElements over
-    Q[t]/(t^2), the zero element first."""
+    Q[t]/(t^2), or LieElements over Q[t]/(t^2) with d parts in modes -3..3
+    and a c part, the zero element first."""
+    if kind == "lie":
+        def coeff():
+            return A2.element({i: F(rng.randint(-4, 4), rng.randint(1, 3))
+                               for i in A2.basis_indices() if rng.random() < 0.6})
+        return [LieElement(A2)] + [
+            LieElement(A2, {n: coeff() for n in range(-3, 4) if rng.random() < 0.6}, coeff())
+            for _ in range(8)]
     if kind == "algebra":
         alg = Algebra.product_local([(0, 2), (1, 1)])
         keys, make = list(alg.basis_indices()), alg.element
@@ -128,7 +136,7 @@ def _rand_vectors(rng, kind):
     return out
 
 
-@pytest.mark.parametrize("kind", ["algebra", "env"])
+@pytest.mark.parametrize("kind", ["algebra", "env", "lie"])
 def test_element_core_arithmetic_identities(kind):
     rng = random.Random(2501)
     xs = _rand_vectors(rng, kind)
@@ -156,6 +164,13 @@ def test_algebra_elements_never_meet_env_or_lie_elements():
                 other + x
             with pytest.raises(TypeError):
                 x - other
+    for lie in (zero_lie, d_term(A2, -1)):
+        for other in (zero_env, env):
+            assert lie != other and other != lie
+            with pytest.raises(TypeError):
+                lie + other
+            with pytest.raises(TypeError):
+                other + lie
     # * of two algebra elements is the algebra product; of two env elements, nothing
     assert t * t == A2.zero() and (A2.one() + t) * (A2.one() - t) == A2.one()
     i = Algebra.structure_constants([[[1, 0], [0, 1]], [[0, 1], [-1, 0]]], (1, 0)).basis_element(1)
