@@ -14,10 +14,9 @@ leave the window raises WindowOverflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Sequence
 
 from . import linalg, polyutil
 from .errors import (
@@ -27,6 +26,7 @@ from .errors import (
     UnsupportedKind,
     WindowOverflow,
 )
+from .records import FrozenRecord
 from .scalars import as_scalar, format_scalar, join_signed, signed_term
 
 FINITE_KINDS = ("structure_constants", "product_local")
@@ -37,7 +37,7 @@ class Algebra:
     """A coefficient algebra.  Immutable after construction."""
 
     __slots__ = ("kind", "dim", "basis_labels", "factors", "window",
-                 "_tensor", "_unit", "_modulus", "_signature", "_caches")
+                 "_tensor", "_unit", "_modulus", "_int_modulus", "_signature", "_caches")
 
     def __init__(self, *, kind, dim=None, basis_labels=None, factors=None,
                  window=None, tensor=None, unit=None, modulus=None):
@@ -48,7 +48,10 @@ class Algebra:
         self.window = window
         self._tensor = tensor
         self._unit = unit
-        self._modulus = modulus
+        # a product_local modulus comes in integers and is also kept monic
+        self._int_modulus = modulus
+        self._modulus = None if modulus is None else tuple(
+            [Fraction(x, modulus[-1]) for x in modulus])
         if kind == "structure_constants":
             sig = (kind, dim, basis_labels, tensor, unit)
         elif kind == "product_local":
@@ -111,11 +114,10 @@ class Algebra:
         for p, n in facs:
             for _ in range(n):
                 num = polyutil.times_linear(num, p.numerator, p.denominator)
-        modulus = tuple([Fraction(x, num[-1]) for x in num])
-        dim = len(modulus) - 1
+        dim = len(num) - 1
         labels = tuple(_exponent_label(k) for k in range(dim))
         return cls(kind="product_local", dim=dim, basis_labels=labels,
-                   factors=facs, modulus=modulus)
+                   factors=facs, modulus=num)
 
     @classmethod
     def polynomial(cls, window) -> "Algebra":
@@ -257,8 +259,8 @@ class Algebra:
     def from_poly(self, coeffs: Sequence[Fraction]) -> "AlgebraElement":
         """Element from dense polynomial coefficients (monomial kinds only)."""
         if self.kind == "product_local":
-            red = polyutil.pmod(polyutil.trim(list(coeffs)), self._modulus)
-            return AlgebraElement(self, {k: c for k, c in enumerate(red)})
+            num, den = polyutil.cleared([Fraction(x) for x in coeffs])
+            return AlgebraElement(self, self._reduced(num, den))
         if self.kind in ("polynomial", "laurent"):
             return AlgebraElement(self, {k: c for k, c in enumerate(coeffs)})
         raise UnsupportedKind("from_poly needs a monomial-based algebra")
@@ -274,11 +276,16 @@ class Algebra:
                         if s:
                             out[k] = out.get(k, Fraction(0)) + f * s
         elif self.kind == "product_local":
-            dense = [Fraction(0)] * (max(a, default=0) + max(b, default=0) + 1)
-            for i, ca in a.items():
-                for j, cb in b.items():
-                    dense[i + j] += ca * cb
-            out = dict(enumerate(polyutil.pmod(polyutil.trim(dense), self._modulus)))
+            if not a or not b:
+                return {}
+            na, da = polyutil.cleared(list(a.values()))
+            nb, db = polyutil.cleared(list(b.values()))
+            b_terms = list(zip(b, nb))
+            dense = [0] * (max(a) + max(b) + 1)
+            for i, x in zip(a, na):
+                for j, y in b_terms:
+                    dense[i + j] += x * y
+            return self._reduced(dense, da * db)
         else:
             lo, hi = self.window
             for i, ca in a.items():
@@ -289,6 +296,14 @@ class Algebra:
                             f"product exponent {k} outside window [{lo}, {hi}]")
                     out[k] = out.get(k, Fraction(0)) + ca * cb
         return {k: v for k, v in out.items() if v != 0}
+
+    def _reduced(self, num: list[int], den: int) -> dict:
+        """The terms of (num / den) mod the modulus, num dense integer
+        coefficients: one pseudo-remainder by the integer modulus, then one
+        Fraction per nonzero coefficient."""
+        rem, scale = polyutil.pseudo_rem(num, self._int_modulus)
+        den *= scale
+        return {k: Fraction(x, den) for k, x in enumerate(rem) if x}
 
     def product_terms(self, i: int, j: int) -> tuple:
         """e_i e_j as cached (index, numerator, denominator) triples of ints:
@@ -673,14 +688,18 @@ def ideal_intersection(i1, i2):
 # -- quotients --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientMap:
+class QuotientMap(FrozenRecord):
     """Projection A -> A/I together with a linear section."""
 
-    source: Algebra
-    quotient: Algebra
-    _project: Callable[[AlgebraElement], AlgebraElement]
-    _lift: Callable[[AlgebraElement], AlgebraElement]
+    __slots__ = ("source", "quotient", "_project", "_lift")
+
+    def __init__(self, source: Algebra, quotient: Algebra,
+                 _project: Callable[[AlgebraElement], AlgebraElement],
+                 _lift: Callable[[AlgebraElement], AlgebraElement]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "_project", _project)
+        object.__setattr__(self, "_lift", _lift)
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         self.source.require_compatible(x.algebra)

@@ -11,7 +11,6 @@ can falsify boundedness but never prove it, so profiles carry their window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import polyutil
@@ -24,6 +23,7 @@ from .evalmod import (
     weight_multiplicities,
 )
 from .liealg import CONVENTION_NOTE
+from .records import Record
 from .scalars import as_scalar, format_scalar
 from .verma import (
     Functional,
@@ -43,15 +43,19 @@ def involute_functional(phi: Functional) -> Functional:
     return phi.negate()
 
 
-@dataclass
-class Component:
+class Component(Record):
     """One tensor factor: a generalized evaluation module at a single point."""
 
-    point: Fraction | None
-    order: int
-    functional: Functional | None = None       # over the local quotient
-    phi_piece: Functional | None = None        # the CRT summand over A
-    int_series: tuple[Fraction, Fraction] | None = None
+    __slots__ = ("point", "order", "functional", "phi_piece", "int_series")
+
+    def __init__(self, point: Fraction | None, order: int,
+                 functional: Functional | None = None, phi_piece: Functional | None = None,
+                 int_series: tuple[Fraction, Fraction] | None = None):
+        self.point = point
+        self.order = order
+        self.functional = functional    # over the local quotient
+        self.phi_piece = phi_piece      # the CRT summand over A
+        self.int_series = int_series
 
     def to_json_dict(self) -> dict:
         out: dict = {"point": None if self.point is None
@@ -65,13 +69,17 @@ class Component:
         return out
 
 
-@dataclass
-class ClassificationRecord:
-    verdict: str
-    components: list[Component] = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
-    witness: Ideal | PrincipalIdeal | None = None
-    idempotents: list = field(default_factory=list)
+class ClassificationRecord(Record):
+    __slots__ = ("verdict", "components", "notes", "witness", "idempotents")
+
+    def __init__(self, verdict: str, components: list[Component] | None = None,
+                 notes: dict | None = None, witness: Ideal | PrincipalIdeal | None = None,
+                 idempotents: list | None = None):
+        self.verdict = verdict
+        self.components = [] if components is None else components
+        self.notes = {} if notes is None else notes
+        self.witness = witness
+        self.idempotents = [] if idempotents is None else idempotents
 
     def to_json_dict(self, explain: bool = False) -> dict:
         out = {"verdict": self.verdict,
@@ -189,14 +197,18 @@ def _split_product_local(phi: Functional, notes: dict) -> ClassificationRecord:
 # -- trichotomy profiling ----------------------------------------------------
 
 
-@dataclass
-class TrichotomyProfile:
+class TrichotomyProfile(Record):
     """Sampled weight-table shape over an offset window."""
 
-    shape: str  # "bounded" | "truncated_above" | "truncated_below" | "unbounded_both"
-    bound: int | None
-    table: WeightTable
-    window_truncated: bool
+    __slots__ = ("shape", "bound", "table", "window_truncated")
+
+    def __init__(self, shape: str, bound: int | None, table: WeightTable,
+                 window_truncated: bool):
+        # "bounded" | "truncated_above" | "truncated_below" | "unbounded_both"
+        self.shape = shape
+        self.bound = bound
+        self.table = table
+        self.window_truncated = window_truncated
 
     def to_json_dict(self) -> dict:
         return {"shape": self.shape,

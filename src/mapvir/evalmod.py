@@ -14,7 +14,6 @@ weight tables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import polyutil
@@ -33,6 +32,7 @@ from .algebra import (
 )
 from .errors import MissingWindow, UnsupportedKind, WindowOverflow
 from .liealg import LieElement, _as_plain_scalar
+from .records import FrozenRecord, Record
 from .scalars import as_scalar, format_scalar
 from .verma import (
     Functional,
@@ -46,8 +46,7 @@ from .verma import (
 )
 
 
-@dataclass(frozen=True)
-class IntSeriesSpec:
+class IntSeriesSpec(FrozenRecord):
     """Twisted action of Vir on Laurent monomials t^k, k in the window.
 
     d_n sends t^k to (k + a(n+1) + b) t^{n+k}; c acts by zero (the action
@@ -56,14 +55,12 @@ class IntSeriesSpec:
     every a and b: with X = k + a + b both sides are (n - m)(X + a(n + m)).
     """
 
-    a: Fraction
-    b: Fraction
-    window: tuple[int, int]
+    __slots__ = ("a", "b", "window")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_scalar(self.a))
-        object.__setattr__(self, "b", as_scalar(self.b))
-        lo, hi = self.window
+    def __init__(self, a: Fraction, b: Fraction, window: tuple[int, int]):
+        object.__setattr__(self, "a", as_scalar(a))
+        object.__setattr__(self, "b", as_scalar(b))
+        lo, hi = window
         object.__setattr__(self, "window", (int(lo), int(hi)))
         if self.window[0] > self.window[1]:
             raise ValueError("empty intermediate-series window")
@@ -85,15 +82,18 @@ def int_series_act(spec: IntSeriesSpec, n: int, k: int) -> tuple[Fraction, int]:
 # -- weight tables and annihilator reports ----------------------------------
 
 
-@dataclass
-class WeightTable:
+class WeightTable(Record):
     """Multiplicities of the weights base + offset over an offset window."""
 
-    base: Fraction
-    offsets: tuple[int, int]
-    mult: dict[int, int]
-    truncated: bool = False
-    notes: tuple[str, ...] = ()
+    __slots__ = ("base", "offsets", "mult", "truncated", "notes")
+
+    def __init__(self, base: Fraction, offsets: tuple[int, int], mult: dict[int, int],
+                 truncated: bool = False, notes: tuple[str, ...] = ()):
+        self.base = base
+        self.offsets = offsets
+        self.mult = mult
+        self.truncated = truncated
+        self.notes = notes
 
     def multiplicity(self, offset: int) -> int:
         return self.mult.get(offset, 0)
@@ -116,15 +116,20 @@ class WeightTable:
         return "\n".join(lines)
 
 
-@dataclass
-class AnnihilatorReport:
+class AnnihilatorReport(Record):
     """The largest computable annihilating ideal and the support points."""
 
-    ideal: Ideal | PrincipalIdeal | None
-    generators: list[AlgebraElement] = field(default_factory=list)
-    support: list[Fraction] | None = None
-    closure_verified: bool = False
-    notes: tuple[str, ...] = ()
+    __slots__ = ("ideal", "generators", "support", "closure_verified", "notes")
+
+    def __init__(self, ideal: Ideal | PrincipalIdeal | None,
+                 generators: list[AlgebraElement] | None = None,
+                 support: list[Fraction] | None = None, closure_verified: bool = False,
+                 notes: tuple[str, ...] = ()):
+        self.ideal = ideal
+        self.generators = [] if generators is None else generators
+        self.support = support
+        self.closure_verified = closure_verified
+        self.notes = notes
 
     def to_json_dict(self) -> dict:
         return {

@@ -13,11 +13,11 @@ normalization of c is applied.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Algebra, AlgebraElement, _Vector, format_element
 from .errors import ModeRangeError
+from .records import FrozenRecord
 from .scalars import as_scalar, join_signed, signed_term
 
 MODE_MAX_DEFAULT = 64
@@ -149,12 +149,14 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
     return LieElement(alg, d_out, c_out)
 
 
-@dataclass(frozen=True)
-class GradeComponent:
+class GradeComponent(FrozenRecord):
     """A single graded piece; the c part always sits in mode 0."""
 
-    mode: int
-    element: LieElement
+    __slots__ = ("mode", "element")
+
+    def __init__(self, mode: int, element: LieElement):
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "element", element)
 
 
 def grade_decompose(x: LieElement) -> list[GradeComponent]:

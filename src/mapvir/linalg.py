@@ -17,8 +17,8 @@ exceeds its rank over Q, so a full rank mod p is a full rank over Q, while
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .polyutil import cleared
 

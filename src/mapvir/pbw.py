@@ -16,9 +16,9 @@ echoed in report metadata.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Sequence
 
 from .algebra import Algebra, _Vector
 from .errors import NotLowering

@@ -12,8 +12,8 @@ denominator (``cleared``) and leaves as one Fraction per coefficient.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .scalars import join_signed, signed_term
 
@@ -185,6 +185,24 @@ def cleared(p: Sequence[Fraction]) -> tuple[list[int], int]:
     """(numerators, d) with p = numerators / d, d the lcm of p's denominators."""
     den = math.lcm(*[x.denominator for x in p])
     return [x.numerator * (den // x.denominator) for x in p], den
+
+
+def pseudo_rem(p: list[int], m: list[int]) -> tuple[list[int], int]:
+    """(r, s) with r / s = p mod m, r padded to deg m coefficients: each step
+    that clears a nonzero top coefficient multiplies by lead(m), so
+    s = lead(m)^steps and r stays integral."""
+    d, lead, scale = len(m) - 1, m[-1], 1
+    r = list(p)
+    while len(r) > d:
+        top = r.pop()
+        if top:
+            if lead != 1:
+                r = [lead * x for x in r]
+                scale *= lead
+            off = len(r) - d
+            for j in range(d):
+                r[off + j] -= top * m[j]
+    return r + [0] * (d - len(r)), scale
 
 
 def times_linear(p: list[int], u: int, v: int) -> list[int]:

@@ -15,8 +15,8 @@ None answer means no recurrence of capped order exists.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from . import polyutil
 

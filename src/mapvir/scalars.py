@@ -7,8 +7,8 @@ denominator is 1.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 Scalar = Fraction
 

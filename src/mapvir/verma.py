@@ -15,7 +15,6 @@ classical depth-2 singular locus at central charge 1 sits at highest weight
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -41,6 +40,7 @@ from .pbw import (
     monomial_weight,
     pbw_basis,
 )
+from .records import Record
 from .scalars import as_scalar, format_scalar
 
 
@@ -625,7 +625,8 @@ def _local_pieces(phi: Functional) -> tuple[tuple, ...] | None:
         return None
     d0, d0_den = polyutil.cleared([phi.value_d0(j) for j in range(alg.dim)])
     c, c_den = polyutil.cleared([phi.value_c(j) for j in range(alg.dim)])
-    modulus, lead = polyutil.cleared(alg._modulus)  # lead = modulus[-1], as it is monic
+    modulus = alg._int_modulus
+    lead = modulus[-1]
     pieces = []
     for (a, order), e in zip(alg.factors, crt_idempotents(alg)):
         f, den = polyutil.cleared(e)  # e s^k = f / den
@@ -840,29 +841,37 @@ def _pull_back(phi: Functional, ideal: PrincipalIdeal) -> tuple:
 # -- decision procedures ----------------------------------------------------
 
 
-@dataclass
-class QuasifiniteVerdict:
+class QuasifiniteVerdict(Record):
     """Outcome of the quasifiniteness check."""
 
-    status: str  # "quasifinite_certified" | "no_witness_up_to_bound"
-    witness: Ideal | PrincipalIdeal | None
-    candidate: PrincipalIdeal | None = None
-    note: str = ""
+    __slots__ = ("status", "witness", "candidate", "note")
+
+    def __init__(self, status: str, witness: Ideal | PrincipalIdeal | None,
+                 candidate: PrincipalIdeal | None = None, note: str = ""):
+        self.status = status  # "quasifinite_certified" | "no_witness_up_to_bound"
+        self.witness = witness
+        self.candidate = candidate
+        self.note = note
 
     @property
     def certified(self) -> bool:
         return self.status == "quasifinite_certified"
 
 
-@dataclass
-class ReducibilityVerdict:
+class ReducibilityVerdict(Record):
     """Outcome of the Verma reducibility check."""
 
-    status: str  # "reducible_certified" | "irreducible_certified" | "no_witness_up_to_bound"
-    witness_ideal: Ideal | PrincipalIdeal | None = None
-    singular_vector: VermaVector | None = None
-    candidate: PrincipalIdeal | None = None
-    note: str = ""
+    __slots__ = ("status", "witness_ideal", "singular_vector", "candidate", "note")
+
+    def __init__(self, status: str, witness_ideal: Ideal | PrincipalIdeal | None = None,
+                 singular_vector: VermaVector | None = None,
+                 candidate: PrincipalIdeal | None = None, note: str = ""):
+        # "reducible_certified" | "irreducible_certified" | "no_witness_up_to_bound"
+        self.status = status
+        self.witness_ideal = witness_ideal
+        self.singular_vector = singular_vector
+        self.candidate = candidate
+        self.note = note
 
 
 def _certify_recurrence(phi: Functional, values, bound: int | None,

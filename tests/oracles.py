@@ -12,8 +12,8 @@ from a per-order Hankel search,
 ideal closures from a rank-driven worklist over the algebra's product, the
 order of a local piece from successive ideal powers, point evaluations by
 Horner's rule, the CRT pieces of a functional from products with
-product-checked idempotents, the modulus and CRT idempotents of a
-product_local algebra from Fraction polynomial products, series inverses
+product-checked idempotents, the modulus, products and CRT idempotents
+of a product_local algebra from Fraction polynomial products and division, series inverses
 and synthetic division, the first order N >= 2 reducible depth from an
 n-by-n search, the structure tensor of Q[t]/(p) from
 schoolbook division, and the quotient characters of
@@ -325,6 +325,24 @@ def poly_divmod_oracle(num, den):
     while rem and rem[0] == 0:
         rem = rem[1:]
     return quo, rem
+
+
+def oracle_reduce(coeffs, factors) -> dict:
+    """The {exponent: coefficient} terms of a polynomial (low degree first)
+    modulo oracle_modulus(factors), by schoolbook division over Fractions."""
+    rem = poly_divmod_oracle(list(reversed(_fraction_poly(coeffs))),
+                             list(reversed(oracle_modulus(factors))))[1]
+    return {k: c for k, c in enumerate(reversed(rem)) if c}
+
+
+def oracle_product_local_mul(factors, a: dict, b: dict) -> dict:
+    """The product of two {exponent: coefficient} elements of a product_local
+    algebra in Fractions: dense convolution, then ``oracle_reduce``."""
+    dense = [Fraction(0)] * (max(a, default=0) + max(b, default=0) + 1)
+    for i, x in a.items():
+        for j, y in b.items():
+            dense[i + j] += x * y
+    return oracle_reduce(dense, factors)
 
 
 def principal_quotient_tensor(p):

@@ -34,7 +34,9 @@ from oracles import (
     oracle_crt_idempotents,
     oracle_ideal_closure,
     oracle_modulus,
+    oracle_product_local_mul,
     oracle_rank,
+    oracle_reduce,
     oracle_row_space_intersection,
     oracle_taylor,
     poly_divmod_oracle,
@@ -186,6 +188,33 @@ def test_ideal_product_inside_intersection():
         prod = ideal_product(i1, i2)
         inter = ideal_intersection(i1, i2)
         assert all(inter.contains(x) for x in prod.basis_elements())
+
+
+def test_product_local_products_match_the_fraction_oracle():
+    # non-integral points make the monic modulus fractional; orders 1-3;
+    # empty operands, and factor products that multiply out to zero
+    rng = random.Random(2811)
+    pool = [F(0), F(1), F(-3), F(1, 2), F(-2, 3), F(5, 4)]
+    for _ in range(30):
+        factors = [(p, rng.randint(1, 3)) for p in rng.sample(pool, rng.randint(1, 3))]
+        alg = Algebra.product_local(factors)
+        elems = [alg.zero(), alg.one(), *(rand_elt(rng, alg) for _ in range(4))]
+        cut = rng.randint(1, len(factors)) if len(factors) > 1 else 0
+        if cut:
+            pair = [oracle_modulus(factors[:cut]), oracle_modulus(factors[cut:])]
+        else:
+            (point, order), = factors
+            pair = [oracle_modulus([(point, k)]) for k in (1, order - 1)]
+        elems += [alg.from_poly(q) for q in pair]
+        for x in elems:
+            for y in elems:
+                assert alg._mul_coeffs(x._terms, y._terms) == oracle_product_local_mul(
+                    factors, x._terms, y._terms)
+        assert (elems[-2] * elems[-1]).is_zero()
+        for length in (0, 1, alg.dim, 2 * alg.dim + 1):
+            poly = [F(rng.randint(-7, 7), rng.randint(1, 6)) if rng.random() < 0.8 else F(0)
+                    for _ in range(length)]
+            assert alg.from_poly(poly)._terms == oracle_reduce(poly, factors)
 
 
 def test_ideal_intersection_matches_the_row_space_oracle():

@@ -39,7 +39,8 @@ PUBLIC_NAMES = [
     "verma_act", "weight_multiplicities",
 ]
 
-CLI_MODULES = {"mapvir", "algebra", "cli", "errors", "liealg", "linalg", "polyutil", "scalars"}
+CLI_MODULES = {"mapvir", "algebra", "cli", "errors", "liealg", "linalg", "polyutil", "records",
+               "scalars"}
 
 
 def loaded_modules(code: str) -> set[str]:
@@ -70,6 +71,18 @@ def test_verma_dims_loads_no_module_layer():
     loaded = loaded_modules("from mapvir.cli import main\nmain(['verma', '--dims', '-n', '3'])")
     assert "verma" in loaded
     assert not loaded & {"evalmod", "classify", "selftest"}
+
+
+def test_startup_imports_no_dataclasses_or_typing():
+    # -S keeps site out: a .pth file in site-packages can preload typing
+    code = ("import sys\n"
+            "import mapvir.cli, mapvir.verma, mapvir.evalmod, mapvir.classify, "
+            "mapvir.selftest, mapvir.exprs\n"
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'typing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_a_name_loads_its_module_on_first_use():
