@@ -14,7 +14,7 @@ leave the window raises WindowOverflow.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -692,14 +692,6 @@ class QuotientMap(FrozenRecord):
     """Projection A -> A/I together with a linear section."""
 
     __slots__ = ("source", "quotient", "_project", "_lift")
-
-    def __init__(self, source: Algebra, quotient: Algebra,
-                 _project: Callable[[AlgebraElement], AlgebraElement],
-                 _lift: Callable[[AlgebraElement], AlgebraElement]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "quotient", quotient)
-        object.__setattr__(self, "_project", _project)
-        object.__setattr__(self, "_lift", _lift)
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         self.source.require_compatible(x.algebra)

@@ -11,17 +11,10 @@ can falsify boundedness but never prove it, so profiles carry their window.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import polyutil
-from .algebra import Algebra, Ideal, PrincipalIdeal, crt_idempotents, format_element
+from .algebra import Algebra, crt_idempotents, format_element
 from .errors import UnsupportedKind
-from .evalmod import (
-    IntSeriesSpec,
-    ModuleHandle,
-    WeightTable,
-    weight_multiplicities,
-)
+from .evalmod import IntSeriesSpec, ModuleHandle, weight_multiplicities
 from .liealg import CONVENTION_NOTE
 from .records import Record
 from .scalars import as_scalar, format_scalar
@@ -44,18 +37,12 @@ def involute_functional(phi: Functional) -> Functional:
 
 
 class Component(Record):
-    """One tensor factor: a generalized evaluation module at a single point."""
+    """One tensor factor: a generalized evaluation module at a single point.
+    ``functional`` lives over the local quotient; ``phi_piece`` is the CRT
+    summand over A."""
 
     __slots__ = ("point", "order", "functional", "phi_piece", "int_series")
-
-    def __init__(self, point: Fraction | None, order: int,
-                 functional: Functional | None = None, phi_piece: Functional | None = None,
-                 int_series: tuple[Fraction, Fraction] | None = None):
-        self.point = point
-        self.order = order
-        self.functional = functional    # over the local quotient
-        self.phi_piece = phi_piece      # the CRT summand over A
-        self.int_series = int_series
+    _defaults = {"functional": None, "phi_piece": None, "int_series": None}
 
     def to_json_dict(self) -> dict:
         out: dict = {"point": None if self.point is None
@@ -71,15 +58,7 @@ class Component(Record):
 
 class ClassificationRecord(Record):
     __slots__ = ("verdict", "components", "notes", "witness", "idempotents")
-
-    def __init__(self, verdict: str, components: list[Component] | None = None,
-                 notes: dict | None = None, witness: Ideal | PrincipalIdeal | None = None,
-                 idempotents: list | None = None):
-        self.verdict = verdict
-        self.components = [] if components is None else components
-        self.notes = {} if notes is None else notes
-        self.witness = witness
-        self.idempotents = [] if idempotents is None else idempotents
+    _defaults = {"components": list, "notes": dict, "witness": None, "idempotents": list}
 
     def to_json_dict(self, explain: bool = False) -> dict:
         out = {"verdict": self.verdict,
@@ -198,17 +177,10 @@ def _split_product_local(phi: Functional, notes: dict) -> ClassificationRecord:
 
 
 class TrichotomyProfile(Record):
-    """Sampled weight-table shape over an offset window."""
+    """Sampled weight-table shape over an offset window; ``shape`` is
+    "bounded", "truncated_above", "truncated_below" or "unbounded_both"."""
 
     __slots__ = ("shape", "bound", "table", "window_truncated")
-
-    def __init__(self, shape: str, bound: int | None, table: WeightTable,
-                 window_truncated: bool):
-        # "bounded" | "truncated_above" | "truncated_below" | "unbounded_both"
-        self.shape = shape
-        self.bound = bound
-        self.table = table
-        self.window_truncated = window_truncated
 
     def to_json_dict(self) -> dict:
         return {"shape": self.shape,

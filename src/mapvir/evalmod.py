@@ -19,9 +19,7 @@ from fractions import Fraction
 from . import polyutil
 from .algebra import (
     Algebra,
-    AlgebraElement,
     Ideal,
-    PrincipalIdeal,
     QuotientMap,
     format_element,
     ideal_closure,
@@ -86,14 +84,7 @@ class WeightTable(Record):
     """Multiplicities of the weights base + offset over an offset window."""
 
     __slots__ = ("base", "offsets", "mult", "truncated", "notes")
-
-    def __init__(self, base: Fraction, offsets: tuple[int, int], mult: dict[int, int],
-                 truncated: bool = False, notes: tuple[str, ...] = ()):
-        self.base = base
-        self.offsets = offsets
-        self.mult = mult
-        self.truncated = truncated
-        self.notes = notes
+    _defaults = {"truncated": False, "notes": ()}
 
     def multiplicity(self, offset: int) -> int:
         return self.mult.get(offset, 0)
@@ -120,16 +111,8 @@ class AnnihilatorReport(Record):
     """The largest computable annihilating ideal and the support points."""
 
     __slots__ = ("ideal", "generators", "support", "closure_verified", "notes")
-
-    def __init__(self, ideal: Ideal | PrincipalIdeal | None,
-                 generators: list[AlgebraElement] | None = None,
-                 support: list[Fraction] | None = None, closure_verified: bool = False,
-                 notes: tuple[str, ...] = ()):
-        self.ideal = ideal
-        self.generators = [] if generators is None else generators
-        self.support = support
-        self.closure_verified = closure_verified
-        self.notes = notes
+    _defaults = {"generators": list, "support": None, "closure_verified": False,
+                 "notes": ()}
 
     def to_json_dict(self) -> dict:
         return {

@@ -2,15 +2,18 @@
 
 Grammar (whitespace-insensitive):
 
-    expr   := ['-'] term (('+' | '-') term)*
+    expr   := ['+'] term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
-    factor := atom ['^' ['-'] INT]
-    atom   := INT | NAME | 'd' '[' ['-'] INT ']' | 'c' | '(' expr ')' | '-' atom
+    factor := '-' factor | atom ['^' ['-'] INT]
+    atom   := INT | NAME | 'd' '[' ['-'] INT ']' | 'c' | '(' expr ')'
 
+Unary minus binds looser than '^', as in Python: -t^2 and 2*-t^2 negate t^2.
 NAME resolves through the algebra's basis labels ('t', 'e0', ...).  The
 generators d[n] and c are only admitted when parsing Lie elements, where a
 term may contain at most one of them; algebra-element factors multiply into
-the A-coefficient.  Division is by scalars only.
+the A-coefficient.  Division is by scalars only.  A negative power takes a
+nonzero scalar or, over a Laurent algebra, a monomial c*t^k, the only other
+units there, so everything format_element prints (t^-1 included) parses back.
 """
 
 from __future__ import annotations
@@ -91,14 +94,8 @@ class _Parser:
         return value
 
     def expr(self):
-        negate = False
-        if self.eat_op("-"):
-            negate = True
-        else:
-            self.eat_op("+")
+        self.eat_op("+")
         value = self.term()
-        if negate:
-            value = -value
         while True:
             if self.eat_op("+"):
                 value = self._add(value, self.term())
@@ -118,6 +115,8 @@ class _Parser:
                 return value
 
     def factor(self):
+        if self.eat_op("-"):
+            return -self.factor()
         value = self.atom()
         if self.eat_op("^"):
             sign = -1 if self.eat_op("-") else 1
@@ -128,8 +127,6 @@ class _Parser:
         return value
 
     def atom(self):
-        if self.eat_op("-"):
-            return -self.atom()
         if self.eat_op("("):
             value = self.expr()
             self.expect_op(")")
@@ -184,14 +181,26 @@ class _Parser:
                 return a
             raise ValueError("Lie elements cannot be raised to powers")
         if n < 0:
-            scalar = _as_plain_scalar(a)
-            if scalar is None or scalar == 0:
-                raise ValueError("negative powers only apply to scalars")
-            return a.algebra.one().scale(Fraction(1) / scalar ** (-n))
+            a, n = _inverse(a), -n
         out = a.algebra.one()
-        for _ in range(n):
-            out = out * a
+        while n:  # square and multiply
+            if n & 1:
+                out = out * a
+            n >>= 1
+            if n:
+                a = a * a
         return out
+
+
+def _inverse(a: AlgebraElement) -> AlgebraElement:
+    """1/a for a nonzero scalar, or for a monomial c*t^k of a Laurent algebra."""
+    if a.algebra.kind == "laurent" and len(a.coeffs) == 1:
+        ((k, c),) = a.items()
+        return a.algebra.element({-k: 1 / c})
+    scalar = _as_plain_scalar(a)
+    if scalar is None or scalar == 0:
+        raise ValueError("negative powers only apply to scalars and Laurent monomials")
+    return a.algebra.one().scale(1 / scalar)
 
 
 def _scale_lie(x: LieElement, g: AlgebraElement) -> LieElement:

@@ -154,10 +154,6 @@ class GradeComponent(FrozenRecord):
 
     __slots__ = ("mode", "element")
 
-    def __init__(self, mode: int, element: LieElement):
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "element", element)
-
 
 def grade_decompose(x: LieElement) -> list[GradeComponent]:
     """Split into graded components, sorted by mode; their sum is x."""

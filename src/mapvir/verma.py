@@ -842,16 +842,11 @@ def _pull_back(phi: Functional, ideal: PrincipalIdeal) -> tuple:
 
 
 class QuasifiniteVerdict(Record):
-    """Outcome of the quasifiniteness check."""
+    """Outcome of the quasifiniteness check; ``status`` is
+    "quasifinite_certified" or "no_witness_up_to_bound"."""
 
     __slots__ = ("status", "witness", "candidate", "note")
-
-    def __init__(self, status: str, witness: Ideal | PrincipalIdeal | None,
-                 candidate: PrincipalIdeal | None = None, note: str = ""):
-        self.status = status  # "quasifinite_certified" | "no_witness_up_to_bound"
-        self.witness = witness
-        self.candidate = candidate
-        self.note = note
+    _defaults = {"candidate": None, "note": ""}
 
     @property
     def certified(self) -> bool:
@@ -859,19 +854,12 @@ class QuasifiniteVerdict(Record):
 
 
 class ReducibilityVerdict(Record):
-    """Outcome of the Verma reducibility check."""
+    """Outcome of the Verma reducibility check; ``status`` is
+    "reducible_certified", "irreducible_certified" or "no_witness_up_to_bound"."""
 
     __slots__ = ("status", "witness_ideal", "singular_vector", "candidate", "note")
-
-    def __init__(self, status: str, witness_ideal: Ideal | PrincipalIdeal | None = None,
-                 singular_vector: VermaVector | None = None,
-                 candidate: PrincipalIdeal | None = None, note: str = ""):
-        # "reducible_certified" | "irreducible_certified" | "no_witness_up_to_bound"
-        self.status = status
-        self.witness_ideal = witness_ideal
-        self.singular_vector = singular_vector
-        self.candidate = candidate
-        self.note = note
+    _defaults = {"witness_ideal": None, "singular_vector": None, "candidate": None,
+                 "note": ""}
 
 
 def _certify_recurrence(phi: Functional, values, bound: int | None,

@@ -26,6 +26,7 @@ from mapvir import (
     quotient_dims,
     split_phi,
     trichotomy_profile,
+    weight_multiplicities,
 )
 from mapvir import classify as classify_source
 from oracles import convolve, oracle_minimal_order
@@ -147,6 +148,39 @@ def test_classified_components_rebuild_as_handles():
     handle = GeneralizedEvalHandle(dual, comp.point, comp.order,
                                    IrreducibleQuotientHandle(comp.functional))
     assert handle.variant == "generalized_eval"
+
+
+def _main_theorem_holds(phi, depth=4):
+    """L(phi) against the tensor of the generalized evaluation modules that
+    classify_module finds: equal weight multiplicities at offsets -depth..0
+    and equal annihilators.  With no component L(phi) is trivial."""
+    alg = phi.algebra
+    dims = quotient_dims(phi, depth)
+    ann = annihilator_support(IrreducibleQuotientHandle(phi)).ideal
+    components = classify_module(phi).components
+    if not components:
+        assert ann.is_whole() and dims == (1,) + (0,) * depth
+        return
+    tensor = TensorHandle([GeneralizedEvalHandle(alg, c.point, c.order,
+                                                 IrreducibleQuotientHandle(c.functional))
+                           for c in components])
+    table = weight_multiplicities(tensor, (-depth, 0))
+    assert tuple(table.multiplicity(-d) for d in range(depth + 1)) == dims
+    assert annihilator_support(tensor).ideal == ann
+
+
+def test_classified_components_tensor_back_to_the_irreducible_module():
+    rng = random.Random(2903)
+    points = [F(0), F(1), F(-3), F(1, 2), F(-2, 3), F(5, 4)]
+    for _ in range(30):
+        factors = list(zip(rng.sample(points, 3),
+                           [rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 2)]))
+        alg = Algebra.product_local(factors)
+        phi = Functional(alg, {i: F(rng.randint(-4, 4), rng.randint(1, 3))
+                               for i in range(alg.dim)},
+                         {i: F(rng.randint(-3, 3)) for i in range(alg.dim)})
+        _main_theorem_holds(phi)
+    _main_theorem_holds(Functional(alg, {}, {}))
 
 
 def _planted_local_values(factors, planted, dim, rng):

@@ -2,12 +2,15 @@
 (for the frozen ones) immutability and hashing their dataclass versions had.
 Every expected repr below is the string the dataclass produced."""
 
+import ast
 import copy
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from mapvir import records
 from mapvir.algebra import QuotientMap
 from mapvir.classify import ClassificationRecord, Component, TrichotomyProfile
 from mapvir.evalmod import AnnihilatorReport, IntSeriesSpec, WeightTable
@@ -141,3 +144,44 @@ def test_int_series_spec_coerces_and_rejects_an_empty_window():
         IntSeriesSpec(0, 0, (3, 2))
     with pytest.raises(TypeError):
         IntSeriesSpec(0.5, 0, (0, 1))
+
+
+@pytest.mark.parametrize("cls, fields, values, text", CASES, ids=IDS)
+def test_bad_arguments_raise_type_error(cls, fields, values, text):
+    with pytest.raises(TypeError):
+        cls(**dict(zip(fields[1:], values[1:])))  # the first field is required
+    with pytest.raises(TypeError):
+        cls(*values, unknown=1)
+    with pytest.raises(TypeError):
+        cls(*values, **{fields[0]: values[0]})
+    with pytest.raises(TypeError):
+        cls(*values, None)
+
+
+@pytest.mark.parametrize("cls, required, defaults", DEFAULTS,
+                         ids=[d[0].__name__ for d in DEFAULTS])
+def test_an_explicit_none_gets_a_fresh_container(cls, required, defaults):
+    fresh = {name: None for name, value in defaults.items() if isinstance(value, (list, dict))}
+    first, second = cls(*required, **fresh), cls(*required, **fresh)
+    for name in fresh:
+        assert getattr(first, name) == defaults[name]
+        assert getattr(first, name) is not getattr(second, name)
+
+
+def test_only_int_series_spec_writes_its_own_constructor():
+    classes = {}
+    for path in Path(records.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+    subclasses, grown = set(), True
+    while grown:
+        found = {name for name, node in classes.items()
+                 if {getattr(b, "id", None) for b in node.bases} & (subclasses | {"Record"})}
+        grown = not found <= subclasses
+        subclasses |= found
+    assert {"FrozenRecord", "QuotientMap", "ClassificationRecord", "IntSeriesSpec"} <= subclasses
+    with_init = {name for name in subclasses
+                 if any(isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                        for item in classes[name].body)}
+    assert with_init == {"IntSeriesSpec"}
