@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from types import MappingProxyType
 
-from . import linalg, polyutil
+from . import polyutil
 from .errors import (
     AlgebraMismatch,
     ImproperIdeal,
@@ -496,6 +496,8 @@ class Ideal(_IdealInterface):
         if not algebra.is_finite:
             raise InfiniteDimensionalAlgebra(
                 "basis-matrix ideals need a finite-dimensional algebra")
+        from . import linalg  # on first use: most processes never build an Ideal
+
         red, piv = linalg.rref([list(r) for r in rows])
         self.algebra = algebra
         self.rows = tuple(tuple(r) for r in red)
@@ -678,6 +680,8 @@ def ideal_intersection(i1, i2):
         return PrincipalIdeal(i1.algebra,
                               i1.algebra.from_poly(polyutil.plcm(p, q)))
     # I ∩ J is the kernel of x ↦ (x mod I, x mod J); column j is the image of e_j
+    from . import linalg
+
     alg = i1.algebra
     alg.require_compatible(i2.algebra)
     cols = [i1.reduce(e).to_vector() + i2.reduce(e).to_vector()
@@ -711,7 +715,7 @@ def quotient_algebra(algebra: Algebra, ideal) -> tuple[Algebra, QuotientMap]:
     if ideal.is_zero():
         return algebra, QuotientMap(algebra, algebra, lambda x: x, lambda x: x)
     if isinstance(ideal, PrincipalIdeal):
-        return _principal_quotient(algebra, ideal.generator_poly())
+        return principal_quotient(algebra, ideal.generator_poly())
     dim = algebra.dim
     pivot_set = set(ideal.pivots)
     complement = [j for j in range(dim) if j not in pivot_set]
@@ -753,13 +757,15 @@ def polynomial_quotient(algebra: Algebra, quotient: Algebra,
 
     Negative Laurent exponents reduce through the inverse of t modulo the
     modulus, computed once here; it exists exactly when the modulus
-    m_0 + t q(t) has m_0 != 0, and it is -q / m_0.
+    m_0 + t q(t) has m_0 != 0, and it is -q / m_0.  The final reduction runs
+    in integers (``polyutil.pseudo_rem``), with one Fraction per coefficient.
     """
     tinv = None
     if algebra.kind == "laurent":
         if not modulus[0]:
             raise ImproperIdeal("t is not invertible modulo the generator")
         tinv = polyutil.pscale(modulus[1:], -1 / modulus[0])
+    int_modulus, _ = polyutil.cleared(modulus)
 
     def project(x: AlgebraElement) -> AlgebraElement:
         dense = [Fraction(0)] * (max(x.coeffs, default=-1) + 1)
@@ -770,8 +776,10 @@ def polynomial_quotient(algebra: Algebra, quotient: Algebra,
             else:
                 negative = polyutil.padd(negative, polyutil.pscale(
                     polyutil.pmod(polyutil.ppow(tinv, -k), modulus), c))
-        red = polyutil.pmod(polyutil.padd(polyutil.trim(dense), negative), modulus)
-        return AlgebraElement(quotient, dict(enumerate(red)))
+        num, den = polyutil.cleared(polyutil.padd(dense, negative) if negative else dense)
+        red, scale = polyutil.pseudo_rem(num, int_modulus)
+        return AlgebraElement(quotient, {k: Fraction(x, den * scale)
+                                         for k, x in enumerate(red) if x})
 
     def lift(y: AlgebraElement) -> AlgebraElement:
         return AlgebraElement(algebra, dict(y.coeffs))
@@ -779,12 +787,14 @@ def polynomial_quotient(algebra: Algebra, quotient: Algebra,
     return QuotientMap(algebra, quotient, project, lift)
 
 
-def _principal_quotient(algebra: Algebra, p: polyutil.Poly):
-    """A/(p), p monic: product_local when p splits into rational points, else
-    structure constants; either way t^k is basis element k, k < deg p."""
-    roots, rest = polyutil.rational_roots(p)
-    if polyutil.degree(rest) == 0:
-        return product_local_quotient(algebra, roots)
+def principal_quotient(algebra: Algebra, p: polyutil.Poly):
+    """A/(p) with its projection, p monic of positive degree: product_local
+    when p splits into rational points, else structure constants; either way
+    t^k is basis element k, k < deg p.  No element of A is built, so p need
+    not fit in the window of A."""
+    split = split_quotient(algebra, p)
+    if split is not None:
+        return split
     deg = polyutil.degree(p)
 
     def reduced(k):  # t^k mod p, on 1, t, ..., t^{deg - 1}
@@ -796,6 +806,13 @@ def _principal_quotient(algebra: Algebra, p: polyutil.Poly):
         labels=tuple(_exponent_label(k) for k in range(deg)), validate=False)
     # t is invertible mod p exactly when p(0) != 0; normalization assures it.
     return quotient, polynomial_quotient(algebra, quotient, p)
+
+
+def split_quotient(algebra: Algebra, p: polyutil.Poly):
+    """``principal_quotient(algebra, p)`` when p splits into rational points,
+    else None, before any quotient is built."""
+    roots, rest = polyutil.rational_roots(p)
+    return product_local_quotient(algebra, roots) if polyutil.degree(rest) == 0 else None
 
 
 def product_local_quotient(algebra: Algebra, factors) -> tuple[Algebra, QuotientMap]:

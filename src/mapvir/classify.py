@@ -12,7 +12,7 @@ can falsify boundedness but never prove it, so profiles carry their window.
 from __future__ import annotations
 
 from . import polyutil
-from .algebra import Algebra, crt_idempotents, format_element
+from .algebra import Algebra, crt_idempotents, format_element, split_quotient
 from .errors import UnsupportedKind
 from .evalmod import IntSeriesSpec, ModuleHandle, weight_multiplicities
 from .liealg import CONVENTION_NOTE
@@ -77,12 +77,12 @@ def classify_module(descriptor, *, point=None, lowest: bool = False,
     intermediate-series descriptor.
 
     Functionals over product_local algebras always split.  A polynomial
-    functional with a certified quasifiniteness witness J is pulled back to
-    ``quotient_algebra(A, J)`` (``verma._pull_back``) and splits when that is
-    product_local, i.e. J's generator splits into rational points; otherwise
-    it stays undetermined (or is reported not quasifinite under
-    caller-asserted exactness).  The split forms no product in A; its
-    idempotents come certified from ``crt_idempotents``.
+    functional with a certified quasifiniteness witness J splits when J's
+    generator splits into rational points: it is then pulled back to the
+    product_local ``split_quotient`` A/J (``verma._pull_back``).  Otherwise
+    it stays undetermined and no quotient is built (or it is reported not
+    quasifinite under caller-asserted exactness).  The split forms no
+    product in A; its idempotents come certified from ``crt_idempotents``.
     """
     if isinstance(descriptor, IntSeriesSpec):
         comp = Component(point=None if point is None else as_scalar(point),
@@ -138,12 +138,12 @@ def _classify_highest(phi: Functional, bound, assume_exact) -> ClassificationRec
                                     notes={**notes, "trivial": True},
                                     witness=witness)
     gen = polyutil.pstr(witness.generator_poly())
-    pulled, _ = _pull_back(phi, witness)
-    if pulled.algebra.kind != "product_local":
+    split = split_quotient(alg, witness.generator_poly())
+    if split is None:
         return ClassificationRecord("undetermined_at_bound", notes={
             **notes, "reason": "witness ideal does not split into rational points",
             "witness": gen}, witness=witness)
-    record = _split_product_local(pulled, notes)
+    record = _split_product_local(_pull_back(phi, *split), notes)
     record.witness = witness
     record.notes["witness"] = gen
     return record

@@ -113,51 +113,56 @@ def peval(p: Poly, x: Fraction) -> Fraction:
 def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
     """All rational roots with multiplicities, plus the rootless cofactor.
 
-    Uses the rational root bound on the integer-cleared polynomial; this is
-    root extraction for univariate polynomials, not general factorization.
+    Uses the rational root bound on the integer-cleared polynomial a: a root
+    u/v in lowest terms has u | a_0 and v | lead(a), and then v t - u divides
+    a in integers (Gauss's lemma), so each candidate is tested and divided
+    out by one exact integer division.  This is root extraction for
+    univariate polynomials, not general factorization.
     """
     if not p:
         raise ValueError("zero polynomial")
-    roots: list[tuple[Fraction, int]] = []
-    rem = p
-    zero_mult = 0
-    while len(rem) > 1 and rem[0] == 0:
-        rem = rem[1:]
-        zero_mult += 1
-    if zero_mult:
-        roots.append((Fraction(0), zero_mult))
-    while len(rem) > 1:
-        root = _find_rational_root(rem)
-        if root is None:
-            break
-        mult = 0
-        while True:
-            quo, r = pdivmod(rem, (-root, Fraction(1)))
-            if r:
+    a, _ = cleared(p)
+    zeros = next(k for k, x in enumerate(a) if x)
+    a = a[zeros:]
+    roots = [(Fraction(0), zeros)] if zeros else []
+    while len(a) > 1:
+        for u, v in _root_candidates(a):
+            q = _divide_linear(a, u, v)
+            if q is not None:
                 break
-            rem = quo
-            mult += 1
-        roots.append((root, mult))
+        else:
+            break  # no rational root left
+        mult = 0
+        while q is not None:
+            a, mult = q, mult + 1
+            q = _divide_linear(a, u, v)
+        roots.append((Fraction(u, v), mult))
     roots.sort(key=lambda rm: rm[0])
-    return roots, rem
+    scale = Fraction(p[-1]) / a[-1]  # the cofactor keeps p's leading coefficient
+    return roots, tuple([x * scale for x in a])
 
 
-def _find_rational_root(p: Poly) -> Fraction | None:
-    from math import gcd
+def _root_candidates(a: list[int]):
+    """(u, v), v > 0 and gcd(u, v) = 1, with u | a_0 and v | lead(a); a_0 != 0."""
+    for u in _divisors(abs(a[0])):
+        for v in _divisors(abs(a[-1])):
+            if math.gcd(u, v) == 1:
+                yield u, v
+                yield -u, v
 
-    scale = 1
-    for c in p:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    ints = [int(c * scale) for c in p]
-    const, lead = ints[0], ints[-1]
-    if const == 0:
-        return Fraction(0)
-    for num in _divisors(abs(const)):
-        for den in _divisors(abs(lead)):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if peval(p, cand) == 0:
-                    return cand
-    return None
+
+def _divide_linear(a: list[int], u: int, v: int) -> list[int] | None:
+    """a / (v t - u) when it divides a exactly in integers, else None: the
+    quotient's coefficients from the top, q_{k-1} = (a_k + u q_k) / v, with
+    remainder a_0 + u q_0."""
+    q = [0] * (len(a) - 1)
+    carry = 0
+    for k in range(len(a) - 1, 0, -1):
+        carry, r = divmod(a[k] + u * carry, v)
+        if r:
+            return None
+        q[k - 1] = carry
+    return q if a[0] + u * carry == 0 else None
 
 
 def _divisors(n: int) -> list[int]:

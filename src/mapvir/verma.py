@@ -25,6 +25,7 @@ from .algebra import (
     Ideal,
     PrincipalIdeal,
     crt_idempotents,
+    principal_quotient,
     quotient_algebra,
 )
 from .errors import AlgebraMismatch, UnsupportedKind, WindowOverflow
@@ -56,7 +57,8 @@ class Functional:
     window is an error.
     """
 
-    __slots__ = ("algebra", "_d0", "_c", "exact_poly", "_extended", "_act_cache", "_pieces")
+    __slots__ = ("algebra", "_d0", "_c", "exact_poly", "_extended", "_act_cache", "_pieces",
+                 "_pulled")
 
     def __init__(self, algebra: Algebra, d0, c, exact_poly=None):
         if exact_poly is not None and algebra.kind != "polynomial":
@@ -101,6 +103,7 @@ class Functional:
                           else [tuple(d0.values()), tuple(c.values())])
         self._act_cache = {}
         self._pieces = None  # see _local_pieces
+        self._pulled = None  # see _pulled_back
         return self
 
     # -- constructors -------------------------------------------------------
@@ -500,16 +503,23 @@ def quotient_dims(phi: Functional, max_depth: int, window=None) -> tuple[int, ..
     every reduced piece has order 1, no layer and no PBW basis is built.
 
     Over the windowed polynomial and Laurent kinds the radical is tested
-    against raising monomials whose colors stay in the window.  Products of
-    windowed colors leave the window, so the generator recursion would
-    compute a different subspace; these kinds keep the pairing rank, whose
-    window restriction can only shrink it.  Its 2 * max_depth color product
-    bound is checked before any depth is computed.  A negative max_depth
+    against raising monomials whose colors stay in the window, and the
+    2 * max_depth color product bound of the pairing is checked before any
+    depth is computed.  An exact polynomial phi kills Vir_0 (x) (p), so on a
+    window holding the colors 0..deg p - 1 the windowed rank is
+    dim L(phi_bar)_n over A/(p) (``_pulled_back``), and the answer is
+    quotient_dims(phi_bar).  Elsewhere products of windowed colors leave the
+    window, so the generator recursion would compute a different subspace;
+    sampled and Laurent functionals and narrower windows keep the pairing
+    rank, whose window restriction can only shrink it.  A negative max_depth
     raises ValueError.
     """
     _check_depth(max_depth)
     if not phi.algebra.is_finite:
         phi.algebra.window_indices(window, factors=2 * max_depth)  # before any depth
+        pulled = _pulled_back(phi, window)
+        if pulled is not None:
+            return quotient_dims(pulled[0], max_depth)
         return tuple(linalg.rank(pairing_matrix(phi, n, window=window))
                      for n in range(max_depth + 1))
     first = _first_reducible_depth(phi, max_depth)
@@ -800,42 +810,109 @@ def _order_one_dims(h: Fraction, c: Fraction, max_depth: int) -> tuple[int, ...]
 
 
 def in_maximal_submodule(v: VermaVector, window=None) -> bool:
-    """Is the vector in the maximal proper submodule (zero image in V(phi))?
+    """Is the vector in the maximal proper submodule (zero image in L(phi))?
 
     Tests the v-coefficient of X * v for every raising monomial X of matching
     weight (window-restricted for infinite algebras).  X carries up to depth
     colors, and their products with the vector's colors are bounded on the
-    caller's window before any action; an exact polynomial phi then raises by
-    the colors of ``_exact_colors`` alone when the window holds them.
+    caller's window before any action.  Where ``_pulled_back`` applies (an
+    exact polynomial phi on a window holding 0..deg p - 1, or a finite kind
+    whose phi kills a nonzero ideal J), the test runs on the image of v in
+    V(phi_bar) over A/J and raises by the dim A/J colors of its basis; an
+    image of 0 lies in Rad with no walk.
     """
     if v.is_zero():
         return True
     phi = v.functional
     _check_products(v, window, single=False)
-    colors = phi.algebra.window_indices(window)
-    narrow = _exact_colors(phi)
-    if narrow is not None and 0 in colors and narrow[1] in colors:
-        window = narrow
+    terms = v.env.terms
+    pulled = _pulled_back(phi, window)
+    if pulled is not None:  # the image of v in V(phi_bar)
+        den, monos, nums = _lincomb([(c.numerator, c.denominator, _mono_image(pulled, mono))
+                                     for mono, c in terms.items()])
+        if not monos:
+            return True
+        phi, window = pulled[0], None
+        terms = {mono: Fraction(c, den) for mono, c in zip(monos, nums)}
     raising = pbw_basis(v.depth, phi.algebra, window=window)
-    return not any(_v_coefficients(phi, v.env.terms, raising))
+    return not any(_v_coefficients(phi, terms, raising))
 
 
 def _exact_colors(phi: Functional) -> tuple[int, int] | None:
     """(0, deg r - 1) for a polynomial phi with exact recurrence r, else None.
     phi kills Vir_0 (x) (r), so coeff_v(X w) = coeff_v_bar(X_bar pi(w)) over
-    A/(r) reads raising colors only mod (r): a v-coefficient test on a window
-    holding these colors gives the same answer on them alone."""
+    A/(r) reads raising colors only mod (r), and t^0..t^{deg r - 1} map to
+    the basis of A/(r).  ``_pulled_back`` takes that route on a window
+    holding these colors.  ``check_verma_reducible`` acts by them alone on
+    its witness, which lies in (r) and maps to 0, so it is checked in V(phi)."""
     if phi.exact_poly is None:
         return None
     return 0, polyutil.degree(phi.exact_poly) - 1
 
 
-def _pull_back(phi: Functional, ideal: PrincipalIdeal) -> tuple:
-    """(phi_bar on ``quotient_algebra(A, J)``, the projection) for a principal J
-    with phi(Vir_0 (x) J) = 0: t^k is basis k, so phi_bar reads phi(x (x) t^k)."""
-    quotient, project = quotient_algebra(phi.algebra, ideal)
-    return Functional(quotient, {k: phi.value_d0(k) for k in range(quotient.dim)},
-                      {k: phi.value_c(k) for k in range(quotient.dim)}), project
+def _pull_back(phi: Functional, quotient: Algebra, project) -> Functional:
+    """phi_bar on the quotient A/J with projection ``project``, for an ideal J
+    with phi(Vir_0 (x) J) = 0: phi_bar reads phi at the lift of each basis
+    element (t^k for A/(p), whose basis k is t^k)."""
+    lifts = [project.lift(quotient.basis_element(k)) for k in range(quotient.dim)]
+    return Functional(quotient, {k: phi.eval_d0(f) for k, f in enumerate(lifts)},
+                      {k: phi.eval_c(f) for k, f in enumerate(lifts)})
+
+
+def _pulled_back(phi: Functional, window=None) -> tuple | None:
+    """(phi_bar, project, images) when phi kills Vir_0 (x) J for a known
+    ideal J, neither 0 nor A, and the raising colors of ``window`` map onto a
+    basis of A/J; else None.
+
+    J is the exact recurrence (p) of a polynomial phi, when ``window`` holds
+    the colors of ``_exact_colors``, or ``largest_v0_ideal(phi)`` on the
+    finite kinds, computed once.  Then Vir (x) J acts as zero on L(phi),
+    which is the irreducible module L(phi_bar) of Vir (x) A/J, and w lies in
+    Rad(phi) exactly when its image in V(phi_bar) lies in Rad(phi_bar).
+    phi_bar is ``_pull_back``'s; ``images`` maps a color b to e_b mod J and
+    a monomial to its image, as frozen results filled on demand by
+    ``_mono_image``.  Kept on the functional once computed (False: no J).
+    """
+    alg = phi.algebra
+    narrow = _exact_colors(phi)
+    if narrow is not None:
+        colors = alg.window_indices(window)
+        if 0 not in colors or narrow[1] not in colors:
+            return None
+    elif not alg.is_finite:
+        return None
+    if phi._pulled is None:
+        if narrow is not None:
+            quotient = principal_quotient(alg, phi.exact_poly)
+        else:
+            ideal = largest_v0_ideal(phi)
+            quotient = None if ideal.is_zero() or ideal.is_whole() else quotient_algebra(alg, ideal)
+        phi._pulled = ((_pull_back(phi, *quotient), quotient[1], {(): _single(())})
+                       if quotient else False)
+    return phi._pulled or None
+
+
+def _mono_image(pulled: tuple, mono: Monomial) -> tuple:
+    """The image in U(V_-) over A/J of a PBW monomial x X' over A, as the
+    frozen result (see ``pbw._lincomb``) of x_bar X'_bar: each letter
+    d_{-m} (x) e_b maps to d_{-m} (x) (e_b mod J), and the product
+    straightens by ``_left_mult``.  Kept in ``images`` per monomial, so
+    monomials sharing a suffix share its image."""
+    phi_bar, project, images = pulled
+    hit = images.get(mono)
+    if hit is not None:
+        return hit
+    (m, b), rest = mono[0], mono[1:]
+    color = images.get(b)
+    if color is None:  # e_b mod J on the basis of A/J, over one denominator
+        coeffs = project(project.source.basis_element(b)).coeffs
+        color = images[b] = _lincomb([(x.numerator, x.denominator, _single(k))
+                                      for k, x in coeffs.items()])
+    den, ks, nums = color
+    rden, rmonos, rnums = _mono_image(pulled, rest)
+    out = images[mono] = _lincomb([(x * y, den * rden, _left_mult(phi_bar.algebra, (m, k), r))
+                                   for k, x in zip(ks, nums) for r, y in zip(rmonos, rnums)])
+    return out
 
 
 # -- decision procedures ----------------------------------------------------

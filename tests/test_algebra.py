@@ -531,6 +531,23 @@ def test_irrational_principal_quotient_keeps_structure_constants():
     assert proj(P.basis_element(3)) == quo.element({1: F(2)})
 
 
+def test_rational_roots_recover_planted_roots():
+    rng = random.Random(61)
+    points = [F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3), F(5, 4), F(7)]
+    # no rational root: t^2 + 1, t^2 - 2, t^2 + t + 3, t^3 - 1/2
+    rootless = [(F(1), F(0), F(1)), (F(-2), F(0), F(1)), (F(3), F(1), F(1)),
+                (F(-1, 2), F(0), F(0), F(1))]
+    for _ in range(200):
+        planted = sorted((r, rng.randint(1, 3)) for r in rng.sample(points, rng.randint(0, 4)))
+        cofactor = (F(rng.choice([1, 2, -3]), rng.randint(1, 5)),)
+        for f in rng.sample(rootless, rng.randint(0, 2)):
+            cofactor = polyutil.pmul(cofactor, f)
+        p = cofactor
+        for r, m in planted:
+            p = polyutil.pmul(p, polyutil.ppow((-r, F(1)), m))
+        assert polyutil.rational_roots(p) == (planted, cofactor)
+
+
 # -- local decomposition -----------------------------------------------------
 
 def test_local_decomposition_two_points():

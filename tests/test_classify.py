@@ -8,27 +8,37 @@ import pytest
 
 from mapvir import (
     Algebra,
+    EnvElement,
     Functional,
-    PrincipalIdeal,
     GeneralizedEvalHandle,
     IntSeriesEvalHandle,
     IntSeriesSpec,
     IrreducibleQuotientHandle,
+    PrincipalIdeal,
     TensorHandle,
     UnsupportedKind,
     VermaHandle,
+    VermaVector,
     annihilator_support,
     check_quasifinite,
     classify_module,
+    d_term,
+    depth_one_vector,
     ideal_closure,
+    in_maximal_submodule,
     involute_functional,
+    largest_v0_ideal,
+    pairing_matrix,
+    pbw_basis,
     quotient_algebra,
     quotient_dims,
     split_phi,
     trichotomy_profile,
+    verma_act,
     weight_multiplicities,
 )
 from mapvir import classify as classify_source
+from mapvir import linalg, verma
 from oracles import convolve, oracle_minimal_order
 
 QQ = Algebra.rationals()
@@ -211,6 +221,84 @@ def test_minimal_order_matches_the_ideal_power_oracle():
         assert [(c.point, c.order) for c in record.components] == expected
         assert expected == [(p, max(nd, nc)) for (p, _), nd, nc
                             in zip(factors, planted_d0, planted_c) if max(nd, nc)]
+
+
+def _planted_membership_corpus(rng, draws):
+    """(phi, vectors) on seeded product_local algebras whose values plant a
+    reduced order below the factor's at some points, so phi kills a nonzero
+    ideal J = largest_v0_ideal(phi).  Vectors at depths 0-3: random PBW
+    combinations; pieces of (Vir (x) J) w and (d_{-1} (x) f) v, f in J, which
+    lie in Rad; the depth-2 pairing kernel, with and without a monomial added."""
+    points = [F(0), F(1), F(-1), F(1, 2), F(3), F(-2, 3)]
+    corpus = []
+    while len(corpus) < draws:
+        factors = [(p, rng.randint(1, 3)) for p in rng.sample(points, rng.randint(1, 2))]
+        alg = Algebra.product_local(factors)
+        planted = [[rng.randint(0, n) for _, n in factors] for _ in range(2)]
+        phi = Functional(alg, *(_planted_local_values(factors, pl, alg.dim, rng)
+                                for pl in planted))
+        ideal = largest_v0_ideal(phi)
+        if ideal.is_zero() or ideal.is_whole():
+            continue
+        scalar = lambda: F(rng.randint(-3, 3), rng.randint(1, 2))
+        vectors = [VermaVector(phi, EnvElement(alg, {(): scalar() or F(1)}))]
+        for depth in range(1, 4):
+            basis = pbw_basis(depth, alg)
+            vectors += [VermaVector(phi, EnvElement(alg, {mono: scalar() or F(1)
+                                                          for mono in rng.sample(basis, 2)}))
+                        for _ in range(2) if len(basis) > 1]
+        for f in ideal.basis_elements():
+            vectors.append(depth_one_vector(phi, f))
+            w = VermaVector(phi, EnvElement(alg, {rng.choice(pbw_basis(1, alg)): F(1)}))
+            for mode in (-2, -1, 1):
+                vectors += [piece for piece in verma_act(d_term(alg, mode, f), w)
+                            if not piece.is_zero()]
+        basis = pbw_basis(2, alg)
+        for vec in linalg.kernel(pairing_matrix(phi, 2), len(basis)):
+            terms = dict(zip(basis, vec))
+            vectors.append(VermaVector(phi, EnvElement(alg, terms)))
+            terms[rng.choice(basis)] += 1
+            vectors.append(VermaVector(phi, EnvElement(alg, terms)))
+        corpus.append((phi, vectors))
+    return corpus
+
+
+def test_membership_through_the_largest_v0_ideal_answers_as_the_walk(monkeypatch):
+    corpus = _planted_membership_corpus(random.Random(47), 12)
+    answers = [in_maximal_submodule(v) for _, vectors in corpus for v in vectors]
+    assert all(verma._pulled_back(phi) is not None for phi, _ in corpus)
+    # patched off, every query walks V(phi) over all dim A colors
+    monkeypatch.setattr(verma, "_pulled_back", lambda phi, window=None: None)
+    assert answers == [in_maximal_submodule(v) for _, vectors in corpus for v in vectors]
+    assert True in answers and False in answers
+    assert {v.depth for _, vectors in corpus for v in vectors} == {0, 1, 2, 3}
+
+
+def test_a_witness_that_does_not_split_builds_no_quotient(monkeypatch):
+    built = []
+    real_sc, real_q = Algebra.structure_constants.__func__, verma.quotient_algebra
+
+    def structure_constants(cls, *args, **kwargs):
+        built.append("structure_constants")
+        return real_sc(cls, *args, **kwargs)
+
+    def quotient(*args):
+        built.append("quotient_algebra")
+        return real_q(*args)
+
+    monkeypatch.setattr(Algebra, "structure_constants", classmethod(structure_constants))
+    monkeypatch.setattr(verma, "quotient_algebra", quotient)
+    P = Algebra.polynomial((0, 12))
+    phi = Functional.from_sequences(P, [F(1), F(3)], [F(2), F(-1)],
+                                    exact_ideal=(F(-2), F(0), F(1)))
+    record = classify_module(phi)
+    assert built == []
+    assert record.to_json_dict(explain=True) == {
+        "verdict": "undetermined_at_bound", "components": [],
+        "notes": {"convention": "bracket [d_m, d_n] = (n-m) d_{m+n} + delta_{m,-n} (m^3-m)/12 c",
+                  "bound": 1, "reason": "witness ideal does not split into rational points",
+                  "witness": "t^2 - 2", "weight_side": "highest"},
+        "witness": "PrincipalIdeal(t^2 - 2)", "idempotents": []}
 
 
 def test_product_local_split_and_classify_form_no_algebra_product(monkeypatch):

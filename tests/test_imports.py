@@ -39,8 +39,7 @@ PUBLIC_NAMES = [
     "verma_act", "weight_multiplicities",
 ]
 
-CLI_MODULES = {"mapvir", "algebra", "cli", "errors", "liealg", "linalg", "polyutil", "records",
-               "scalars"}
+CLI_MODULES = {"mapvir", "algebra", "cli", "errors", "liealg", "polyutil", "records", "scalars"}
 
 
 def loaded_modules(code: str) -> set[str]:

@@ -1124,7 +1124,18 @@ def test_windowed_quotient_dims_keep_pairing_path(monkeypatch):
     P = Algebra.polynomial((0, 8))
     phi = Functional.from_sequences(P, [F(1), F(3)], [F(1), F(-2)],
                                     exact_ideal=(F(-6), F(-1), F(1)))
-    quotient_dims(phi, 3, window=(0, 1))
+    # deg p = 2: the window (0, 1) holds the colors of A/(p), so phi_bar answers
+    dims = quotient_dims(phi, 3, window=(0, 1))
+    assert depths == []
+    assert dims == quotient_dims(verma._pulled_back(phi, (0, 1))[0], 3)
+    assert dims == tuple(linalg.rank(real(phi, n, window=(0, 1))) for n in range(4))
+    # a narrower window and a sampled functional keep the pairing rank
+    quotient_dims(phi, 3, window=(0, 0))
+    assert depths == [0, 1, 2, 3]
+    depths.clear()
+    sampled = Functional.from_sequences(P, [F(3) ** k for k in range(7)],
+                                        [F(-2) ** k for k in range(7)])
+    assert quotient_dims(sampled, 3, window=(0, 1)) == dims
     assert depths == [0, 1, 2, 3]
 
 
@@ -1828,6 +1839,63 @@ def test_reduced_membership_matches_the_walk(name, extra, planted):
     assert {v.depth for v in vectors} == {1, 2, 3, 4}
 
 
+def _without_pull_back(monkeypatch):
+    """Patch the pull-back off: every radical query walks or pairs in V(phi)."""
+    monkeypatch.setattr(verma, "_pulled_back", lambda phi, window=None: None)
+
+
+def _parity_windows(p):
+    """Color windows for an exact functional with recurrence p: two that hold
+    the colors 0..deg p - 1 of A/(p), then one without 0 and, past degree 1,
+    one without deg p - 1."""
+    d = polyutil.degree(p)
+    return [(0, d - 1), (0, d), (1, d)] + ([(0, d - 2)] if d > 1 else [])
+
+
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("name", REDUCED_IDEALS)
+def test_pull_back_answers_as_the_walk_over_v_phi(name, planted, monkeypatch):
+    phi, _, vectors = _reduced_corpus(name, 1, planted)
+    vectors += [highest_weight_vector(phi).scale(F(-3, 2)),
+                VermaVector(phi, EnvElement(phi.algebra))]
+    windows = _parity_windows(REDUCED_IDEALS[name])
+    routed = [verma._pulled_back(phi, window) is not None for window in windows]
+    assert routed[:2] == [True, True] and not any(routed[2:])
+    answers = [[in_maximal_submodule(v, window=window) for v in vectors] for window in windows]
+    dims = [quotient_dims(phi, 3, window=window) for window in windows[:2]]
+    _without_pull_back(monkeypatch)
+    assert answers == [[in_maximal_submodule(v, window=window) for v in vectors]
+                       for window in windows]
+    assert dims == [tuple(linalg.rank(pairing_matrix(phi, n, window=window)) for n in range(4))
+                    for window in windows[:2]]
+    # vectors inside (p) and outside it, at every depth 0..4
+    assert True in answers[0] and False in answers[0]
+    assert {v.depth for v in vectors} == {None, 0, 1, 2, 3, 4}
+    assert any(b > windows[1][1] for v in vectors for mono in v.env.terms for _, b in mono)
+
+
+def test_finite_radical_vector_maps_to_zero_modulo_the_largest_v0_ideal(monkeypatch):
+    walks = _counting(monkeypatch, verma, "_v_coefficients")
+    alg = Algebra.product_local([(0, 3)])
+    phi = Functional(alg, {0: F(-1, 16)}, {0: F(1, 2)})  # Ising sigma on Q[t]/t^3
+    v = VermaVector(phi, EnvElement(alg, {((5, 0), (1, 1)): F(1), ((6, 2),): F(1)}))
+    assert largest_v0_ideal(phi).dim == 2
+    assert in_maximal_submodule(v) and walks == []
+    # phi killing no ideal, or all of A, keeps the walk over V(phi); either
+    # way largest_v0_ideal runs once per functional
+    ideals = _counting(monkeypatch, verma, "largest_v0_ideal")
+    sigma = Functional.classical(F(-1, 16), F(1, 2))
+    for depth in (1, 2):
+        assert not in_maximal_submodule(VermaVector(sigma, EnvElement(QQ, {((depth, 0),): F(1)})))
+    assert verma._pulled_back(sigma) is None and len(ideals) == 1
+    zero = Functional(DUAL, {}, {})
+    assert verma._pulled_back(zero) is None
+    walks.clear()
+    assert in_maximal_submodule(depth_one_vector(zero, DUAL.one())) and len(walks) == 1
+    _without_pull_back(monkeypatch)
+    assert in_maximal_submodule(v) and len(walks) == 2
+
+
 def _raising_colors(raising) -> set:
     return {b for mono in raising for _, b in mono}
 
@@ -1844,26 +1912,30 @@ def test_reduced_membership_raises_by_colors_below_deg_r(monkeypatch):
         for piece in verma_act(d_term(P, -2, gen), w):
             assert in_maximal_submodule(piece, window=(0, 3))
     assert not in_maximal_submodule(depth_one_vector(phi, P.one()), window=(0, 3))
-    # every walk runs over V(phi) itself and raises by the one color below deg r
-    assert walks and all(args[0] is phi for args in walks)
+    # every walk runs over V(phi_bar), A/(r) = Q, and raises by its one color
+    pulled = verma._pulled_back(phi, (0, 3))[0]
+    assert pulled.algebra.dim == 1
+    assert walks and all(args[0] is pulled for args in walks)
     assert all(_raising_colors(args[2]) == {0} for args in walks)
-    # deg r = 3: the colors 0, 1, 2 of a window [0, 4]
+    # deg r = 3: the colors 0, 1, 2 of A/(r), from a window [0, 4]
     cubic = Functional.from_sequences(P, [F(1), F(0), F(-5)], [F(0), F(1), F(18)],
                                       exact_ideal=REDUCED_IDEALS["(t-1)^2(t+3)"])
     walks.clear()
     for depth in (1, 2):
         for mono in pbw_basis(depth, P, window=(0, 4)):
             in_maximal_submodule(VermaVector(cubic, EnvElement(P, {mono: F(1)})), window=(0, 4))
-    assert walks and all(_raising_colors(args[2]) == {0, 1, 2} for args in walks)
+    pulled = verma._pulled_back(cubic, (0, 4))[0]
+    assert walks and all(args[0] is pulled for args in walks)
+    assert all(_raising_colors(args[2]) == {0, 1, 2} for args in walks)
 
 
-def _walked(walks, v, window=None):
+def _walked(walks, v, window=None, module=None):
     """The raising colors of the one walk in_maximal_submodule(v, window)
-    made, which runs over v's own module."""
+    made, which runs over ``module`` (by default v's own)."""
     walks.clear()
     assert isinstance(in_maximal_submodule(v, window=window), bool)
     (args,) = walks
-    assert args[0] is v.functional
+    assert args[0] is (module or v.functional)
     return _raising_colors(args[2])
 
 
@@ -1880,13 +1952,16 @@ def test_membership_walks_where_no_reduction_applies(monkeypatch):
     irrational = Functional.from_sequences(P, [F(1), F(1)], [F(0), F(2)],
                                            exact_ideal=REDUCED_IDEALS["t^2-2"])
     assert _walked(walks, depth_one_vector(irrational, P.one()), (0, 0)) == {0}
-    # the same exact functional on a window holding 0 raises by color 0 alone
-    assert _walked(walks, depth_one_vector(exact, P.one()), (0, 3)) == {0}
+    # the same exact functional on a window holding 0 walks V(phi_bar) over
+    # A/(r) = Q, by its one color
+    pulled = verma._pulled_back(exact, (0, 3))[0]
+    assert _walked(walks, depth_one_vector(exact, P.one()), (0, 3), pulled) == {0}
     # no product by r is formed, so an algebra window too short to hold r
     # still takes the rule
     tiny = Algebra.polynomial((0, 0))
     short = Functional.from_sequences(tiny, [F(1)], [F(3)], exact_ideal=(F(-2), F(1)))
-    assert _walked(walks, depth_one_vector(short, tiny.one())) == {0}
+    pulled = verma._pulled_back(short)[0]
+    assert _walked(walks, depth_one_vector(short, tiny.one()), None, pulled) == {0}
     assert not in_maximal_submodule(depth_one_vector(short, tiny.one()))
 
 
@@ -1896,8 +1971,10 @@ def test_reduced_membership_keeps_the_product_bound(monkeypatch):
     with pytest.raises(WindowOverflow, match="reach \\[4, 5\\]"):
         in_maximal_submodule(depth_one_vector(PHI4, POLY4.basis_element(4)), window=(0, 1))
     assert walks == []
-    # t^3 stays inside, and that window holds exponent 0: the narrow colors
-    assert _walked(walks, depth_one_vector(PHI4, POLY4.basis_element(3)), (0, 1)) == {0}
+    # t^3 stays inside, and that window holds exponent 0: the walk runs over
+    # A/(r) = Q, by its one color
+    pulled = verma._pulled_back(PHI4, (0, 1))[0]
+    assert _walked(walks, depth_one_vector(PHI4, POLY4.basis_element(3)), (0, 1), pulled) == {0}
 
 
 def _decide_exact(order, rng):
@@ -1936,16 +2013,22 @@ def test_exact_certify_checks_the_colors_below_deg_r(monkeypatch, order):
     assert answers[0] and answers[-1] and False in answers
 
 
-def test_exact_functionals_never_build_a_quotient(monkeypatch):
+def test_exact_certificate_builds_no_quotient(monkeypatch):
+    # the witness lies in (r) and maps to 0 in A/(r): it is checked in V(phi)
     def refuse(*args, **kwargs):
-        raise AssertionError("quotient_algebra called")
+        raise AssertionError("quotient built")
 
-    monkeypatch.setattr(verma, "quotient_algebra", refuse)
     phi, r = _decide_exact(3, random.Random("no-quotient"))
     P = phi.algebra
-    assert check_verma_reducible(phi).status == "reducible_certified"
+    with monkeypatch.context() as patch:
+        patch.setattr(verma, "quotient_algebra", refuse)
+        patch.setattr(verma, "principal_quotient", refuse)
+        assert check_verma_reducible(phi).status == "reducible_certified"
+    # membership builds A/(r) once and keeps phi_bar on phi
+    built = _counting(monkeypatch, verma, "principal_quotient")
     assert in_maximal_submodule(depth_one_vector(phi, P.from_poly(r)), window=(0, 3))
     assert not in_maximal_submodule(depth_one_vector(phi, P.one()), window=(0, 3))
+    assert len(built) == 1
 
 
 SPLIT_GENERATORS = {  # low degree first; each splits into rational points
