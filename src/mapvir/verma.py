@@ -26,7 +26,7 @@ from .algebra import (
     PrincipalIdeal,
     crt_idempotents,
     principal_quotient,
-    quotient_algebra,
+    product_local_quotient,
 )
 from .errors import AlgebraMismatch, UnsupportedKind, WindowOverflow
 from .liealg import LieElement
@@ -493,8 +493,8 @@ def quotient_dims(phi: Functional, max_depth: int, window=None) -> tuple[int, ..
     is the irreducible quotient for Vir (x) (A / J).  In a factor Q[s]/s^N the
     largest ideal phi kills is (s^k), k past the last nonzero value pair, so
     the piece runs over Q[s]/s^k with its first k values; k = 0 is the
-    trivial module.  A piece equal to phi itself (Q, or one factor at 0 with
-    a nonzero top pair) runs on phi, and no algebra is rebuilt.
+    trivial module.  A piece equal to phi itself (one factor at 0 with a
+    nonzero top pair) runs on phi, and no algebra is rebuilt.
 
     A reduced piece of order 1 is the Virasoro L(h, c), h = -lam_0,
     c = kappa_0, and ``_order_one_dims`` reads its character off the
@@ -816,10 +816,10 @@ def in_maximal_submodule(v: VermaVector, window=None) -> bool:
     weight (window-restricted for infinite algebras).  X carries up to depth
     colors, and their products with the vector's colors are bounded on the
     caller's window before any action.  Where ``_pulled_back`` applies (an
-    exact polynomial phi on a window holding 0..deg p - 1, or a finite kind
-    whose phi kills a nonzero ideal J), the test runs on the image of v in
-    V(phi_bar) over A/J and raises by the dim A/J colors of its basis; an
-    image of 0 lies in Rad with no walk.
+    exact polynomial phi on a window holding 0..deg p - 1, or a product_local
+    phi whose reduced CRT pieces give a nonzero ideal J), the test runs on
+    the image of v in V(phi_bar) over A/J and raises by the dim A/J colors
+    of its basis; an image of 0 lies in Rad with no walk.
     """
     if v.is_zero():
         return True
@@ -865,10 +865,10 @@ def _pulled_back(phi: Functional, window=None) -> tuple | None:
     basis of A/J; else None.
 
     J is the exact recurrence (p) of a polynomial phi, when ``window`` holds
-    the colors of ``_exact_colors``, or ``largest_v0_ideal(phi)`` on the
-    finite kinds, computed once.  Then Vir (x) J acts as zero on L(phi),
-    which is the irreducible module L(phi_bar) of Vir (x) A/J, and w lies in
-    Rad(phi) exactly when its image in V(phi_bar) lies in Rad(phi_bar).
+    the colors of ``_exact_colors``, or prod (t - a)^k over the CRT pieces of
+    a product_local phi, k their reduced orders: ``largest_v0_ideal(phi)``,
+    read off ``_local_pieces``.  Vir (x) J acts as zero on L(phi) = L(phi_bar)
+    over A/J, so w is in Rad(phi) iff its image is in Rad(phi_bar).
     phi_bar is ``_pull_back``'s; ``images`` maps a color b to e_b mod J and
     a monomial to its image, as frozen results filled on demand by
     ``_mono_image``.  Kept on the functional once computed (False: no J).
@@ -879,14 +879,14 @@ def _pulled_back(phi: Functional, window=None) -> tuple | None:
         colors = alg.window_indices(window)
         if 0 not in colors or narrow[1] not in colors:
             return None
-    elif not alg.is_finite:
-        return None
     if phi._pulled is None:
         if narrow is not None:
             quotient = principal_quotient(alg, phi.exact_poly)
         else:
-            ideal = largest_v0_ideal(phi)
-            quotient = None if ideal.is_zero() or ideal.is_whole() else quotient_algebra(alg, ideal)
+            orders = [(a, _reduced_order(lam, kappa)) for a, lam, kappa in _local_pieces(phi) or ()]
+            factors = [(a, k) for a, k in orders if k]  # J = prod (t - a)^k
+            size = sum(k for _, k in factors)
+            quotient = product_local_quotient(alg, factors) if 0 < size < alg.dim else None
         phi._pulled = ((_pull_back(phi, *quotient), quotient[1], {(): _single(())})
                        if quotient else False)
     return phi._pulled or None

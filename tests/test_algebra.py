@@ -726,6 +726,11 @@ def test_spec_examples_parse():
     assert algebra_from_spec(spec2).window == (0, 6)
 
 
+def test_spec_rationals_parses():
+    alg = algebra_from_spec({"kind": "rationals"})
+    assert alg == Algebra.rationals() and alg.dim == 1
+
+
 def test_distinct_points_required():
     with pytest.raises(ValueError):
         Algebra.product_local([(0, 1), (0, 2)])

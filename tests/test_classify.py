@@ -24,6 +24,7 @@ from mapvir import (
     classify_module,
     d_term,
     depth_one_vector,
+    functional_to_spec,
     ideal_closure,
     in_maximal_submodule,
     involute_functional,
@@ -38,8 +39,8 @@ from mapvir import (
     weight_multiplicities,
 )
 from mapvir import classify as classify_source
-from mapvir import linalg, verma
-from oracles import convolve, oracle_minimal_order
+from mapvir import linalg, polyutil, verma
+from oracles import convolve, oracle_minimal_order, principal_quotient_tensor
 
 QQ = Algebra.rationals()
 SPLIT = Algebra.product_local([(0, 1), (1, 1)])
@@ -274,20 +275,49 @@ def test_membership_through_the_largest_v0_ideal_answers_as_the_walk(monkeypatch
     assert {v.depth for _, vectors in corpus for v in vectors} == {0, 1, 2, 3}
 
 
+def test_the_pull_back_reads_the_largest_v0_ideal_off_the_pieces():
+    # J = prod (t - a)^k over the pieces, k their minimal orders, is the
+    # Fraction kernel of largest_v0_ideal, and phi_bar over A/J = product_local
+    # at those (a, k) answers as phi; the structure-constants twin of A has no
+    # pieces, gets no pull-back and walks V(phi) to the same answers
+    def components(phi):
+        return [(c.point, c.order, functional_to_spec(c.functional))
+                for c in classify_module(phi).components]
+
+    for phi, vectors in _planted_membership_corpus(random.Random(53), 6):
+        alg = phi.algebra
+        orders = [(point, oracle_minimal_order(piece, point, order))
+                  for (point, order), piece in zip(alg.factors, split_phi(phi))
+                  if not piece.is_zero()]
+        gen = (F(1),)
+        for a, k in orders:
+            gen = polyutil.pmul(gen, polyutil.ppow((-a, F(1)), k))
+        assert ideal_closure([alg.from_poly(gen)]) == largest_v0_ideal(phi)
+        phi_bar = verma._pulled_back(phi)[0]
+        assert components(phi_bar) == components(phi)
+        assert quotient_dims(phi_bar, 5) == quotient_dims(phi, 5)
+        assert phi_bar.algebra == Algebra.product_local(orders)
+        twin = Algebra.structure_constants(*principal_quotient_tensor(alg._modulus))
+        mirror = Functional(twin, dict(phi._d0), dict(phi._c))
+        assert verma._pulled_back(mirror) is None
+        assert [in_maximal_submodule(VermaVector(mirror, EnvElement(twin, v.env.terms)))
+                for v in vectors] == [in_maximal_submodule(v) for v in vectors]
+
+
 def test_a_witness_that_does_not_split_builds_no_quotient(monkeypatch):
     built = []
-    real_sc, real_q = Algebra.structure_constants.__func__, verma.quotient_algebra
+    real_sc, real_q = Algebra.structure_constants.__func__, verma.product_local_quotient
 
     def structure_constants(cls, *args, **kwargs):
         built.append("structure_constants")
         return real_sc(cls, *args, **kwargs)
 
     def quotient(*args):
-        built.append("quotient_algebra")
+        built.append("product_local_quotient")
         return real_q(*args)
 
     monkeypatch.setattr(Algebra, "structure_constants", classmethod(structure_constants))
-    monkeypatch.setattr(verma, "quotient_algebra", quotient)
+    monkeypatch.setattr(verma, "product_local_quotient", quotient)
     P = Algebra.polynomial((0, 12))
     phi = Functional.from_sequences(P, [F(1), F(3)], [F(2), F(-1)],
                                     exact_ideal=(F(-2), F(0), F(1)))
@@ -405,6 +435,30 @@ def test_profile_int_series_bounded_one():
     profile = trichotomy_profile(IntSeriesEvalHandle(QQ, spec), (-8, 8))
     assert profile.shape == "bounded"
     assert profile.bound == 1
+
+
+def test_profile_int_series_truncated_below():
+    spec = IntSeriesSpec(F(1, 2), F(1, 3), (-3, 30))
+    profile = trichotomy_profile(IntSeriesEvalHandle(QQ, spec), (-8, 8))
+    assert (profile.shape, profile.bound) == ("truncated_below", None)
+
+
+def test_profile_verma_times_int_series_unbounded_both():
+    # multiplicity at offset o is sum p(k) over k >= 0 with o + k in -3..3:
+    # 1 at the top edge, p(1) + ... + p(7) = 44 at the bottom one
+    spec = IntSeriesSpec(F(1, 2), F(1, 3), (-3, 3))
+    tensor = TensorHandle([VermaHandle(Functional.classical(F(5, 7), 2)),
+                           IntSeriesEvalHandle(QQ, spec)])
+    profile = trichotomy_profile(tensor, (-4, 3))
+    assert (profile.shape, profile.bound, profile.window_truncated) == ("unbounded_both", 44, True)
+    assert profile.table.multiplicity(3) == 1
+
+
+def test_profile_of_an_empty_table_is_bounded_by_zero():
+    spec = IntSeriesSpec(F(1, 2), F(1, 3), (-3, 3))
+    profile = trichotomy_profile(IntSeriesEvalHandle(QQ, spec), (5, 8))
+    assert (profile.shape, profile.bound, profile.window_truncated) == ("bounded", 0, True)
+    assert not profile.table.mult
 
 
 def test_profile_two_point_tensor_flags_window():

@@ -143,6 +143,21 @@ def test_check_quasifinite_polynomial(capsys, tmp_path):
     assert payload["witness"] == "(t - 2)"
 
 
+def test_check_quasifinite_sampled_prints_the_candidate(capsys, tmp_path):
+    alg = tmp_path / "poly.json"
+    alg.write_text(json.dumps({"kind": "polynomial", "window": [0, 32]}))
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({
+        "d0_seq": [format_scalar(F(2) ** k) for k in range(9)],
+        "c_seq": ["0"] * 9}))
+    code, out, _ = run_cli(capsys, "check", "--quasifinite",
+                           "-A", str(alg), "-phi", str(phi))
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["status"], payload["witness"], payload["candidate"], payload["note"]) == (
+        "no_witness_up_to_bound", None, "(t - 2)", "recurrence found but values are sampled")
+
+
 def test_split(capsys, tmp_path):
     alg = tmp_path / "a.json"
     alg.write_text(json.dumps({"kind": "product_local",

@@ -223,6 +223,25 @@ def test_int_series_table_integer_a_plus_b():
     assert any("trivial quotient at offset -3" in n for n in table2.notes)
 
 
+def test_int_series_over_q_notes_the_identity_and_its_window():
+    handle = IntSeriesEvalHandle(QQ, IntSeriesSpec(F(1, 2), F(1, 3), (-3, 3)))
+    report = annihilator_support(handle)
+    assert report.ideal.is_zero() and report.support is None
+    assert report.notes == ("one-dimensional algebra: evaluation is the identity",)
+    table = weight_multiplicities(handle, (-5, 2))
+    assert table.truncated
+    assert table.notes == ("offsets outside the module window reported as 0",)
+    assert [table.multiplicity(o) for o in range(-5, 3)] == [0, 0, 1, 1, 1, 1, 1, 1]
+
+
+def test_tensor_factor_with_an_empty_offset_range():
+    # offsets 7..9 need a factor offset >= 7 - 3 = 4, past its window top 3
+    handle = IntSeriesEvalHandle(QQ, IntSeriesSpec(F(1, 2), F(1, 3), (-3, 3)))
+    table = weight_multiplicities(TensorHandle([handle, handle]), (7, 9))
+    assert table.mult == {} and table.truncated
+    assert weight_multiplicities(TensorHandle([handle, handle]), (5, 9)).mult == {5: 2, 6: 1}
+
+
 def test_verma_table():
     phi = Functional.classical(F(5, 7), 2)
     table = weight_multiplicities(VermaHandle(phi), (-4, 1))

@@ -8,6 +8,7 @@ import pytest
 
 from mapvir import (
     Algebra,
+    AlgebraMismatch,
     EnvElement,
     Functional,
     LieElement,
@@ -1880,18 +1881,20 @@ def test_finite_radical_vector_maps_to_zero_modulo_the_largest_v0_ideal(monkeypa
     phi = Functional(alg, {0: F(-1, 16)}, {0: F(1, 2)})  # Ising sigma on Q[t]/t^3
     v = VermaVector(phi, EnvElement(alg, {((5, 0), (1, 1)): F(1), ((6, 2),): F(1)}))
     assert largest_v0_ideal(phi).dim == 2
-    assert in_maximal_submodule(v) and walks == []
-    # phi killing no ideal, or all of A, keeps the walk over V(phi); either
-    # way largest_v0_ideal runs once per functional
+    # J is read off the CRT pieces, once per functional, with no kernel
     ideals = _counting(monkeypatch, verma, "largest_v0_ideal")
+    pieces = _counting(monkeypatch, verma, "_local_pieces")
+    assert in_maximal_submodule(v) and walks == []
+    # phi killing no ideal, or all of A, keeps the walk over V(phi)
     sigma = Functional.classical(F(-1, 16), F(1, 2))
     for depth in (1, 2):
         assert not in_maximal_submodule(VermaVector(sigma, EnvElement(QQ, {((depth, 0),): F(1)})))
-    assert verma._pulled_back(sigma) is None and len(ideals) == 1
+    assert verma._pulled_back(sigma) is None
     zero = Functional(DUAL, {}, {})
     assert verma._pulled_back(zero) is None
     walks.clear()
     assert in_maximal_submodule(depth_one_vector(zero, DUAL.one())) and len(walks) == 1
+    assert ideals == [] and [args[0] for args in pieces] == [phi, sigma, zero]
     _without_pull_back(monkeypatch)
     assert in_maximal_submodule(v) and len(walks) == 2
 
@@ -2021,7 +2024,7 @@ def test_exact_certificate_builds_no_quotient(monkeypatch):
     phi, r = _decide_exact(3, random.Random("no-quotient"))
     P = phi.algebra
     with monkeypatch.context() as patch:
-        patch.setattr(verma, "quotient_algebra", refuse)
+        patch.setattr(verma, "product_local_quotient", refuse)
         patch.setattr(verma, "principal_quotient", refuse)
         assert check_verma_reducible(phi).status == "reducible_certified"
     # membership builds A/(r) once and keeps phi_bar on phi
@@ -2105,6 +2108,42 @@ def test_functional_add_polynomial_truncates_and_drops_recurrence():
     assert [total.value_c(k) for k in range(4)] == [1, 1, 1, 1]
     with pytest.raises(ValueError, match="declared through 3"):
         total.value_d0(4)
+
+
+def test_verma_vector_sum():
+    phi = Functional(DUAL, {0: F(3)}, {0: F(1, 2)})
+    x = VermaVector(phi, EnvElement(DUAL, {((1, 0),): F(1)}))
+    twin = Functional(DUAL, {0: F(3)}, {0: F(1, 2)})  # equal, not the same object
+    y = VermaVector(twin, EnvElement(DUAL, {((1, 0),): F(-1), ((1, 1),): F(2)}))
+    total = x + y
+    assert total.functional is phi and total.env.terms == {((1, 1),): F(2)}
+    other = VermaVector(Functional(DUAL, {0: F(1)}, {}), EnvElement(DUAL, {((1, 0),): F(1)}))
+    with pytest.raises(AlgebraMismatch, match="different Verma modules"):
+        x + other
+    with pytest.raises(TypeError):
+        x + 1
+
+
+def test_exact_ideal_given_as_an_ideal_or_an_element():
+    P = Algebra.polynomial((0, 12))
+    seqs = [F(2) ** k for k in range(4)], [F(0)] * 4
+    gen = P.from_poly((F(-6), F(3)))  # 3 (t - 2): made monic
+    for exact in (PrincipalIdeal(P, gen), gen, (F(-2), F(1))):
+        phi = Functional.from_sequences(P, *seqs, exact_ideal=exact)
+        assert phi.exact_poly == (F(-2), F(1))
+    with pytest.raises(TypeError, match="expected a polynomial"):
+        Functional.from_sequences(P, *seqs, exact_ideal="t - 2")
+
+
+def test_laurent_checks_note_that_no_detection_runs():
+    # phi(d_0 (x) t^k) = 2^k: recurrence detection covers the polynomial kind only
+    phi = Functional(LAUR, {k: F(2) ** k for k in range(-4, 5)}, {})
+    q = check_quasifinite(phi)
+    assert (q.status, q.witness, q.candidate, q.note) == (
+        "no_witness_up_to_bound", None, None, "no recurrence detection for laurent kind")
+    r = check_verma_reducible(phi)
+    assert (r.status, r.witness_ideal, r.candidate, r.note) == (
+        "no_witness_up_to_bound", None, None, "no detection for laurent kind")
 
 
 def test_functional_add_laurent_unsupported():
