@@ -135,7 +135,8 @@ class Functional:
         algebra = algebra or Algebra.rationals()
         if algebra.dim != 1:
             raise ValueError("classical functionals need a one-dimensional algebra")
-        return cls(algebra, {0: as_scalar(d0_value)}, {0: as_scalar(c_value)})
+        return cls.__new__(cls)._store(
+            algebra, {0: as_scalar(d0_value)}, {0: as_scalar(c_value)}, None)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -286,19 +287,18 @@ def _act_basis(phi: Functional, j: int, b: int, mono: Monomial) -> tuple:
     """Push d_j (x) e_b through mono * v; the result lives in U(V_-) v.
 
     Lowering modes straighten into the PBW basis; a mode-0 piece arriving at v
-    contributes phi(d_0 (x) e_b); positive modes kill v.  Commuting past a
-    factor d_{-m} (x) e_h uses
+    contributes phi(d_0 (x) e_b); positive modes kill v.  Commuting past the
+    head factor d_{-m} (x) e_h of mono = head * rest uses
 
         [d_j (x) e_b, d_{-m} (x) e_h] = (-m - j) d_{j-m} (x) e_b e_h
                                         + delta_{j,m} (j^3-j)/12 c (x) e_b e_h,
 
-    and central pieces evaluate immediately through phi.  The result is a
-    frozen (den, monomials, numerators) triple of integers over one
-    denominator, like ``pbw._left_mult``; the values of phi and the cocycle
-    (j^3 - j)/12 enter as integer pairs, and no Fraction is built.  Results
-    are cached per functional, since distinct raising words share long
-    suffixes, and are immutable tuples.
-    """
+    and central pieces evaluate immediately through phi.  A node adds head
+    times d_j (x) e_b rest (prepended where head leads in PBW order, else by
+    ``pbw._left_mult``), the commutator and the cocycle into one {monomial:
+    int} dict over a running denominator (``_add_scaled``; no Fraction is
+    built), is reduced once, and is cached per functional (raising words share
+    long suffixes) as a frozen lowest-terms (den, monomials, numerators) triple."""
     alg = phi.algebra
     if j < 0:
         return _left_mult(alg, (-j, b), mono)
@@ -308,23 +308,46 @@ def _act_basis(phi: Functional, j: int, b: int, mono: Monomial) -> tuple:
         return hit
     if not mono:
         val = phi.value_d0(b) if j == 0 else 0
-        parts = [(val.numerator, val.denominator, _single(()))] if val else []
-    else:
-        head, rest = mono[0], mono[1:]
-        mh, bh = head
-        den, monos, nums = _act_basis(phi, j, b, rest)
-        parts = [(c2, den, _left_mult(alg, head, m2)) for m2, c2 in zip(monos, nums)]
-        k = -mh - j
-        cocycle = j ** 3 - j if j == mh else 0  # 12 times the central scalar
-        for bk, nk, dk in alg.product_terms(b, bh):
-            if k != 0:
-                parts.append((k * nk, dk, _act_basis(phi, j - mh, bk, rest)))
-            kappa = phi.value_c(bk) if cocycle else 0
-            if kappa:
-                parts.append((cocycle * kappa.numerator * nk, 12 * kappa.denominator * dk,
-                              _single(rest)))
-    out = phi._act_cache[key] = _lincomb(parts)
+        out = phi._act_cache[key] = ((val.denominator, ((),), (val.numerator,)) if val
+                                     else (1, (), ()))
+        return out
+    head, rest = mono[0], mono[1:]
+    mh, bh = head
+    sub, monos, nums = _act_basis(phi, j, b, rest)
+    den, acc = sub, {}
+    for m2, c2 in zip(monos, nums):
+        if not m2 or m2[0][0] < mh or (m2[0][0] == mh and m2[0][1] >= bh):  # head leads
+            m2 = (head,) + m2
+            acc[m2] = acc.get(m2, 0) + c2 * (den // sub)
+        else:
+            den = _add_scaled(acc, den, c2, sub, _left_mult(alg, head, m2))
+    k = -mh - j  # never 0, as j >= 0 here
+    cocycle = j ** 3 - j if j == mh else 0  # 12 times the central scalar
+    for bk, nk, dk in alg.product_terms(b, bh):
+        den = _add_scaled(acc, den, k * nk, dk, _act_basis(phi, j - mh, bk, rest))
+        kappa = phi.value_c(bk) if cocycle else 0
+        if kappa:
+            den = _add_scaled(acc, den, cocycle * kappa.numerator * nk,
+                              12 * kappa.denominator * dk, _single(rest))
+    acc = {m3: c3 for m3, c3 in acc.items() if c3}
+    g = math.gcd(den, *acc.values())
+    out = phi._act_cache[key] = (den // g, tuple(acc), tuple([c3 // g for c3 in acc.values()]))
     return out
+
+
+def _add_scaled(acc: dict, den: int, num: int, d: int, result: tuple) -> int:
+    """Add num/d times a frozen result to the numerators ``acc`` over den in
+    place; return their denominator, grown to lcm(den, d rden) only if need be."""
+    rden, monos, nums = result
+    d *= rden
+    if den % d:
+        f = d // math.gcd(den, d)
+        acc.update({mono: c * f for mono, c in acc.items()})
+        den *= f
+    num *= den // d
+    for mono, c in zip(monos, nums):
+        acc[mono] = acc.get(mono, 0) + num * c
+    return den
 
 
 def verma_act(x: LieElement, v: VermaVector) -> list[VermaVector]:
@@ -394,7 +417,7 @@ def singular_vectors(phi: Functional, depth: int, window=None) -> list[VermaVect
     generate the whole raising half, so members are annihilated by every
     positive mode.  Over a one-dimensional algebra (one unreduced piece, of
     order 1) they are the highest weight vectors of the sub-Vermas, one per
-    vertex of ``_embedding_diagram`` (Feigin-Fuchs 1984): off the vertices
+    vertex of ``_embedding_steps`` (Feigin-Fuchs 1984): off the vertices
     the answer is [], and at one the exact kernel runs at once and must hold
     exactly one vector.  On other finite kinds a singular vector lies in Rad,
     so a depth below ``_first_reducible_depth`` returns [], and at that
@@ -408,7 +431,7 @@ def singular_vectors(phi: Functional, depth: int, window=None) -> list[VermaVect
         raise ValueError("singular vectors live at positive depth")
     (_, lam, kappa), *more = _local_pieces(phi) or [(None, (), ())]
     order_one = len(lam) == 1 and not more  # dim A = 1, read off the unreduced piece
-    if order_one and depth not in _embedding_diagram(-lam[0], kappa[0], depth):
+    if order_one and depth not in _embedding_steps(-lam[0], kappa[0], depth):
         return []  # no sub-Verma at this depth
     first = depth if order_one else _first_reducible_depth(phi, depth)
     if depth < first:
@@ -628,8 +651,10 @@ def _local_pieces(phi: Functional) -> tuple[tuple, ...] | None:
         return phi._pieces
     alg = phi.algebra
     if alg.kind == "structure_constants" and alg.dim == 1:  # 1 = u e_0
-        u = alg._unit[0]
-        phi._pieces = ((Fraction(0), (u * phi.value_d0(0),), (u * phi.value_c(0),)),)
+        u, lam, kappa = alg._unit[0], phi.value_d0(0), phi.value_c(0)
+        if u != 1:
+            lam, kappa = u * lam, u * kappa
+        phi._pieces = ((Fraction(0), (lam,), (kappa,)),)
         return phi._pieces
     if alg.kind != "product_local":
         return None
@@ -752,10 +777,9 @@ def _kac_zero(h: Fraction, c: Fraction) -> tuple:
     return (p, pp), _exact_sqrt(4 * p * pp * hn + (p - pp) ** 2 * hd, hd)
 
 
-def _embedding_diagram(h: Fraction, c: Fraction, limit: int) -> dict[int, set]:
-    """The embedding diagram of the Virasoro Verma module V(h, c) through
-    depth ``limit``: each vertex d <= limit, V(h + d) in V(h), mapped to the
-    deeper vertices e with V(h + e) in V(h + d).
+def _embedding_steps(h: Fraction, c: Fraction, limit: int) -> dict[int, set]:
+    """The vertices d <= limit of the embedding diagram of the Virasoro Verma
+    module V(h, c), V(h + d) in V(h), each mapped to its ``_kac_steps``.
 
     A Kac zero h = h_{r,s} gives a singular vector at depth rs generating
     V(h + rs), and every submodule is a sum of such sub-Vermas, so the
@@ -769,9 +793,14 @@ def _embedding_diagram(h: Fraction, c: Fraction, limit: int) -> dict[int, set]:
         d = todo.pop()
         steps[d] = _kac_steps(t, m, d, limit)
         todo += steps[d] - steps.keys()
+    return steps
+
+
+def _embedding_diagram(h: Fraction, c: Fraction, limit: int) -> dict[int, set]:
+    """``_embedding_steps`` closed: each vertex d maps to every e with V(h + e) in V(h + d)."""
     below: dict[int, set] = {}
-    for d in sorted(steps, reverse=True):  # steps lead deeper
-        below[d] = steps[d].union(*(below[e] for e in steps[d]))
+    for d, step in sorted(_embedding_steps(h, c, limit).items(), reverse=True):  # deepest first
+        below[d] = step.union(*(below[e] for e in step))
     return below
 
 

@@ -19,6 +19,11 @@ n-by-n search, the structure tensor of Q[t]/(p) from
 schoolbook division, and the quotient characters of
 Q[t]/t^N Verma modules with one top-degree zero and of the classical Verma
 modules at c = 1 from closed forms.
+
+One exception is a slow path, not an independent oracle: the reference
+action ``reference_act_basis`` is the library's earlier Verma action, which
+sums each node's parts with ``pbw._lincomb`` over the library's own PBW
+straightening; it pins the in-place accumulation of the current action.
 """
 
 from __future__ import annotations
@@ -636,3 +641,39 @@ def rocha_caridi_dims(p: int, pp: int, r: int, s: int, max_n: int) -> list[int]:
             if exponent <= max_n:
                 numerator[exponent] += sign
     return convolve(numerator, colored_partition_series(1, max_n))[: max_n + 1]
+
+
+def reference_act_basis(phi, j: int, b: int, mono: tuple, cache: dict) -> tuple:
+    """d_j (x) e_b pushed through mono * v as a frozen (den, monomials,
+    numerators) triple, the way the library's action did before it
+    accumulated each node in place: every piece of a node is a part, and one
+    ``pbw._lincomb`` sums the parts.  Results are kept in ``cache`` (keyed
+    like the library's), never in the functional's own cache."""
+    from mapvir.pbw import _left_mult, _lincomb, _single
+
+    alg = phi.algebra
+    if j < 0:
+        return _left_mult(alg, (-j, b), mono)
+    key = (j, b, mono)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    if not mono:
+        val = phi.value_d0(b) if j == 0 else 0
+        parts = [(val.numerator, val.denominator, _single(()))] if val else []
+    else:
+        head, rest = mono[0], mono[1:]
+        mh, bh = head
+        den, monos, nums = reference_act_basis(phi, j, b, rest, cache)
+        parts = [(c2, den, _left_mult(alg, head, m2)) for m2, c2 in zip(monos, nums)]
+        k = -mh - j
+        cocycle = j ** 3 - j if j == mh else 0  # 12 times the central scalar
+        for bk, nk, dk in alg.product_terms(b, bh):
+            if k != 0:
+                parts.append((k * nk, dk, reference_act_basis(phi, j - mh, bk, rest, cache)))
+            kappa = phi.value_c(bk) if cocycle else 0
+            if kappa:
+                parts.append((cocycle * kappa.numerator * nk, 12 * kappa.denominator * dk,
+                              _single(rest)))
+    out = cache[key] = _lincomb(parts)
+    return out

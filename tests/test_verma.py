@@ -58,6 +58,7 @@ from oracles import (
     oracle_wilson_depth,
     partitions,
     principal_quotient_tensor,
+    reference_act_basis,
     rocha_caridi_dims,
     top_zero_dims,
 )
@@ -971,6 +972,47 @@ def test_kac_zero_matches_the_fraction_oracle():
     assert any(m is not None and h.denominator > 2**64 for (h, _), (_, m) in zip(grid, zeros))
 
 
+def test_vertex_walk_and_diagram_closure_agree_on_the_kac_grids():
+    # singular_vectors reads the vertices off the steps, quotient_dims the closure
+    points = [(h, c) for grid in KAC_GRID.values() for h, c in grid] + _kac_zero_grid()
+    points += [minimal_model_weight(*point) for point, _ in MINIMAL_MODELS.values()]
+    reducible = 0
+    for h, c in points:
+        for limit in (1, 4, 8):
+            steps = verma._embedding_steps(h, c, limit)
+            below = verma._embedding_diagram(h, c, limit)
+            assert steps.keys() == below.keys(), (h, c, limit)
+            assert all(steps[d] <= below[d] <= below.keys() - {d} for d in below), (h, c, limit)
+            reducible += len(below) > 1
+    assert reducible > len(points)  # the grids reach vertices below the top
+
+
+def test_classical_constructor_matches_the_generic_one():
+    half = Algebra.structure_constants([[[2]]], [F(1, 2)])  # e_0^2 = 2 e_0, 1 = e_0 / 2
+    for alg in (None, QQ, half, Algebra.product_local([(F(1, 3), 1)])):
+        for d0, c in ((3, "1/2"), ("-5/7", F(2, 3)), (F(1, 16), -4), (0, "0")):
+            lean = Functional.classical(d0, c, alg)
+            generic = Functional(alg or QQ, {0: d0}, {0: c})
+            assert lean == generic
+            assert (lean.algebra, lean._d0, lean._c, lean.exact_poly, lean._extended) == (
+                generic.algebra, generic._d0, generic._c, generic.exact_poly, generic._extended)
+            assert type(lean._d0) is type(generic._d0) and type(lean._d0[0]) is F
+            assert verma._local_pieces(lean) == verma._local_pieces(generic)
+    pieces = verma._local_pieces(Functional.classical(F(1, 16), 3, half))
+    assert pieces == ((0, (F(1, 32),), (F(3, 2),)),)  # the u != 1 branch: u = 1/2
+    assert all(type(x) is F for x in (*pieces[0][1], *pieces[0][2]))
+
+
+@pytest.mark.parametrize("d0, c, alg, error", [
+    (0.5, 1, None, TypeError), (1, 0.5, QQ, TypeError),
+    (1, 2, Algebra.polynomial((0, 4)), ValueError), (1, 2, Algebra.laurent((-2, 2)), ValueError),
+    (1, 2, DUAL, ValueError), (1, 2, QXQ, ValueError)],
+    ids=["float_d0", "float_c", "polynomial", "laurent", "dual", "two_dimensional"])
+def test_classical_constructor_rejects_floats_and_wide_algebras(d0, c, alg, error):
+    with pytest.raises(error):
+        Functional.classical(d0, c, alg)
+
+
 def test_one_kac_zero_per_order_one_piece(monkeypatch):
     zeros = _counting(monkeypatch, verma, "_kac_zero")
     diagrams = _counting(monkeypatch, verma, "_embedding_diagram")
@@ -1111,6 +1153,61 @@ def test_action_caches_hold_frozen_integer_results(phi):
     for cache in caches:
         assert all(type(key) is tuple and _frozen_result(result)
                    for key, result in cache.items())
+
+
+def _action_parity_cases():
+    """name -> (functional, colors) with seeded values: Q, product_local at
+    integer and at rational points (basis products with denominators), the
+    dual numbers and an exact windowed Q[t] functional."""
+    rng = random.Random(1311)
+
+    def values(n):
+        return {i: F(rng.randint(-9, 9), rng.randint(1, 7)) for i in range(n)}
+
+    def on(alg):
+        return Functional(alg, values(alg.dim), values(alg.dim)), tuple(range(alg.dim))
+
+    exact = Functional.from_sequences(
+        Algebra.polynomial((0, 8)), values(2).values(), values(2).values(),
+        exact_ideal=(F(-6), F(-1), F(1)))
+    return {"rationals": (Functional.classical(*values(2).values()), (0,)),
+            "integer_points": on(Algebra.product_local([(0, 2), (1, 1)])),
+            "rational_points": on(Algebra.product_local([(F(1, 2), 2), (F(-2, 3), 1)])),
+            "dual": on(DUAL),
+            "exact_polynomial": (exact, (0, 1))}
+
+
+ACTION_PARITY_CASES = _action_parity_cases()
+
+
+@pytest.mark.parametrize("name", ACTION_PARITY_CASES)
+def test_action_matches_the_reference_on_every_cached_entry(name, monkeypatch):
+    # j in -2..3, every color, every monomial through depth 5 (6 at rational
+    # points, where a head that leads follows a rescale), in a seeded order
+    phi, colors = ACTION_PARITY_CASES[name]
+    window = (0, 1) if name == "exact_polynomial" else None
+    depth = 6 if name == "rational_points" else 5
+    monos = [m for n in range(depth + 1) for m in pbw_basis(n, phi.algebra, window=window)]
+    keys = [(j, b, m) for j in range(-2, 4) for b in colors for m in monos]
+    random.Random(1312).shuffle(keys)
+    real, grown = verma._add_scaled, []
+
+    def add_scaled(acc, den, *args):
+        out = real(acc, den, *args)
+        grown.append(out != den)
+        return out
+
+    monkeypatch.setattr(verma, "_add_scaled", add_scaled)
+    reference: dict = {}
+    for key in keys:
+        assert verma._act_basis(phi, *key) == reference_act_basis(phi, *key, reference), key
+    assert phi._act_cache.keys() == reference.keys()
+    for key, result in phi._act_cache.items():
+        assert result == reference[key] and _frozen_result(result), key
+    assert any(grown)  # phi's values carry denominators, so some nodes are rescaled
+    # at rational points straightening itself carries denominators
+    straightened = phi.algebra._caches.get("pbw_left_mult", {}).values()
+    assert any(d > 1 for d, _, _ in straightened) == (name == "rational_points")
 
 
 def test_windowed_quotient_dims_keep_pairing_path(monkeypatch):
