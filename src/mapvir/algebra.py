@@ -37,10 +37,11 @@ class Algebra:
     """A coefficient algebra.  Immutable after construction."""
 
     __slots__ = ("kind", "dim", "basis_labels", "factors", "window",
-                 "_tensor", "_unit", "_modulus", "_int_modulus", "_signature", "_caches")
+                 "_tensor", "_unit", "_unit_color", "_modulus", "_int_modulus", "_signature",
+                 "_caches")
 
     def __init__(self, *, kind, dim=None, basis_labels=None, factors=None,
-                 window=None, tensor=None, unit=None, modulus=None):
+                 window=None, tensor=None, unit=None, unit_color=(0, 1, 1), modulus=None):
         self.kind = kind
         self.dim = dim
         self.basis_labels = basis_labels
@@ -48,6 +49,9 @@ class Algebra:
         self.window = window
         self._tensor = tensor
         self._unit = unit
+        # (b, p, q) with e_b = p/q 1, q > 0; b is None when no basis element
+        # is a multiple of the unit.  Monomial kinds have e_0 = t^0 = 1.
+        self._unit_color = unit_color
         # a product_local modulus comes in integers and is also kept monic
         self._int_modulus = modulus
         self._modulus = None if modulus is None else tuple(
@@ -89,8 +93,12 @@ class Algebra:
             labels = tuple(labels)
             if len(labels) != dim:
                 raise ValueError("wrong number of basis labels")
+        support = [i for i, x in enumerate(unit_vec) if x]
+        u = unit_vec[support[0]] if len(support) == 1 else None  # 1 = u e_b
+        unit_color = (None, 1, 1) if u is None else (
+            support[0], u.denominator if u > 0 else -u.denominator, abs(u.numerator))
         alg = cls(kind="structure_constants", dim=dim, basis_labels=labels,
-                  tensor=tens, unit=unit_vec)
+                  tensor=tens, unit=unit_vec, unit_color=unit_color)
         if validate:
             alg._validate_axioms()
         return alg

@@ -2,11 +2,14 @@
 
 What it holds: ``row_basis``, ``rref``, ``rank``, ``kernel`` and
 ``full_rank_mod_p``.  Matrices are lists of rows of Fractions (ints are
-accepted too).  There is one exact elimination loop, ``row_basis``: it is
-fraction-free on integer rows, so ``rref``, ``rank`` and ``kernel`` first
-scale each row to integers.  Fractions appear only in what ``kernel`` returns
-and when ``rref`` normalizes pivots and back-substitutes.  Membership,
-reduction and intersection of row-reduced ideals live in ``algebra.Ideal``.
+accepted too).  ``row_basis`` and ``kernel`` also take sparse integer rows
+``{column: int}``, as the Verma action builds them.  There is one exact
+elimination loop, ``row_basis``: it is fraction-free on integer rows, so
+``rref``, ``rank`` and ``kernel`` first scale each row of Fractions to
+integers, while a sparse integer row goes in as it is.  Fractions appear only
+in what ``kernel`` returns and when ``rref`` normalizes pivots and
+back-substitutes.  Membership, reduction and intersection of row-reduced
+ideals live in ``algebra.Ideal``.
 
 ``full_rank_mod_p`` eliminates sparse integer rows over F_p for the fixed
 prime ``PRIME``.  It can only certify: an integer matrix's rank mod p never
@@ -23,16 +26,16 @@ from fractions import Fraction
 from .polyutil import cleared
 
 Row = list[Fraction]
+SparseRow = dict[int, int]
 
 PRIME = 2**31 - 1
+_ZERO = Fraction(0)
 
 
-def _echelon(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """``row_basis`` of the rows, each first scaled by the lcm of its
-    denominators, which keeps the row space."""
-    if not rows:
-        return []
-    return row_basis([cleared(row)[0] for row in rows], len(rows[0]))
+def _echelon(rows: Sequence[Sequence[Fraction] | SparseRow], ncols: int) -> list[list[int]]:
+    """``row_basis`` of the rows, each sequence first scaled by the lcm of its
+    denominators, which keeps the row space; sparse integer rows go as they are."""
+    return row_basis([row if isinstance(row, dict) else cleared(row)[0] for row in rows], ncols)
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
@@ -43,7 +46,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
     The echelon basis comes from the fraction-free ``row_basis``; only its
     r rows are divided by their pivots and back-substituted upward.
     """
-    basis = _echelon(rows)
+    basis = _echelon(rows, len(rows[0]) if rows else 0)
     pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
     red = [[Fraction(x, b[p]) for x in b] for b, p in zip(basis, pivots)]
     for i in range(len(red) - 1, 0, -1):
@@ -58,21 +61,28 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(_echelon(rows))
+    return len(_echelon(rows, len(rows[0]) if rows else 0))
 
 
-def row_basis(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
+def row_basis(rows: Iterable[Sequence[int] | SparseRow], ncols: int) -> list[list[int]]:
     """Echelon basis of the row space of integer rows, fraction-free.
 
-    Each row is reduced against the basis found so far by cross-multiplying
-    with its pivot rows and dividing out the content, so entries stay
-    coprime integers and no per-entry gcd is paid as with Fractions.  Basis
-    rows have a positive leading entry and are ordered by pivot column; they
-    are not reduced above their pivots.  Stops once ncols pivots are found.
+    A row is a sequence of ncols ints or a sparse {column: int} row; either
+    is copied once into the dense working row.  Each row is reduced against
+    the basis found so far by cross-multiplying with its pivot rows and
+    dividing out the content, so entries stay coprime integers and no
+    per-entry gcd is paid as with Fractions.  Basis rows have a positive
+    leading entry and are ordered by pivot column; they are not reduced
+    above their pivots.  Stops once ncols pivots are found.
     """
     basis: dict[int, list[int]] = {}
     for row in rows:
-        v = list(row)
+        if isinstance(row, dict):
+            v = [0] * ncols
+            for col, x in row.items():
+                v[col] = x
+        else:
+            v = list(row)
         for p in sorted(basis):
             g = v[p]
             if g:
@@ -120,12 +130,14 @@ def full_rank_mod_p(rows: Iterable[dict[int, int]], ncols: int) -> bool:
     return len(pivots) == ncols
 
 
-def kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Row]:
+def kernel(rows: Sequence[Sequence[Fraction] | SparseRow], ncols: int) -> list[Row]:
     """Basis of the right null space {x : M x = 0}: for each non-pivot column
-    f, the solution with x_f = 1 and 0 at the other non-pivot columns.  It is
-    back-substituted in integers over ``_echelon``'s fraction-free rows, with
-    one common denominator; Fractions are built only for the returned vectors."""
-    basis = _echelon(rows)
+    f, the solution with x_f = 1 and 0 at the other non-pivot columns.  Rows
+    are sequences of Fractions or ints, or sparse {column: int} rows.  Each
+    vector is back-substituted in integers over ``_echelon``'s fraction-free
+    rows, with one common denominator; Fractions are built only for its
+    nonzero entries, and its zeros share one Fraction(0)."""
+    basis = _echelon(rows, ncols)
     pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
     out = []
     for fc in sorted(set(range(ncols)).difference(pivots)):
@@ -140,5 +152,5 @@ def kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Row]:
                     v = [x * f for x in v]
                     den *= f
                 v[p] = -s // g
-        out.append([Fraction(x, den) for x in v])
+        out.append([Fraction(x, den) if x else _ZERO for x in v])
     return out

@@ -192,6 +192,15 @@ def cleared(p: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in p], den
 
 
+def exact_sqrt(num: int, den: int) -> int | None:
+    """The integer y >= 0 with y^2 = num / den (den != 0), when there is one."""
+    q, r = divmod(num, den)
+    if r or q < 0:
+        return None
+    y = math.isqrt(q)
+    return y if y * y == q else None
+
+
 def pseudo_rem(p: list[int], m: list[int]) -> tuple[list[int], int]:
     """(r, s) with r / s = p mod m, r padded to deg m coefficients: each step
     that clears a nonzero top coefficient multiplies by lead(m), so

@@ -298,19 +298,27 @@ def _act_basis(phi: Functional, j: int, b: int, mono: Monomial) -> tuple:
     ``pbw._left_mult``), the commutator and the cocycle into one {monomial:
     int} dict over a running denominator (``_add_scaled``; no Fraction is
     built), is reduced once, and is cached per functional (raising words share
-    long suffixes) as a frozen lowest-terms (den, monomials, numerators) triple."""
+    long suffixes) as a frozen lowest-terms (den, monomials, numerators) triple.
+    Two kinds of node are scalars and are neither recursed into nor cached:
+    d_j (x) e_b on v itself, and d_0 (x) e_b on a color with e_b = p/q 1
+    (``Algebra._unit_color``), which is p/q times the grading operator, so
+    it multiplies a depth-n monomial by phi(d_0 (x) e_b) - p/q n."""
     alg = phi.algebra
     if j < 0:
         return _left_mult(alg, (-j, b), mono)
+    if not j and (not mono or b == alg._unit_color[0]):  # phi(d_0 (x) e_b) - p/q depth
+        _, p, q = alg._unit_color  # e_b = p/q 1 (or mono = ())
+        val = phi.value_d0(b)
+        den = val.denominator * q
+        num = val.numerator * q + p * val.denominator * monomial_weight(mono)
+        g = math.gcd(num, den)
+        return (den // g, (mono,), (num // g,)) if num else (1, (), ())
+    if not mono:  # positive modes kill v
+        return 1, (), ()
     key = (j, b, mono)
     hit = phi._act_cache.get(key)
     if hit is not None:
         return hit
-    if not mono:
-        val = phi.value_d0(b) if j == 0 else 0
-        out = phi._act_cache[key] = ((val.denominator, ((),), (val.numerator,)) if val
-                                     else (1, (), ()))
-        return out
     head, rest = mono[0], mono[1:]
     mh, bh = head
     sub, monos, nums = _act_basis(phi, j, b, rest)
@@ -441,18 +449,16 @@ def singular_vectors(phi: Functional, depth: int, window=None) -> list[VermaVect
     basis = pbw_basis(depth, alg, window=window)
     rows: list[dict] = []
     for mode in (1, 2):
-        if depth - mode >= 0:
+        if mode <= depth:
             for b in colors:
                 rows += _action_rows(phi, mode, b, basis).values()
     if depth != first and linalg.full_rank_mod_p(rows, len(basis)):
         return []
-    dense = [[row.get(col, 0) for col in range(len(basis))] for row in rows]
-    vecs = linalg.kernel(dense, len(basis))
+    vecs = linalg.kernel(rows, len(basis))
     if order_one and len(vecs) != 1:
         raise AssertionError(f"{len(vecs)} singular vectors at vertex depth {depth}, "
                              "against multiplicity one")
-    return [VermaVector(phi, EnvElement(alg, {mono: c for mono, c in zip(basis, vec) if c}))
-            for vec in vecs]
+    return [VermaVector(phi, EnvElement(alg, dict(zip(basis, vec)))) for vec in vecs]
 
 
 def module_dims(algebra: Algebra, max_depth: int, window=None) -> tuple[int, ...]:
@@ -524,6 +530,9 @@ def quotient_dims(phi: Functional, max_depth: int, window=None) -> tuple[int, ..
     embedding diagram of V(h, c), whatever its type (braid, chain, t < 0 or
     irrational t); only pieces of order 2 or more run the recursion.  When
     every reduced piece has order 1, no layer and no PBW basis is built.
+    Each unreduced piece of order 1 is walked once (``_embedding_steps``),
+    and ``_first_reducible_depth`` and ``_order_one_dims`` share the walk.
+    With one reduced piece, its character is the answer.
 
     Over the windowed polynomial and Laurent kinds the radical is tested
     against raising monomials whose colors stay in the window, and the
@@ -545,31 +554,28 @@ def quotient_dims(phi: Functional, max_depth: int, window=None) -> tuple[int, ..
             return quotient_dims(pulled[0], max_depth)
         return tuple(linalg.rank(pairing_matrix(phi, n, window=window))
                      for n in range(max_depth + 1))
-    first = _first_reducible_depth(phi, max_depth)
+    pieces = _local_pieces(phi) or ()
+    walks = [len(lam) == 1 and _embedding_steps(-lam[0], kappa[0], max_depth)
+             for _, lam, kappa in pieces]  # False on the pieces of order N >= 2
+    first = _first_reducible_depth(phi, max_depth, walks)
     if first > max_depth:  # Rad = 0 through max_depth by theorem
         return tuple(colored_partition_counts(phi.algebra.dim, max_depth))
     if not first:  # no theorem splits or reduces phi
         return _layered_quotient_dims(phi, max_depth)
-    pieces = _local_pieces(phi)
-    dims = [1] + [0] * max_depth
-    for a, lam, kappa in pieces:
+    parts = []  # the trivial module (k = 0) has character 1
+    for (a, lam, kappa), walk in zip(pieces, walks):
         k = _reduced_order(lam, kappa)
-        if not k:
-            continue  # the trivial module has character 1
         if k == 1:
-            part = _order_one_dims(-lam[0], kappa[0], max_depth)
+            parts.append(_order_one_dims(-lam[0], kappa[0], max_depth, walk))
         elif len(pieces) == 1 and a == 0 and k == len(lam):
-            part = _layered_quotient_dims(phi, max_depth)
-        else:
-            part = _layered_quotient_dims(
-                _piece_on(Algebra.product_local([(0, k)]), 0, lam, kappa), max_depth)
-        dims = _convolve(dims, part)
+            parts.append(_layered_quotient_dims(phi, max_depth))
+        elif k:
+            parts.append(_layered_quotient_dims(
+                _piece_on(Algebra.product_local([(0, k)]), 0, lam, kappa), max_depth))
+    dims = parts.pop() if parts else [1] + [0] * max_depth
+    for part in parts:  # the product of truncated q-series
+        dims = [sum(dims[i] * part[n - i] for i in range(n + 1)) for n in range(max_depth + 1)]
     return tuple(dims)
-
-
-def _convolve(a, b) -> list[int]:
-    """The product of two truncated q-series of the same length."""
-    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
 
 
 def _check_depth(max_depth: int):
@@ -623,8 +629,7 @@ def _layered_quotient_dims(phi: Functional, max_depth: int) -> tuple[int, ...]:
                                 row[col] += x * c
                     products.append(row)
         if deficient or not linalg.full_rank_mod_p(sparse, width):
-            dense = [[row.get(col, 0) for col in range(width)] for row in sparse]
-            q = linalg.row_basis(products + dense, width)
+            q = linalg.row_basis(products + sparse, width)
             deficient = len(q) < width
         dims.append(len(q) if deficient else width)
         layers = layers[-1:] + [({mono: i for i, mono in enumerate(basis)}, q) if deficient else None]
@@ -700,11 +705,13 @@ def _piece_on(algebra: Algebra, a, lam, kappa) -> Functional:
     return Functional(algebra, *values)
 
 
-def _first_reducible_depth(phi: Functional, max_depth: int) -> int:
+def _first_reducible_depth(phi: Functional, max_depth: int, walks=None) -> int:
     """The least depth n <= max_depth at which Rad_n can be nonzero;
     max_depth + 1 when the theorems below prove Rad = 0 through max_depth,
     and 0 when none applies (every kind but product_local and the
-    one-dimensional algebra Q).
+    one-dimensional algebra Q).  ``walks``, when given, holds for each piece
+    of order 1 its ``_embedding_steps`` to max_depth (and False for the
+    others), and that piece's least vertex is read off it.
 
     V(phi) is the tensor product of the Verma modules of its CRT pieces, so
     the answer is the least depth over the pieces of ``_local_pieces``, each
@@ -726,27 +733,18 @@ def _first_reducible_depth(phi: Functional, max_depth: int) -> int:
     if pieces is None:
         return 0
     first = max_depth + 1
-    for _, lams, kappas in pieces:
+    for i, (_, lams, kappas) in enumerate(pieces):
         lam, kappa = lams[-1], kappas[-1]
         if len(lams) == 1:
-            first = min(_kac_steps(*_kac_zero(-lam, kappa), 0, first - 1), default=first)
+            steps = walks[i][0] if walks else _kac_steps(*_kac_zero(-lam, kappa), 0, first - 1)
+            first = min([first, *steps])
         elif kappa:
             square = 1 + 24 * lam / kappa
-            n = _exact_sqrt(square.numerator, square.denominator)
-            if n and n < first:
-                first = n
+            first = min(first, polyutil.exact_sqrt(square.numerator, square.denominator)
+                        or first)
         elif not lam:
             first = min(first, 1)
     return first
-
-
-def _exact_sqrt(num: int, den: int) -> int | None:
-    """The integer y >= 0 with y^2 = num / den (den != 0), when there is one."""
-    q, r = divmod(num, den)
-    if r or q < 0:
-        return None
-    y = math.isqrt(q)
-    return y if y * y == q else None
 
 
 def _kac_zero(h: Fraction, c: Fraction) -> tuple:
@@ -767,14 +765,14 @@ def _kac_zero(h: Fraction, c: Fraction) -> tuple:
     """
     a, b = c.numerator, c.denominator
     hn, hd = h.numerator, h.denominator
-    root = _exact_sqrt((b - a) * (25 * b - a), 1)  # (6b)^2 (u^2 - 4)
+    root = polyutil.exact_sqrt((b - a) * (25 * b - a), 1)  # (6b)^2 (u^2 - 4)
     if root is None:  # a != b here, since c = 1 is t = 1
         den = (b - a) * hd  # r^2 = 1 + 24bh / (b - a), as u - 2 = (b - a)/6b
-        return None, _exact_sqrt(den + 24 * b * hn, den) or None
+        return None, polyutil.exact_sqrt(den + 24 * b * hn, den) or None
     num, den = 13 * b - a + root, 12 * b  # t
     g = math.gcd(num, den)
     p, pp = num // g, den // g
-    return (p, pp), _exact_sqrt(4 * p * pp * hn + (p - pp) ** 2 * hd, hd)
+    return (p, pp), polyutil.exact_sqrt(4 * p * pp * hn + (p - pp) ** 2 * hd, hd)
 
 
 def _embedding_steps(h: Fraction, c: Fraction, limit: int) -> dict[int, set]:
@@ -796,10 +794,10 @@ def _embedding_steps(h: Fraction, c: Fraction, limit: int) -> dict[int, set]:
     return steps
 
 
-def _embedding_diagram(h: Fraction, c: Fraction, limit: int) -> dict[int, set]:
+def _embedding_diagram(steps: dict[int, set]) -> dict[int, set]:
     """``_embedding_steps`` closed: each vertex d maps to every e with V(h + e) in V(h + d)."""
     below: dict[int, set] = {}
-    for d, step in sorted(_embedding_steps(h, c, limit).items(), reverse=True):  # deepest first
+    for d, step in sorted(steps.items(), reverse=True):  # deepest first
         below[d] = step.union(*(below[e] for e in step))
     return below
 
@@ -818,15 +816,16 @@ def _kac_steps(t, m, d: int, limit: int) -> set:
             if x > 0 and not x % pp and d + r * (x // pp) <= limit}
 
 
-def _order_one_dims(h: Fraction, c: Fraction, max_depth: int) -> tuple[int, ...]:
+def _order_one_dims(h: Fraction, c: Fraction, max_depth: int, steps=None) -> tuple[int, ...]:
     """dim L(h, c)_n for n <= max_depth, off the embedding diagram of V(h, c).
 
     Verma modules are multiplicity-free: [V(h + d) : L(h + e)] = 1 exactly
     when V(h + e) is in V(h + d) (Feigin-Fuchs 1984).  So, deepest vertex
     first, ch L(h + d) = ch V(h + d) - sum of ch L(h + e) over the e below d,
-    each kept as its sparse integer numerator over prod (1 - q^n).
+    each kept as its sparse integer numerator over prod (1 - q^n).  ``steps``
+    is V(h, c)'s ``_embedding_steps`` to max_depth when the caller has it.
     """
-    diagram = _embedding_diagram(h, c, max_depth)
+    diagram = _embedding_diagram(steps or _embedding_steps(h, c, max_depth))
     numerators: dict[int, dict] = {}
     for d in sorted(diagram, reverse=True):
         num = numerators[d] = {d: 1}

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mapvir import linalg
+from mapvir import linalg, polyutil
 from mapvir.recurrence import minimal_annihilator
 from oracles import oracle_kernel, oracle_rank
 
@@ -120,6 +120,35 @@ def test_kernel_equals_the_gauss_jordan_oracle(name):
     assert all(type(x) is F for v in ker for x in v)
     for x in ker:
         assert not any(_apply(rows, x))
+
+
+def _sparse(rows):
+    """Each row scaled to integers by the lcm of its denominators (which keeps
+    the kernel), as a sparse {column: int} row."""
+    return [{j: x for j, x in enumerate(polyutil.cleared(row)[0]) if x} for row in rows]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_PARITY))
+def test_kernel_of_sparse_integer_rows_equals_the_oracle(name):
+    rows, ncols = KERNEL_PARITY[name]
+    ker = linalg.kernel(_sparse(rows), ncols)
+    assert ker == oracle_kernel(rows, ncols)
+    assert all(type(x) is F for v in ker for x in v)
+
+
+@pytest.mark.parametrize("rows", [[], [{}, {}]], ids=["no_rows", "empty_rows"])
+def test_kernel_of_sparse_rows_without_columns_is_empty(rows):
+    assert linalg.kernel(rows, 0) == [] == oracle_kernel([[] for _ in rows], 0)
+    assert linalg.row_basis(rows, 0) == []
+
+
+def test_row_basis_takes_sparse_and_dense_rows_alike():
+    for name, (rows, ncols) in KERNEL_PARITY.items():
+        dense = [polyutil.cleared(row)[0] for row in rows]
+        sparse = _sparse(rows)
+        assert linalg.row_basis(sparse, ncols) == linalg.row_basis(dense, ncols), name
+        mixed = [r if i % 2 else d for i, (r, d) in enumerate(zip(sparse, dense))]
+        assert linalg.row_basis(mixed, ncols) == linalg.row_basis(dense, ncols), name
 
 
 def test_kernel_parity_cases_cover_every_shape():

@@ -51,6 +51,7 @@ from oracles import (
     minimal_model_weight,
     oracle_det,
     oracle_kac_zero,
+    oracle_kernel,
     oracle_min_recurrence,
     oracle_minimal_order,
     oracle_rank,
@@ -425,7 +426,7 @@ def test_seeded_rank_deficient_matrices_are_never_certified():
 
 
 def _without_skip(monkeypatch):
-    monkeypatch.setattr(verma, "_first_reducible_depth", lambda phi, max_depth: 0)
+    monkeypatch.setattr(verma, "_first_reducible_depth", lambda phi, max_depth, walks=None: 0)
 
 
 def test_uncertified_full_layer_falls_back_to_row_basis(monkeypatch):
@@ -455,7 +456,7 @@ def _without_certificate(monkeypatch):
 
 def _without_character(monkeypatch):
     """Send every order-1 piece to the layered engine."""
-    monkeypatch.setattr(verma, "_order_one_dims", lambda h, c, max_depth: (
+    monkeypatch.setattr(verma, "_order_one_dims", lambda h, c, max_depth, steps=None: (
         verma._layered_quotient_dims(Functional.classical(-h, c), max_depth)))
 
 
@@ -601,7 +602,7 @@ def test_off_vertex_depths_build_no_basis_or_action(monkeypatch):
     past_first = 0
     for points in KAC_GRID.values():
         for h, c in points:
-            vertices = verma._embedding_diagram(h, c, 8)
+            vertices = verma._embedding_diagram(verma._embedding_steps(h, c, 8))
             phi = Functional.classical(-h, c)
             for n in range(1, 9):
                 if n not in vertices:
@@ -833,9 +834,9 @@ def test_pullback_verma_module_stays_on_the_original_algebra():
     assert quotient_dims(phi, 6) == (1, 1, 1, 2, 2, 3, 4)
 
 
-def _loop_first_reducible_depth(phi, max_depth):
+def _loop_first_reducible_depth(phi, max_depth, walks=None):
     """``_first_reducible_depth`` with the order N >= 2 criterion searched
-    n by n, as it was before its closed form."""
+    n by n, as it was before its closed form; it walks every piece itself."""
     pieces = verma._local_pieces(phi)
     if pieces is None:
         return 0
@@ -887,8 +888,12 @@ def test_wilson_closed_form_matches_the_search():
     ids=list(PARITY_CASES) + [label for label, _, _ in PLANTED_LOCAL])
 def test_quotient_dims_agree_with_the_searched_criterion(phi, depth, monkeypatch):
     for max_depth in range(depth + 1):
-        assert (verma._first_reducible_depth(phi, max_depth)
-                == _loop_first_reducible_depth(phi, max_depth))
+        first = _loop_first_reducible_depth(phi, max_depth)
+        assert verma._first_reducible_depth(phi, max_depth) == first
+        # quotient_dims hands over each order-1 piece's walk to max_depth
+        walks = [verma._embedding_steps(-lam[0], kappa[0], max_depth) if len(lam) == 1
+                 else None for _, lam, kappa in verma._local_pieces(phi) or ()]
+        assert verma._first_reducible_depth(phi, max_depth, walks) == first
     dims = quotient_dims(phi, depth)
     monkeypatch.setattr(verma, "_first_reducible_depth", _loop_first_reducible_depth)
     assert quotient_dims(phi, depth) == dims
@@ -980,7 +985,7 @@ def test_vertex_walk_and_diagram_closure_agree_on_the_kac_grids():
     for h, c in points:
         for limit in (1, 4, 8):
             steps = verma._embedding_steps(h, c, limit)
-            below = verma._embedding_diagram(h, c, limit)
+            below = verma._embedding_diagram(steps)
             assert steps.keys() == below.keys(), (h, c, limit)
             assert all(steps[d] <= below[d] <= below.keys() - {d} for d in below), (h, c, limit)
             reducible += len(below) > 1
@@ -1015,6 +1020,7 @@ def test_classical_constructor_rejects_floats_and_wide_algebras(d0, c, alg, erro
 
 def test_one_kac_zero_per_order_one_piece(monkeypatch):
     zeros = _counting(monkeypatch, verma, "_kac_zero")
+    walks = _counting(monkeypatch, verma, "_embedding_steps")
     diagrams = _counting(monkeypatch, verma, "_embedding_diagram")
     sigma, epsilon = (minimal_model_weight(*MINIMAL_MODELS[name][0])
                       for name in ("ising_sigma", "ising_epsilon"))
@@ -1027,15 +1033,16 @@ def test_one_kac_zero_per_order_one_piece(monkeypatch):
             zeros.clear()
             singular_vectors(phi, n)
             assert len(zeros) == pieces, (phi, n)
-        # quotient_dims reads each piece's least vertex, then builds the
-        # diagram of each order-1 piece once, and only below max_depth
+        # quotient_dims walks each order-1 piece once, reads its least vertex
+        # off the walk, and closes the walk into a diagram only below max_depth
         for depth in (1, 8):
             zeros.clear()
+            walks.clear()
             diagrams.clear()
             dims = quotient_dims(phi, depth)
             reducible = dims != tuple(colored_partition_series(pieces, depth))
             assert len(diagrams) == (pieces if reducible else 0), (phi, depth)
-            assert len(zeros) == pieces + len(diagrams)
+            assert len(zeros) == len(walks) == pieces, (phi, depth)
 
 
 def test_one_dimensional_pieces_match_the_crt_path():
@@ -1201,13 +1208,96 @@ def test_action_matches_the_reference_on_every_cached_entry(name, monkeypatch):
     reference: dict = {}
     for key in keys:
         assert verma._act_basis(phi, *key) == reference_act_basis(phi, *key, reference), key
-    assert phi._act_cache.keys() == reference.keys()
+    # nodes on v and mode-0 nodes on the color e_b = s 1 (a multiple of the
+    # grading operator) are scalars, returned without a cache entry
+    scalar = {key for key in reference
+              if not key[2] or key[:2] == (0, phi.algebra._unit_color[0])}
+    assert scalar and phi._act_cache.keys() == reference.keys() - scalar
     for key, result in phi._act_cache.items():
         assert result == reference[key] and _frozen_result(result), key
     assert any(grown)  # phi's values carry denominators, so some nodes are rescaled
     # at rational points straightening itself carries denominators
     straightened = phi.algebra._caches.get("pbw_left_mult", {}).values()
     assert any(d > 1 for d, _, _ in straightened) == (name == "rational_points")
+
+
+def _grading_cases():
+    """name -> functional with seeded values on algebras with a basis element
+    e_b = s 1: Q, e_0^2 = 2 e_0 (1 = e_0 / 2, so s = 2), e_0^2 = e_0 / 3
+    (s = 1/3), e_0^2 = -e_0 (s = -1), product_local at integer and at
+    rational points, and the dual numbers."""
+    rng = random.Random(1314)
+    half = Algebra.structure_constants([[[2]]], [F(1, 2)])
+    algebras = {"rationals": QQ, "half": half,
+                "third": Algebra.structure_constants([[[F(1, 3)]]], [3]),
+                "negative": Algebra.structure_constants([[[-1]]], [-1]),
+                "integer_points": Algebra.product_local([(0, 2), (1, 1)]),
+                "rational_points": Algebra.product_local([(F(1, 2), 2), (F(-2, 3), 1)]),
+                "dual": DUAL}
+    return {name: Functional(alg, *({i: F(rng.randint(-9, 9), rng.randint(1, 7))
+                                     for i in range(alg.dim)} for _ in range(2)))
+            for name, alg in algebras.items()}
+
+
+GRADING_CASES = _grading_cases()
+
+
+@pytest.mark.parametrize("name", GRADING_CASES)
+def test_grading_shortcut_matches_the_reference(name):
+    # d_0 (x) s 1 acts on a depth-n monomial as phi(d_0 (x) e_b) - s n
+    phi = GRADING_CASES[name]
+    alg = phi.algebra
+    one = alg.one().coeffs
+    colors = [b for b in alg.basis_indices() if one.keys() == {b}]  # e_b = (1 / one_b) 1
+    assert [(b, F(1) / one[b]) for b in colors] == [
+        (alg._unit_color[0], F(*alg._unit_color[1:]))]
+    if name == "half":
+        assert alg._unit_color == (0, 2, 1)
+    monos = [m for n in range(6) for m in pbw_basis(n, alg)]
+    reference: dict = {}
+    for b in colors:
+        for mono in monos:
+            got = verma._act_basis(phi, 0, b, mono)
+            assert got == reference_act_basis(phi, 0, b, mono, reference), (b, mono)
+            scalar = phi.value_d0(b) - sum(m for m, _ in mono) / one[b]
+            assert got == ((scalar.denominator, (mono,), (scalar.numerator,)) if scalar
+                           else (1, (), ())), (b, mono)
+    assert not phi._act_cache  # no recursion and no cache entry
+    # the recursion still runs, and caches, on the other colors
+    for b in set(alg.basis_indices()) - set(colors):
+        for mono in monos:
+            assert verma._act_basis(phi, 0, b, mono) == reference_act_basis(
+                phi, 0, b, mono, reference), (b, mono)
+    assert bool(phi._act_cache) == (alg.dim > 1)
+
+
+def _vertex_cases():
+    """(h, c, depth) at every vertex depth <= 6 of the minimal-model weights
+    and the Kac grid points."""
+    points = [MINIMAL_MODELS[name][1] for name in MINIMAL_MODELS]
+    points += [point for grid in KAC_GRID.values() for point in grid]
+    return [(h, c, n) for h, c in points for n in sorted(verma._embedding_steps(h, c, 6))
+            if n]
+
+
+def test_vertex_vectors_match_the_reference_kernel():
+    # coefficient for coefficient: the reference action's rows, the
+    # Gauss-Jordan kernel, and the free column set to 1
+    cases = _vertex_cases()
+    assert len(cases) > 100 and {n for _, _, n in cases} == set(range(1, 7))
+    for h, c, n in cases:
+        phi = Functional.classical(-h, c)
+        basis = pbw_basis(n, QQ)
+        reference: dict = {}
+        rows: dict = {}
+        for mode in (1, 2):
+            for col, mono in enumerate(basis):
+                den, monos, nums = reference_act_basis(phi, mode, 0, mono, reference)
+                for target, x in zip(monos, nums):
+                    rows.setdefault((mode, target), [F(0)] * len(basis))[col] = F(x, den)
+        (want,) = oracle_kernel(list(rows.values()), len(basis))
+        (vec,) = singular_vectors(phi, n)
+        assert dict(vec.env.terms) == {m: x for m, x in zip(basis, want) if x}, (h, c, n)
 
 
 def test_windowed_quotient_dims_keep_pairing_path(monkeypatch):
