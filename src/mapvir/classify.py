@@ -143,7 +143,7 @@ def _classify_highest(phi: Functional, bound, assume_exact) -> ClassificationRec
         return ClassificationRecord("undetermined_at_bound", notes={
             **notes, "reason": "witness ideal does not split into rational points",
             "witness": gen}, witness=witness)
-    record = _split_product_local(_pull_back(phi, *split), notes)
+    record = _split_product_local(_pull_back(phi, split[0]), notes)
     record.witness = witness
     record.notes["witness"] = gen
     return record

@@ -24,7 +24,6 @@ from .algebra import (
     format_element,
     ideal_closure,
     ideal_intersection,
-    ideal_power,
     point_ideal,
     product_local_quotient,
 )
@@ -379,11 +378,11 @@ class GeneralizedEvalHandle(ModuleHandle):
                            inner.notes + (note,))
 
     def annihilator(self) -> AnnihilatorReport:
-        # the order-th power of the point ideal, plus the lifted inner ideal
-        mpow = ideal_power(point_ideal(self.algebra, self.point), self.order)
-        gens = mpow.generators() + [self.projection.lift(g) for g in
-                                    annihilator_support(self.inner).ideal.generators()]
-        ann = ideal_closure(gens) if gens else mpow
+        # A is a principal ideal ring: (t - point)^order A is m^order, closed once
+        power = polyutil.ppow((-self.point, Fraction(1)), self.order)
+        ann = ideal_closure([self.algebra.from_poly(power)]
+                            + [self.projection.lift(g) for g in
+                               annihilator_support(self.inner).ideal.generators()])
         notes = [f"contains the order-{self.order} power of the point ideal"]
         support = [self.point]
         if ann.is_whole():

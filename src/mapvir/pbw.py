@@ -76,25 +76,44 @@ class EnvElement(_Vector):
         return f"<{format_env(self)}>"
 
 
-def _lincomb(parts) -> tuple:
-    """sum of num/den * result over (num, den, result) parts.
+def _add_scaled(acc: dict, den: int, num: int, d: int, result: tuple) -> int:
+    """Add num/d times a frozen result to the numerators ``acc`` over den in
+    place; return their denominator, grown to lcm(den, d rden) only if need be."""
+    rden, monos, nums = result
+    d *= rden
+    if den % d:
+        f = d // math.gcd(den, d)
+        acc.update({mono: c * f for mono, c in acc.items()})
+        den *= f
+    num *= den // d
+    for mono, c in zip(monos, nums):
+        acc[mono] = acc.get(mono, 0) + num * c
+    return den
 
-    A result is a frozen (den, monomials, numerators) triple: the combination
-    sum_i numerators[i]/den * monomials[i] with integer numerators over one
-    positive denominator.  The sum comes back in that form, in lowest terms;
-    zero is (1, (), ()).  Two flat tuples keep cached results compact.
-    """
+
+def _frozen(acc: dict, den: int) -> tuple:
+    """The numerators ``acc`` over den as a frozen result in lowest terms."""
     # build tuples and star-args from lists: a tuple built from a generator is
     # resized, which piles freed tuples into free lists that only a full gc empties
-    den = math.lcm(*[d * r[0] for _, d, r in parts])
-    acc: dict = {}
-    for num, d, (rden, monos, nums) in parts:
-        f = num * (den // (d * rden))
-        for mono, c in zip(monos, nums):
-            acc[mono] = acc.get(mono, 0) + f * c
     acc = {mono: c for mono, c in acc.items() if c}
     g = math.gcd(den, *acc.values())
     return den // g, tuple(acc), tuple([c // g for c in acc.values()])
+
+
+def _lincomb(parts) -> tuple:
+    """sum of num/d * result over (num, d, result) parts, d > 0, folded by
+    ``_add_scaled`` (the Verma action's loop too) and closed by ``_frozen``.
+
+    A result is a frozen (den, monomials, numerators) triple: the combination
+    sum_i numerators[i]/den * monomials[i] with integer numerators over one
+    positive denominator.  The sum comes back in that form, in lowest terms
+    and first-seen monomial order; zero is (1, (), ()).  Two flat tuples keep
+    cached results compact.
+    """
+    den, acc = 1, {}
+    for num, d, result in parts:
+        den = _add_scaled(acc, den, num, d, result)
+    return _frozen(acc, den)
 
 
 def _single(mono: Monomial) -> tuple:

@@ -2,7 +2,7 @@
 
 Polynomials are tuples of Fractions indexed by exponent, trailing zeros
 stripped; the zero polynomial is the empty tuple.  They are built from lists,
-not generators, for the free-list reason given in ``pbw._lincomb``.
+not generators, for the free-list reason given in ``pbw._frozen``.
 
 The integer helpers at the end work on lists of ints, low degree first and
 not trimmed: a rational polynomial enters as its numerators over one

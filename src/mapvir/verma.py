@@ -33,6 +33,8 @@ from .liealg import LieElement
 from .pbw import (
     EnvElement,
     Monomial,
+    _add_scaled,
+    _frozen,
     _left_mult,
     _lincomb,
     _single,
@@ -64,14 +66,19 @@ class Functional:
         if exact_poly is not None and algebra.kind != "polynomial":
             raise UnsupportedKind("an exact recurrence needs a polynomial algebra")
         if algebra.kind == "polynomial":
+            if hasattr(d0, "keys") or hasattr(c, "keys"):  # a mapping, as dict() reads it
+                raise TypeError("polynomial values are sequences: use from_sequences")
             d0, c = dict(enumerate(d0)), dict(enumerate(c))
             if len(d0) != len(c):
                 raise ValueError("d0 and c sequences must have equal length")
-        elif algebra.is_finite:
-            d0 = {i: d0.get(i, 0) for i in range(algebra.dim)}
-            c = {i: c.get(i, 0) for i in range(algebra.dim)}
-        elif algebra.kind == "laurent":
-            d0, c = dict(d0), dict(c)
+        elif algebra.is_finite or algebra.kind == "laurent":
+            for k in set(d0).union(c).difference(algebra.window_indices()):  # never dropped
+                if not isinstance(k, int):
+                    raise TypeError(f"key {k!r} is not an index: from_values reads labels")
+                algebra.check_index(k)
+            if algebra.is_finite:
+                d0 = {i: d0.get(i, 0) for i in range(algebra.dim)}
+                c = {i: c.get(i, 0) for i in range(algebra.dim)}
         else:
             raise UnsupportedKind(f"no functional support for {algebra.kind}")
         # one layout for every kind: scalar values in ascending index order
@@ -111,12 +118,9 @@ class Functional:
     @classmethod
     def from_values(cls, algebra: Algebra, d0_values=None, c_values=None) -> "Functional":
         """Build from {label or index: scalar} maps (finite or Laurent kinds)."""
-        def keyed(values):
-            out = {}
-            for key, val in (values or {}).items():
-                idx = key if isinstance(key, int) else algebra.index_of_label(str(key))
-                out[idx] = as_scalar(val)
-            return out
+        def keyed(values):  # indices and values are checked by the constructor
+            return {key if isinstance(key, int) else algebra.index_of_label(str(key)): val
+                    for key, val in (values or {}).items()}
 
         if algebra.kind == "polynomial":
             raise UnsupportedKind("polynomial functionals use from_sequences")
@@ -296,8 +300,8 @@ def _act_basis(phi: Functional, j: int, b: int, mono: Monomial) -> tuple:
     and central pieces evaluate immediately through phi.  A node adds head
     times d_j (x) e_b rest (prepended where head leads in PBW order, else by
     ``pbw._left_mult``), the commutator and the cocycle into one {monomial:
-    int} dict over a running denominator (``_add_scaled``; no Fraction is
-    built), is reduced once, and is cached per functional (raising words share
+    int} dict over a running denominator (``pbw._add_scaled``), is reduced
+    once (``pbw._frozen``), and is cached per functional (raising words share
     long suffixes) as a frozen lowest-terms (den, monomials, numerators) triple.
     Two kinds of node are scalars and are neither recursed into nor cached:
     d_j (x) e_b on v itself, and d_0 (x) e_b on a color with e_b = p/q 1
@@ -337,25 +341,8 @@ def _act_basis(phi: Functional, j: int, b: int, mono: Monomial) -> tuple:
         if kappa:
             den = _add_scaled(acc, den, cocycle * kappa.numerator * nk,
                               12 * kappa.denominator * dk, _single(rest))
-    acc = {m3: c3 for m3, c3 in acc.items() if c3}
-    g = math.gcd(den, *acc.values())
-    out = phi._act_cache[key] = (den // g, tuple(acc), tuple([c3 // g for c3 in acc.values()]))
+    out = phi._act_cache[key] = _frozen(acc, den)
     return out
-
-
-def _add_scaled(acc: dict, den: int, num: int, d: int, result: tuple) -> int:
-    """Add num/d times a frozen result to the numerators ``acc`` over den in
-    place; return their denominator, grown to lcm(den, d rden) only if need be."""
-    rden, monos, nums = result
-    d *= rden
-    if den % d:
-        f = d // math.gcd(den, d)
-        acc.update({mono: c * f for mono, c in acc.items()})
-        den *= f
-    num *= den // d
-    for mono, c in zip(monos, nums):
-        acc[mono] = acc.get(mono, 0) + num * c
-    return den
 
 
 def verma_act(x: LieElement, v: VermaVector) -> list[VermaVector]:
@@ -391,10 +378,9 @@ def _raise(phi: Functional, x_mono: Monomial, chains: dict) -> tuple:
     return out
 
 
-def _v_coefficients(phi: Functional, terms, raising):
-    """Lazily yield coeff_v(X w), w = sum terms, for each X in ``raising``."""
-    chains = {(): _lincomb([(c.numerator, c.denominator, _single(mono))
-                            for mono, c in terms.items()])}
+def _v_coefficients(phi: Functional, w: tuple, raising):
+    """Lazily yield coeff_v(X w) for each X in ``raising``, w a frozen result."""
+    chains = {(): w}
     for x_mono in raising:
         den, monos, nums = _raise(phi, x_mono, chains)
         yield Fraction(dict(zip(monos, nums)).get((), 0), den)
@@ -481,7 +467,7 @@ def pairing_matrix(phi: Functional, depth: int, window=None) -> list[list[Fracti
     phi.algebra.window_indices(window, factors=2 * depth)
     basis = pbw_basis(depth, phi.algebra, window=window)
     # one walk per column Y; each walk's chains are dropped before the next
-    cols = [list(_v_coefficients(phi, {y_mono: Fraction(1)}, basis)) for y_mono in basis]
+    cols = [list(_v_coefficients(phi, _single(y_mono), basis)) for y_mono in basis]
     return [list(row) for row in zip(*cols)]
 
 
@@ -843,27 +829,21 @@ def in_maximal_submodule(v: VermaVector, window=None) -> bool:
     Tests the v-coefficient of X * v for every raising monomial X of matching
     weight (window-restricted for infinite algebras).  X carries up to depth
     colors, and their products with the vector's colors are bounded on the
-    caller's window before any action.  Where ``_pulled_back`` applies (an
-    exact polynomial phi on a window holding 0..deg p - 1, or a product_local
-    phi whose reduced CRT pieces give a nonzero ideal J), the test runs on
-    the image of v in V(phi_bar) over A/J and raises by the dim A/J colors
-    of its basis; an image of 0 lies in Rad with no walk.
+    caller's window before any action.  The walk raises one frozen vector w:
+    where ``_pulled_back`` applies (an exact polynomial phi on a window
+    holding 0..deg p - 1, or a product_local phi whose reduced CRT pieces
+    give a nonzero ideal J), the image of v in V(phi_bar) over A/J
+    (``_mono_image``), by the dim A/J colors of its basis; else v itself.
+    A w of 0 lies in Rad with no walk.
     """
     if v.is_zero():
         return True
-    phi = v.functional
     _check_products(v, window, single=False)
-    terms = v.env.terms
-    pulled = _pulled_back(phi, window)
-    if pulled is not None:  # the image of v in V(phi_bar)
-        den, monos, nums = _lincomb([(c.numerator, c.denominator, _mono_image(pulled, mono))
-                                     for mono, c in terms.items()])
-        if not monos:
-            return True
-        phi, window = pulled[0], None
-        terms = {mono: Fraction(c, den) for mono, c in zip(monos, nums)}
-    raising = pbw_basis(v.depth, phi.algebra, window=window)
-    return not any(_v_coefficients(phi, terms, raising))
+    pulled = _pulled_back(v.functional, window)
+    image = _single if pulled is None else lambda mono: _mono_image(pulled, mono)
+    w = _lincomb([(c.numerator, c.denominator, image(mono)) for mono, c in v.env.terms.items()])
+    phi, window = (v.functional, window) if pulled is None else (pulled[0], None)
+    return not w[1] or not any(_v_coefficients(phi, w, pbw_basis(v.depth, phi.algebra, window)))
 
 
 def _exact_colors(phi: Functional) -> tuple[int, int] | None:
@@ -878,13 +858,14 @@ def _exact_colors(phi: Functional) -> tuple[int, int] | None:
     return 0, polyutil.degree(phi.exact_poly) - 1
 
 
-def _pull_back(phi: Functional, quotient: Algebra, project) -> Functional:
-    """phi_bar on the quotient A/J with projection ``project``, for an ideal J
-    with phi(Vir_0 (x) J) = 0: phi_bar reads phi at the lift of each basis
-    element (t^k for A/(p), whose basis k is t^k)."""
-    lifts = [project.lift(quotient.basis_element(k)) for k in range(quotient.dim)]
-    return Functional(quotient, {k: phi.eval_d0(f) for k, f in enumerate(lifts)},
-                      {k: phi.eval_c(f) for k, f in enumerate(lifts)})
+def _pull_back(phi: Functional, quotient: Algebra) -> Functional:
+    """phi_bar on A/J, for an ideal J with phi(Vir_0 (x) J) = 0, read off phi at
+    t^k, k < dim A/J: each quotient it gets (``product_local_quotient``, and
+    ``principal_quotient`` split or not) has basis element k = t^k, which its
+    ``polynomial_quotient`` lifts to t^k."""
+    ks = range(quotient.dim)
+    return Functional(quotient, {k: phi.value_d0(k) for k in ks},
+                      {k: phi.value_c(k) for k in ks})
 
 
 def _pulled_back(phi: Functional, window=None) -> tuple | None:
@@ -897,9 +878,9 @@ def _pulled_back(phi: Functional, window=None) -> tuple | None:
     a product_local phi, k their reduced orders: ``largest_v0_ideal(phi)``,
     read off ``_local_pieces``.  Vir (x) J acts as zero on L(phi) = L(phi_bar)
     over A/J, so w is in Rad(phi) iff its image is in Rad(phi_bar).
-    phi_bar is ``_pull_back``'s; ``images`` maps a color b to e_b mod J and
-    a monomial to its image, as frozen results filled on demand by
-    ``_mono_image``.  Kept on the functional once computed (False: no J).
+    phi_bar is ``_pull_back``'s on the quotient algebra; ``images`` keeps the
+    quotient map's e_b mod J and the monomial images as frozen results, filled
+    on demand by ``_mono_image``.  Kept on the functional once computed (False: no J).
     """
     alg = phi.algebra
     narrow = _exact_colors(phi)
@@ -915,7 +896,7 @@ def _pulled_back(phi: Functional, window=None) -> tuple | None:
             factors = [(a, k) for a, k in orders if k]  # J = prod (t - a)^k
             size = sum(k for _, k in factors)
             quotient = product_local_quotient(alg, factors) if 0 < size < alg.dim else None
-        phi._pulled = ((_pull_back(phi, *quotient), quotient[1], {(): _single(())})
+        phi._pulled = ((_pull_back(phi, quotient[0]), quotient[1], {(): _single(())})
                        if quotient else False)
     return phi._pulled or None
 

@@ -21,9 +21,11 @@ Q[t]/t^N Verma modules with one top-degree zero and of the classical Verma
 modules at c = 1 from closed forms.
 
 One exception is a slow path, not an independent oracle: the reference
-action ``reference_act_basis`` is the library's earlier Verma action, which
-sums each node's parts with ``pbw._lincomb`` over the library's own PBW
-straightening; it pins the in-place accumulation of the current action.
+action ``reference_act_basis`` is the library's earlier Verma action over the
+library's own PBW straightening; it pins the in-place accumulation of the
+current action.  It sums each node's parts with ``reference_lincomb``, the
+library's earlier list-and-lcm sum, kept here so that the reference never
+runs the accumulator it checks.
 """
 
 from __future__ import annotations
@@ -643,13 +645,29 @@ def rocha_caridi_dims(p: int, pp: int, r: int, s: int, max_n: int) -> list[int]:
     return convolve(numerator, colored_partition_series(1, max_n))[: max_n + 1]
 
 
+def reference_lincomb(parts) -> tuple:
+    """sum of num/d * result over (num, d, result) parts, each result a frozen
+    (den, monomials, numerators) triple, as one such triple in lowest terms
+    and first-seen monomial order: the common denominator is the lcm of every
+    d * den, taken once before any numerator is added."""
+    den = math.lcm(*[d * r[0] for _, d, r in parts])
+    acc: dict = {}
+    for num, d, (rden, monos, nums) in parts:
+        f = num * (den // (d * rden))
+        for mono, c in zip(monos, nums):
+            acc[mono] = acc.get(mono, 0) + f * c
+    acc = {mono: c for mono, c in acc.items() if c}
+    g = math.gcd(den, *acc.values())
+    return den // g, tuple(acc), tuple([c // g for c in acc.values()])
+
+
 def reference_act_basis(phi, j: int, b: int, mono: tuple, cache: dict) -> tuple:
     """d_j (x) e_b pushed through mono * v as a frozen (den, monomials,
     numerators) triple, the way the library's action did before it
     accumulated each node in place: every piece of a node is a part, and one
-    ``pbw._lincomb`` sums the parts.  Results are kept in ``cache`` (keyed
-    like the library's), never in the functional's own cache."""
-    from mapvir.pbw import _left_mult, _lincomb, _single
+    ``reference_lincomb`` sums the parts.  Results are kept in ``cache``
+    (keyed like the library's), never in the functional's own cache."""
+    from mapvir.pbw import _left_mult, _single
 
     alg = phi.algebra
     if j < 0:
@@ -675,5 +693,5 @@ def reference_act_basis(phi, j: int, b: int, mono: tuple, cache: dict) -> tuple:
             if kappa:
                 parts.append((cocycle * kappa.numerator * nk, 12 * kappa.denominator * dk,
                               _single(rest)))
-    out = cache[key] = _lincomb(parts)
+    out = cache[key] = reference_lincomb(parts)
     return out

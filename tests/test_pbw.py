@@ -1,6 +1,9 @@
+import ast
 import gc
+import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +35,8 @@ from mapvir import (
     straighten,
     weight_multiplicities,
 )
-from oracles import colored_partition_series
+from mapvir.pbw import _lincomb
+from oracles import colored_partition_series, reference_lincomb
 
 
 A1 = Algebra.rationals()
@@ -337,3 +341,55 @@ def test_format_monomial():
 ])
 def test_format_env_signed_terms(terms, shown):
     assert format_env(EnvElement(A2, terms)) == shown
+
+
+# -- the accumulator ----------------------------------------------------------
+
+
+def _random_result(rng, monos, max_den: int) -> tuple:
+    """A frozen (den, monomials, numerators) result in lowest terms on up to
+    four of ``monos``, its denominator at most max_den."""
+    picked = rng.sample(monos, rng.randint(0, 4))
+    den = rng.randint(1, max_den)
+    nums = [rng.choice((-1, 1)) * rng.randint(1, 12) for _ in picked]
+    g = math.gcd(den, *nums)
+    return den // g, tuple(picked), tuple([n // g for n in nums])
+
+
+def test_lincomb_matches_the_list_and_lcm_reference():
+    a, b, c = ((1, 0),), ((1, 1),), ((2, 0),)
+    # no parts, and parts that cancel to zero
+    assert _lincomb([]) == reference_lincomb([]) == (1, (), ())
+    r = (7, (a, b), (3, -2))
+    assert _lincomb([(5, 12, r), (-5, 12, r)]) == (1, (), ())
+    # a part whose denominator does not divide the running one rescales the
+    # terms already present; monomials keep their first-seen order, and one
+    # that cancels leaves the others in place
+    parts = [(1, 1, (1, (c, a), (1, 1))), (1, 3, (1, (b, a), (1, -3)))]
+    assert _lincomb(parts) == reference_lincomb(parts) == (3, (c, b), (3, 1))
+    # seeded parts on denominators up to 60, with repeated monomials
+    rng = random.Random(3401)
+    monos = [m for n in range(1, 4) for m in pbw_basis(n, A2)]
+    for _ in range(400):
+        parts = [(rng.choice((-1, 1)) * rng.randint(0, 30), rng.randint(1, 60),
+                  _random_result(rng, monos, 60)) for _ in range(rng.randint(0, 6))]
+        if parts and rng.random() < 0.2:  # a part and its negative
+            num, d, res = rng.choice(parts)
+            parts.append((-num, d, res))
+        out = _lincomb(parts)
+        assert out == reference_lincomb(parts), parts
+        den, out_monos, nums = out
+        assert den > 0 and math.gcd(den, *nums) == 1 and 0 not in nums
+        total: dict = {}
+        for num, d, (rden, rmonos, rnums) in parts:
+            for mono, x in zip(rmonos, rnums):
+                total[mono] = total.get(mono, 0) + F(num * x, d * rden)
+        assert out_monos == tuple([m for m, x in total.items() if x])
+        assert all(F(x, den) == total[m] for m, x in zip(out_monos, nums))
+
+
+def test_the_oracles_sum_without_the_library_accumulator():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    used = {node.name.split(".")[-1] for node in ast.walk(tree) if isinstance(node, ast.alias)}
+    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not used & {"_lincomb", "_add_scaled", "_frozen"}

@@ -341,7 +341,7 @@ def test_raising_walk_computes_each_suffix_once(monkeypatch):
     shorter = {mono for n in range(1, depth + 1) for mono in pbw_basis(n, DUAL)}
     for y_mono in basis:
         misses.clear()
-        list(verma._v_coefficients(phi, {y_mono: F(1)}, basis))
+        list(verma._v_coefficients(phi, pbw._single(y_mono), basis))
         assert len(misses) == len(set(misses))
         assert set(misses) <= shorter
         # fewer generator applications than one fresh chain per monomial
@@ -1613,6 +1613,12 @@ def _windowed_vectors():
     return out
 
 
+def _frozen_vector(v) -> tuple:
+    """v as the frozen (den, monomials, numerators) vector the walk takes."""
+    return pbw._lincomb([(c.numerator, c.denominator, pbw._single(mono))
+                         for mono, c in v.env.terms.items()])
+
+
 def _overflows(call) -> bool:
     try:
         call()
@@ -1626,7 +1632,8 @@ def test_vector_product_bound_is_reached_by_the_full_walk():
     for v, window in _windowed_vectors():
         raising = pbw_basis(v.depth, v.functional.algebra, window=window)
         # every raising monomial's walk, with no early exit
-        walk = _overflows(lambda: list(verma._v_coefficients(v.functional, v.env.terms, raising)))
+        walk = _overflows(lambda: list(verma._v_coefficients(v.functional, _frozen_vector(v),
+                                                              raising)))
         assert _overflows(lambda: verma._check_products(v, window, single=False)) == walk
         refused += walk
         # one raising letter: the bound is sound
@@ -1956,7 +1963,7 @@ def _walk_answer(v, window):
     """in_maximal_submodule as the walk over the original algebra answers it."""
     phi = v.functional
     raising = pbw_basis(v.depth, phi.algebra, window=window)
-    return not any(verma._v_coefficients(phi, v.env.terms, raising))
+    return not any(verma._v_coefficients(phi, _frozen_vector(v), raising))
 
 
 # initial values (d0, c) planting (h, c) = (-1/4, 1), reducible at depth 2, on
@@ -2281,6 +2288,30 @@ def test_finite_functional_rejects_indices_outside_the_basis():
     for read, k in ((phi.value_d0, 5), (phi.value_c, -1), (phi.value_d0, 2)):
         with pytest.raises(ValueError, match="out of range"):
             read(k)
+
+
+def test_functional_keys_are_never_misread_or_dropped():
+    from mapvir import functional_from_spec
+    # a mapping on the polynomial kind would be read as a sequence of its keys
+    with pytest.raises(TypeError, match="from_sequences"):
+        Functional(Algebra.polynomial((0, 4)), {0: 5, 1: 7}, {0: 1, 1: 2})
+    # a key outside a finite basis, by index or by label, would be dropped
+    local = Algebra.product_local([(0, 2)])
+    for build in (Functional, Functional.from_values):
+        with pytest.raises(ValueError, match="index 7 out of range"):
+            build(local, {0: 1, 7: 3}, {})
+        with pytest.raises(ValueError, match="index -1 out of range"):
+            build(local, {0: 1}, {-1: 2})
+    with pytest.raises(TypeError, match="from_values reads labels"):
+        Functional(local, {"t": 3}, {})
+    assert Functional.from_values(local, {"t": 3}, {}) == Functional(local, {1: 3}, {})
+    # an exponent outside a Laurent window would be stored, and its spec not read back
+    window = Algebra.laurent((-2, 2))
+    for build in (Functional, Functional.from_values):
+        with pytest.raises(WindowOverflow, match="exponent 5 outside window"):
+            build(window, {0: 1, 5: 3}, {})
+    phi = Functional(window, {-2: 1, 2: 3}, {0: F(1, 2)})
+    assert functional_from_spec(window, functional_to_spec(phi)) == phi
 
 
 def test_functional_add_polynomial_truncates_and_drops_recurrence():
