@@ -9,8 +9,9 @@ bracket, pbw and verma default to text; module --weights renders TSV for
 --format tsv; check, split, module and classify are JSON in every format.
 Exit status 0 on success, 1 on validation errors (bad files, bad
 expressions), 2 on computational errors (window overflow, mode range).
-Each handler imports the modules it uses, so one process compiles only
-what its subcommand needs.
+``main`` loads the -A algebra (default Q) once and hands it to the
+handler.  Each handler imports the modules it uses, so one process compiles
+only what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -67,20 +68,18 @@ def _parse_offsets(text: str) -> tuple[int, int]:
 # -- subcommand handlers ------------------------------------------------------
 
 
-def _cmd_bracket(args) -> int:
+def _cmd_bracket(args, alg: Algebra) -> int:
     from .exprs import parse_lie_element
 
-    alg = _load_algebra(args.algebra)
     result = format_lie_element(bracket(parse_lie_element(args.x, alg),
                                         parse_lie_element(args.y, alg)))
     _emit(args, alg, {"result": result}, result)
     return 0
 
 
-def _cmd_pbw(args) -> int:
+def _cmd_pbw(args, alg: Algebra) -> int:
     from .pbw import format_env, format_monomial, height_hm, pbw_basis, straighten
 
-    alg = _load_algebra(args.algebra)
     if args.basis:
         if args.n is None:
             raise ValueError("pbw --basis needs -n N")
@@ -100,12 +99,11 @@ def _cmd_pbw(args) -> int:
     raise ValueError("pbw needs --basis N or --straighten WORD")
 
 
-def _cmd_verma(args) -> int:
+def _cmd_verma(args, alg: Algebra) -> int:
     from .pbw import format_env
     from .verma import (functional_from_spec, functional_to_spec, module_dims, quotient_dims,
                         singular_vectors)
 
-    alg = _load_algebra(args.algebra)
     if args.n is None:
         raise ValueError("verma queries need a depth: -n N")
     if args.dims:
@@ -128,11 +126,10 @@ def _cmd_verma(args) -> int:
     raise ValueError("verma needs one of --dims, --quotient-dims, --singular")
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args, alg: Algebra) -> int:
     from .pbw import format_env
     from .verma import check_quasifinite, check_verma_reducible, functional_from_spec
 
-    alg = _load_algebra(args.algebra)
     phi = functional_from_spec(alg, _load_json(args.phi))
     if not (args.reducible or args.quasifinite):
         raise ValueError("check needs --quasifinite or --reducible")
@@ -151,11 +148,10 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_split(args) -> int:
+def _cmd_split(args, alg: Algebra) -> int:
     from .scalars import format_scalar
     from .verma import functional_from_spec, functional_to_spec, split_phi
 
-    alg = _load_algebra(args.algebra)
     pieces = split_phi(functional_from_spec(alg, _load_json(args.phi)))
     _emit(args, alg, {"components": [{"point": format_scalar(p),
                                       "functional": functional_to_spec(piece)}
@@ -163,11 +159,10 @@ def _cmd_split(args) -> int:
     return 0
 
 
-def _cmd_module(args) -> int:
+def _cmd_module(args, alg: Algebra) -> int:
     from .classify import trichotomy_profile
     from .evalmod import annihilator_support, module_from_spec, weight_multiplicities
 
-    alg = _load_algebra(args.algebra)
     handle = module_from_spec(alg, _load_json(args.module))
     if args.weights:
         if args.offsets is None:
@@ -186,12 +181,11 @@ def _cmd_module(args) -> int:
     raise ValueError("module needs one of --weights, --annihilator, --trichotomy")
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args, alg: Algebra) -> int:
     from .classify import classify_module
     from .evalmod import IntSeriesEvalHandle, module_from_spec
     from .verma import functional_from_spec
 
-    alg = _load_algebra(args.algebra)
     if args.phi is not None:
         phi = functional_from_spec(alg, _load_json(args.phi))
         record = classify_module(phi, lowest=args.lowest, bound=args.bound,
@@ -207,7 +201,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args, _alg) -> int:
     from .selftest import run_selftest
 
     results = run_selftest(args.seed)
@@ -311,7 +305,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, _load_algebra(getattr(args, "algebra", None)))
     except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1014,29 +1014,33 @@ def check_quasifinite(phi: Functional, bound: int | None = None,
     return QuasifiniteVerdict(status, ideal, candidate=candidate, note=note)
 
 
-def _largest_killed_ideal(phi: Functional, evals, name: str) -> Ideal:
-    """The kernel of f -> (ev(f e_j))_{j, ev}, which is already an ideal: f in
-    the kernel forces every multiple into it."""
+def largest_d0_ideal(phi: Functional) -> Ideal:
+    """The largest ideal J_0 with phi(d_0 (x) J_0) = 0 (finite algebras): the f
+    with (d_{-1} (x) f) v singular, since (d_1 (x) g)(d_{-1} (x) f) v =
+    -2 phi(d_0 (x) g f) v and d_2 (x) g kills it.  Read off
+    ``singular_vectors(phi, 1)``, whose theorem pass on product_local and Q
+    answers [] with no elimination when no CRT piece has top d_0 value 0."""
     alg = phi.algebra
     if not alg.is_finite:
-        raise UnsupportedKind(f"{name} needs a finite-dimensional algebra")
+        raise UnsupportedKind("largest_d0_ideal needs a finite-dimensional algebra")
+    return Ideal(alg, [[v.env.coeff(((1, b),)) for b in range(alg.dim)]
+                       for v in singular_vectors(phi, 1)])
+
+
+def largest_v0_ideal(phi: Functional) -> Ideal:
+    """The largest ideal J with phi(Vir_0 (x) J) = 0 (finite algebras): the
+    kernel of f -> (phi(d_0 (x) f e_j), phi(c (x) f e_j))_j, which is already
+    an ideal, since f in it forces every multiple into it."""
+    alg = phi.algebra
+    if not alg.is_finite:
+        raise UnsupportedKind("largest_v0_ideal needs a finite-dimensional algebra")
     dim = alg.dim
     rows = [[ev(alg.basis_product(i, j)) for i in range(dim)]
-            for j in range(dim) for ev in evals]
+            for j in range(dim) for ev in (phi.eval_d0, phi.eval_c)]
     ideal = Ideal(alg, linalg.kernel(rows, dim))
     if not ideal.is_closed():
         raise AssertionError("kernel failed ideal stability")  # unreachable
     return ideal
-
-
-def largest_d0_ideal(phi: Functional) -> Ideal:
-    """The largest ideal J with phi(d_0 (x) J) = 0 (finite algebras)."""
-    return _largest_killed_ideal(phi, (phi.eval_d0,), "largest_d0_ideal")
-
-
-def largest_v0_ideal(phi: Functional) -> Ideal:
-    """The largest ideal J with phi(Vir_0 (x) J) = 0 (finite algebras)."""
-    return _largest_killed_ideal(phi, (phi.eval_d0, phi.eval_c), "largest_v0_ideal")
 
 
 def depth_one_vector(phi: Functional, f: AlgebraElement) -> VermaVector:
@@ -1091,7 +1095,8 @@ def check_verma_reducible(phi: Functional, bound: int | None = None,
     A nonzero ideal J with phi(d_0 (x) J) = 0 certifies reducibility with
     explicit singular vector (d_{-1} (x) f) v, f in J.  For polynomial
     algebras with exact (or caller-asserted) data the converse holds as well:
-    no ideal means irreducible.  For finite-dimensional algebras a zero ideal
+    no ideal means irreducible.  For finite-dimensional algebras J is
+    ``largest_d0_ideal``, the depth-one singular space, and a zero ideal
     decides nothing (the classical Virasoro Verma modules can be reducible
     with J = 0), so the verdict stays open.
 

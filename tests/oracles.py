@@ -6,7 +6,8 @@ worklist rewriter on bare mode tuples (and the action of Vir (x) A another,
 on (mode, color) letters over a hand-written product table), the zeros of the
 Kac determinant come from the h_{r,s} formula (and their (t, m) position
 from Fraction arithmetic), null spaces, reduced row echelon forms and
-row-space intersections from Gauss-Jordan elimination,
+row-space intersections from Gauss-Jordan elimination, the largest ideal
+a functional kills from a Gauss-Jordan null space over products in A,
 partition counts come from the generating function, minimal recurrences
 from a per-order Hankel search,
 ideal closures from a rank-driven worklist over the algebra's product, the
@@ -121,6 +122,19 @@ def oracle_kernel(rows, ncols: int) -> list[list[Fraction]]:
                 v[p] = -row[f]
             basis.append(v)
     return basis
+
+
+def reference_killed_ideal(phi, evals) -> list[list[Fraction]]:
+    """The RREF basis of the largest ideal on which every functional of
+    ``evals`` (say phi.eval_d0, phi.eval_c) vanishes, over a finite algebra:
+    the null space of f -> (ev(f e_j))_{j, ev}, formed by products in the
+    algebra and solved by Gauss-Jordan.  It is already an ideal, since f in
+    it forces every multiple into it."""
+    alg = phi.algebra
+    dim = alg.dim
+    rows = [[ev(alg.basis_element(i) * alg.basis_element(j)) for i in range(dim)]
+            for j in range(dim) for ev in evals]
+    return oracle_rref(oracle_kernel(rows, dim), dim)
 
 
 def oracle_row_space_intersection(rows_a, rows_b, ncols: int) -> list[list[Fraction]]:

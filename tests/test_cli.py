@@ -349,7 +349,7 @@ def test_exit_code_window_overflow(capsys, tmp_path):
     (errors.NotLowering, 2), (errors.ImproperIdeal, 2), (errors.InfiniteDimensionalAlgebra, 2),
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_exit_code_by_error_class(capsys, monkeypatch, exc, code):
-    def failing(args):
+    def failing(args, alg):
         raise exc("planted")
 
     monkeypatch.setattr(cli, "_cmd_bracket", failing)

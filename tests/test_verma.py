@@ -60,6 +60,7 @@ from oracles import (
     partitions,
     principal_quotient_tensor,
     reference_act_basis,
+    reference_killed_ideal,
     rocha_caridi_dims,
     top_zero_dims,
 )
@@ -1477,6 +1478,53 @@ def test_depth1_exactness_randomized():
             f = alg.element({b: c for ((_, b),), c in
                              [(m, c) for m, c in v.env.terms.items()]})
             assert j0.contains(f)
+
+
+def _killed_ideal_cases():
+    """Criterion 2's seeded corpus, then the edges of the depth-one engine:
+    Q at h = 0 and h != 0, a one-dimensional algebra with unit 2 e_0,
+    product_local at rational points with zero top pairs, and algebras of
+    dimension 2 given by structure constants."""
+    rng = random.Random(2024)
+    algebras = [Algebra.product_local([(0, n)]) for n in (1, 2, 3, 4)]
+    algebras += [SPLIT, Algebra.product_local([(0, 2), (1, 1)]),
+                 Algebra.product_local([(F(1, 2), 2), (-1, 2)])]
+    cases = [Functional(alg, *({i: F(rng.randint(-6, 6), rng.randint(1, 4))
+                                for i in range(alg.dim)} for _ in range(2)))
+             for alg in (algebras[trial % len(algebras)] for trial in range(50))]
+    cases += [Functional.classical(0, 7), Functional.classical(F(1, 3), 2)]
+    halved = Algebra.structure_constants([[[F(1, 2)]]], (2,))  # e_0 e_0 = e_0 / 2
+    cases += [Functional(halved, {0: d}, {0: 1}) for d in (0, 3)]
+    for factors, d0, c in [
+            (((F(1, 2), 2), (-1, 3)), [[3, 0], [1, 2, 5]], [[2, 0], [1, 1, 1]]),
+            (((F(1, 2), 2), (-1, 3)), [[3, 0], [1, 2, 0]], [[2, 0], [1, 1, 0]]),
+            (((F(-2, 3), 3),), [[1, 4, 0]], [[1, 0, 0]]),
+            (((0, 1), (F(3, 2), 2)), [[0], [F(1, 3), 0]], [[1], [1, 0]])]:
+        cases.append(_local_functional(factors, d0, c))
+    cases += [Functional(alg, {0: d, 1: e}, {0: 1, 1: 2})
+              for alg in (GAUSS, QXQ) for d, e in ((0, 0), (0, 5), (2, 0), (1, 3))]
+    return cases
+
+
+def test_largest_d0_ideal_matches_the_evaluation_kernel():
+    # the engine's depth-one singular space against the d_0 kernel over A's products
+    nonzero = 0
+    for phi in _killed_ideal_cases():
+        want = reference_killed_ideal(phi, (phi.eval_d0,))
+        assert [list(row) for row in largest_d0_ideal(phi).rows] == want
+        nonzero += bool(want)
+    assert nonzero >= 10
+
+
+def test_check_verma_reducible_reads_a_zero_j0_off_the_theorem(monkeypatch):
+    # no CRT piece has top d_0 value 0, so no basis, action or elimination runs
+    bases = _counting(monkeypatch, verma, "pbw_basis")
+    kernels = _counting(monkeypatch, linalg, "kernel")
+    phi = _local_functional(((0, 3), (1, 1), (F(-1, 2), 2)),
+                            [[1, 2, 3], [F(1, 2)], [4, 5]], [[1, 0, 2], [1], [3, 7]])
+    verdict = check_verma_reducible(phi)
+    assert verdict.status == "no_witness_up_to_bound"
+    assert bases == [] and kernels == []
 
 
 def test_singular_vectors_land_in_maximal_submodule():
